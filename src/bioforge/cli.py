@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=_default_seed(),
                        help="pipeline seed (env BIOFORGE_SEED, overridable by this flag)")
         p.add_argument("--out", default="out", help="output root directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (advisory)")
 
     p = sub.add_parser("ingest", help="parse a source-format file into canonical JSONL")
     common(p)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import UnknownLabel
-from .schema import DatasetDescriptor, Registry, TaskType, UnifiedDocument
+from .schema import TASKS, DatasetDescriptor, Registry, TaskType, UnifiedDocument
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -32,16 +32,10 @@ class CurationReport:
     duplicates_removed: int = 0
     overlap_removed: int = 0
     output_count: int = 0
-    per_dataset: dict = field(default_factory=dict)
+    per_dataset: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "input_count": self.input_count,
-            "duplicates_removed": self.duplicates_removed,
-            "overlap_removed": self.overlap_removed,
-            "output_count": self.output_count,
-            "per_dataset": self.per_dataset,
-        }
+        return asdict(self)
 
 
 def _doc_key(doc: UnifiedDocument) -> str:
@@ -93,7 +87,7 @@ class SubtaskPlan:
     """Label subsets for decomposing a multi-type extraction dataset.
     Each subset is ``(name, labels)``; e.g. per-type NER splits."""
 
-    subsets: tuple = ()  # of (name, tuple-of-labels)
+    subsets: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (name, labels) pairs
 
     @staticmethod
     def per_label(labels: Sequence[str]) -> "SubtaskPlan":
@@ -161,37 +155,18 @@ def decompose_subtasks(
 # Corpus statistics
 # ---------------------------------------------------------------------------
 
-# Task-group labels used in the statistics table, keyed by task type.
-_TASK_GROUPS = {
-    TaskType.NER_NEN: "Named Entity Recognition",
-    TaskType.RE: "Relation Extraction",
-    TaskType.CRE: "Relation Extraction",
-    TaskType.COREF: "Relation Extraction",
-    TaskType.EE: "Event Extraction",
-    TaskType.TC: "Text Classification",
-    TaskType.TP_SS: "Text Pair Task",
-    TaskType.TP_TE: "Text Pair Task",
-    TaskType.MT: "Machine Translation",
-    TaskType.QA_MC: "Biomedical Question Answering",
-    TaskType.QA_SQA: "Biomedical Question Answering",
-    TaskType.QA_CQA: "Biomedical Question Answering",
-    TaskType.MRD: "Biomedical Multi-Round Dialogue",
-    TaskType.TT_DS: "Other Additional Tasks",
-    TaskType.TT_TS: "Other Additional Tasks",
-}
-
 GENERAL_DIALOGUE_GROUP = "General Dialogue Data"
 
 
 def task_group(desc: DatasetDescriptor) -> str:
     if desc.general_dialogue:
         return GENERAL_DIALOGUE_GROUP
-    return _TASK_GROUPS[desc.task]
+    return TASKS[desc.task].group
 
 
 @dataclass
 class StatsTable:
-    rows: dict = field(default_factory=dict)  # (group, language) -> count
+    rows: dict[tuple[str, str], int] = field(default_factory=dict)  # (group, language) -> count
     total: int = 0
 
     def group_total(self, group: str) -> int:

@@ -85,10 +85,6 @@ class LengthMismatch(BioforgeError):
         super().__init__(f"gold/pred length mismatch: {n_gold} vs {n_pred}")
 
 
-class UnregisteredDataset(UnknownDataset):
-    pass
-
-
 class UnknownTaskMetric(BioforgeError):
     def __init__(self, task: str):
         self.task = task

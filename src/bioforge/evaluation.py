@@ -12,13 +12,13 @@ Unparseable outputs score zero; excluding them would flatter evasive models.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import LengthMismatch, UnknownTaskMetric
-from .forge import EMPTY_MARKERS, InstructionInstance
-from .schema import Language, RelationTriple, TaskType, read_jsonl, write_jsonl
+from .forge import InstructionInstance
+from .schema import TASKS, Language, RelationTriple, TaskType, from_dict, read_jsonl, to_dict, write_jsonl
 
 PARSED = "parsed"
 PARTIAL = "partial"
@@ -32,23 +32,23 @@ class PredictionRecord:
 
 
 def read_predictions(path: Path | str) -> list[PredictionRecord]:
-    return [PredictionRecord(d["instance_id"], d["raw_text"]) for d in read_jsonl(path)]
+    return [from_dict(PredictionRecord, d) for d in read_jsonl(path)]
 
 
 def write_predictions(path: Path | str, records: Iterable[PredictionRecord]) -> int:
-    return write_jsonl(path, ({"instance_id": r.instance_id, "raw_text": r.raw_text} for r in records))
+    return write_jsonl(path, map(to_dict, records))
 
 
 @dataclass(frozen=True)
 class ParseOutcome:
     status: str
-    ner: frozenset = frozenset()        # of (surface, etype)
-    re_triples: frozenset = frozenset()  # of RelationTriple
-    tc: frozenset = frozenset()          # of labels
+    ner: frozenset[tuple[str, str]] = frozenset()  # (surface, etype) pairs
+    re_triples: frozenset[RelationTriple] = frozenset()
+    tc: frozenset[str] = frozenset()
     qa_choice: Optional[str] = None
 
 
-_EMPTY_MARKER_STRINGS = frozenset(EMPTY_MARKERS.values())
+_EMPTY_MARKER_STRINGS = frozenset(m for spec in TASKS.values() for m in spec.empty.values())
 
 
 def _is_empty_marker(raw: str) -> bool:
@@ -182,19 +182,10 @@ class EvalReport:
     f1: float = 0.0
     accuracy: float = 0.0
     unparseable_count: int = 0
-    per_type: dict = field(default_factory=dict)  # etype -> {precision, recall, f1}
+    per_type: dict[str, dict[str, float]] = field(default_factory=dict)  # etype -> {precision, ...}
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "metric_name": self.metric_name,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "correct": self.correct, "total": self.total,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "accuracy": self.accuracy,
-            "unparseable_count": self.unparseable_count,
-            "per_type": self.per_type,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [f"Dataset: {self.dataset_id}  metric={self.metric_name}"]
@@ -317,7 +308,19 @@ def _options_from_instruction(instruction: str) -> list[tuple]:
     return options
 
 
-_SCORED_TASKS = {TaskType.NER_NEN, TaskType.RE, TaskType.TC, TaskType.QA_MC}
+def _parse_re(raw: str, desc) -> ParseOutcome:
+    return parse_re_output(raw, desc.language, desc.label_vocab, desc.prompted_relation)
+
+
+# Micro-F1 tasks: the parser that inverts the task's gold grammar and the
+# ParseOutcome field holding its items.  CRE and COREF share RE's grammar.
+_F1_TASKS = {
+    TaskType.NER_NEN: (lambda raw, desc: parse_ner_output(raw, desc.language, desc.label_vocab), "ner"),
+    TaskType.RE: (_parse_re, "re_triples"),
+    TaskType.CRE: (_parse_re, "re_triples"),
+    TaskType.COREF: (_parse_re, "re_triples"),
+    TaskType.TC: (lambda raw, desc: parse_tc_output(raw, desc.language, desc.label_vocab), "tc"),
+}
 
 
 def evaluate_dataset(
@@ -329,10 +332,11 @@ def evaluate_dataset(
 
     Gold structure is recovered by running the same parser over the canonical
     gold output (an exact inverse by construction).  Missing predictions score
-    as empty/unparseable.
+    as empty/unparseable.  QA-mc scores accuracy; the tasks of ``_F1_TASKS``
+    score micro-F1; any other task raises :class:`UnknownTaskMetric`.
     """
     task = desc.task
-    if task not in _SCORED_TASKS:
+    if task is not TaskType.QA_MC and task not in _F1_TASKS:
         raise UnknownTaskMetric(task.value)
     by_id = {p.instance_id: p.raw_text for p in predictions}
 
@@ -346,29 +350,16 @@ def evaluate_dataset(
             outcomes.append(parse_qa_choice(by_id.get(inst.instance_id, ""), options))
         return score_accuracy(gold_keys, outcomes, dataset_id=desc.id)
 
+    parse, items = _F1_TASKS[task]
     gold_sets = []
     pred_sets = []
     unparseable = 0
     for inst in gold:
-        raw_pred = by_id.get(inst.instance_id, "")
-        if task is TaskType.NER_NEN:
-            g = parse_ner_output(inst.output, desc.language, desc.label_vocab)
-            p = parse_ner_output(raw_pred, desc.language, desc.label_vocab)
-            gold_sets.append(g.ner)
-            pred_sets.append(p.ner)
-        elif task is TaskType.RE:
-            g = parse_re_output(inst.output, desc.language, desc.label_vocab, desc.prompted_relation)
-            p = parse_re_output(raw_pred, desc.language, desc.label_vocab, desc.prompted_relation)
-            gold_sets.append(g.re_triples)
-            pred_sets.append(p.re_triples)
-        else:
-            g = parse_tc_output(inst.output, desc.language, desc.label_vocab)
-            p = parse_tc_output(raw_pred, desc.language, desc.label_vocab)
-            gold_sets.append(g.tc)
-            pred_sets.append(p.tc)
+        p = parse(by_id.get(inst.instance_id, ""), desc)
+        gold_sets.append(getattr(parse(inst.output, desc), items))
+        pred_sets.append(getattr(p, items))
         if p.status == UNPARSEABLE:
             unparseable += 1
-    type_key = (lambda item: None) if task is TaskType.TC else _default_type_key
-    report = score_micro_f1(gold_sets, pred_sets, dataset_id=desc.id, type_key=type_key)
+    report = score_micro_f1(gold_sets, pred_sets, dataset_id=desc.id)
     report.unparseable_count = unparseable
     return report

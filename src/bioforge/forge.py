@@ -17,32 +17,17 @@ from typing import Iterable, Optional
 
 from .errors import MissingSlotData, NoTemplate, UnsupportedTask
 from .schema import (
+    TASKS,
     DatasetDescriptor,
     Language,
     TaskType,
     UnifiedDocument,
+    from_dict,
     read_jsonl,
+    to_dict,
     write_jsonl,
 )
-from .templates import QUESTION_DRIVEN_TASKS, InstructionTemplate, TemplateBank
-
-# Language-specific markers for annotation-free gold outputs.  These are
-# deliberately unambiguous so the evaluation parsers can invert them to the
-# empty set.
-EMPTY_MARKERS = {
-    (TaskType.NER_NEN, Language.EN): "No entities found.",
-    (TaskType.NER_NEN, Language.ZH): "未识别出实体。",
-    (TaskType.RE, Language.EN): "No relations found.",
-    (TaskType.RE, Language.ZH): "未识别出关系。",
-    (TaskType.CRE, Language.EN): "No relations found.",
-    (TaskType.CRE, Language.ZH): "未识别出关系。",
-    (TaskType.COREF, Language.EN): "No relations found.",
-    (TaskType.COREF, Language.ZH): "未识别出关系。",
-    (TaskType.TC, Language.EN): "No label.",
-    (TaskType.TC, Language.ZH): "无类别。",
-    (TaskType.EE, Language.EN): "No events found.",
-    (TaskType.EE, Language.ZH): "未识别出事件。",
-}
+from .templates import InstructionTemplate, TemplateBank
 
 TC_MARKER = {Language.EN: "Result: ", Language.ZH: "上述文本被分类为: "}
 
@@ -64,40 +49,13 @@ class InstructionInstance:
     output: str
     source_doc_id: str
 
-    def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "dataset_id": self.dataset_id,
-            "task": self.task.value,
-            "language": self.language.value,
-            "template_id": self.template_id,
-            "instruction": self.instruction,
-            "input": self.input,
-            "output": self.output,
-            "source_doc_id": self.source_doc_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InstructionInstance":
-        return cls(
-            instance_id=d["instance_id"],
-            dataset_id=d["dataset_id"],
-            task=TaskType(d["task"]),
-            language=Language(d["language"]),
-            template_id=d["template_id"],
-            instruction=d["instruction"],
-            input=d["input"],
-            output=d["output"],
-            source_doc_id=d["source_doc_id"],
-        )
-
 
 def write_instances(path: Path | str, instances: Iterable[InstructionInstance]) -> int:
-    return write_jsonl(path, (i.to_dict() for i in instances))
+    return write_jsonl(path, map(to_dict, instances))
 
 
 def read_instances(path: Path | str) -> list[InstructionInstance]:
-    return [InstructionInstance.from_dict(d) for d in read_jsonl(path)]
+    return [from_dict(InstructionInstance, d) for d in read_jsonl(path)]
 
 
 def _dedup_keep_order(items):
@@ -111,17 +69,15 @@ def _dedup_keep_order(items):
 
 
 def serialize_gold(
-    doc: UnifiedDocument,
-    task: TaskType,
-    language: Language,
-    re_untyped: bool = False,
-    prompted_relation: Optional[str] = None,
+    doc: UnifiedDocument, task: TaskType, language: Language, re_untyped: bool = False
 ) -> str:
     """Render the document's gold annotations as the canonical output string.
 
     Entity order is first-occurrence order; triple order is document order.
     ``re_untyped`` selects the binary ``[head, tail]`` relation grammar, in
-    which the relation type is implied by the prompt.
+    which the relation type is implied by the prompt.  A document without
+    annotations renders as its task's empty marker (``TASKS[task].empty``),
+    which the evaluation parsers invert to the empty set.
     """
     zh = language is Language.ZH
     item_sep = "；" if zh else "; "
@@ -129,7 +85,7 @@ def serialize_gold(
 
     if task is TaskType.NER_NEN:
         if not doc.entities:
-            return EMPTY_MARKERS[(task, language)]
+            return TASKS[task].empty[language]
         by_type: dict[str, list[str]] = {}
         for e in doc.entities:
             by_type.setdefault(e.etype, []).append(e.surface)
@@ -142,7 +98,7 @@ def serialize_gold(
     if task in (TaskType.RE, TaskType.CRE, TaskType.COREF):
         triples = _dedup_keep_order(doc.relations)
         if not triples:
-            return EMPTY_MARKERS[(task, language)]
+            return TASKS[task].empty[language]
         if re_untyped:
             items = [f"[{r.head}, {r.tail}]" for r in triples]
         else:
@@ -152,12 +108,12 @@ def serialize_gold(
     if task is TaskType.TC:
         labels = _dedup_keep_order(doc.labels)
         if not labels:
-            return EMPTY_MARKERS[(task, language)]
+            return TASKS[task].empty[language]
         return TC_MARKER[language] + item_sep.join(labels)
 
     if task is TaskType.EE:
         if not doc.events:
-            return EMPTY_MARKERS[(task, language)]
+            return TASKS[task].empty[language]
         lines = []
         for ev in doc.events:
             args = "".join(f", {role}: {filler}" for role, filler in ev.arguments)
@@ -201,11 +157,6 @@ def serialize_gold(
     raise UnsupportedTask(str(task))
 
 
-def _render_options(doc: UnifiedDocument, language: Language) -> str:
-    assert doc.qa is not None and doc.qa.options
-    return "\n".join(f"{k}. {t}" for k, t in doc.qa.options)
-
-
 def _input_text(doc: UnifiedDocument, task: TaskType, language: Language) -> str:
     if task is TaskType.MT:
         assert doc.translation is not None
@@ -234,7 +185,7 @@ def render_instance(
     task = desc.task
     language = desc.language
     zh = language is Language.ZH
-    if task in QUESTION_DRIVEN_TASKS:
+    if TASKS[task].type2:
         if task is TaskType.MRD:
             if not doc.dialogue:
                 raise MissingSlotData("question")
@@ -253,7 +204,7 @@ def render_instance(
             if task is TaskType.QA_MC:
                 if not doc.qa.options:
                     raise MissingSlotData("options")
-                parts.append(_render_options(doc, language))
+                parts.append("\n".join(f"{k}. {t}" for k, t in doc.qa.options))
             instruction = "\n".join(parts)
         template_id = ""
     else:
@@ -280,10 +231,7 @@ def render_instance(
         except KeyError as exc:
             raise MissingSlotData(str(exc)) from None
         template_id = template.template_id
-    output = serialize_gold(
-        doc, task, language,
-        re_untyped=desc.re_untyped, prompted_relation=desc.prompted_relation,
-    )
+    output = serialize_gold(doc, task, language, re_untyped=desc.re_untyped)
     return InstructionInstance(
         instance_id=f"{desc.id}/{doc.doc_id}",
         dataset_id=desc.id,
@@ -323,7 +271,7 @@ def build_corpus(
     out: list[InstructionInstance] = []
     for desc, docs in corpora:
         for doc in docs:
-            if desc.task in QUESTION_DRIVEN_TASKS:
+            if TASKS[desc.task].type2:
                 template = None
             else:
                 template = _pick_template(

@@ -22,15 +22,12 @@ from .errors import (
     XmlSyntax,
 )
 from .schema import (
-    DatasetDescriptor,
     EntityMention,
     Language,
     Registry,
     RelationTriple,
-    TaskType,
     UnifiedDocument,
     document_from_dict,
-    read_jsonl,
     validate_document,
 )
 

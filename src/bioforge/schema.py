@@ -4,20 +4,27 @@ All corpora, whatever their source format, are normalized into
 :class:`UnifiedDocument` values; a :class:`DatasetDescriptor` registry row
 carries per-dataset metadata (task type, language, split sizes, declared
 label vocabulary).  Values are immutable after construction and safe to
-share across workers.
+share across workers.  :data:`TASKS` holds the data facts of every task
+type in one table.
 
-On-disk encoding is UTF-8 JSONL, one document per line, field names exactly
-matching the dataclass fields.  The registry is a single JSONL file of
-descriptor rows.
+On-disk encoding is UTF-8 JSONL, one record per line; the registry is a
+single JSONL file of descriptor rows.  One codec, :func:`to_dict` /
+:func:`from_dict`, maps every record dataclass to JSON and back, driven by
+its fields and their type hints: keys are the field names, tuples become
+lists, enums become their values, nested records become objects, and a key
+absent on input takes the field's default.  A missing required key or a
+value of the wrong shape raises ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, fields
+import operator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 
 class TaskType(str, Enum):
@@ -70,14 +77,14 @@ class RelationTriple:
 class EventFrame:
     event_type: str
     trigger: str
-    arguments: tuple = ()  # of (role, filler) pairs
+    arguments: tuple[tuple[str, str], ...] = ()  # (role, filler) pairs
 
 
 @dataclass(frozen=True)
 class QAInstance:
     question: str
-    options: Optional[tuple] = None  # ordered (key, text) pairs
-    answer_keys: tuple = ()
+    options: Optional[tuple[tuple[str, str], ...]] = None  # ordered (key, text) pairs
+    answer_keys: tuple[str, ...] = ()
     context: Optional[str] = None
 
 
@@ -120,11 +127,11 @@ class DatasetDescriptor:
     name: str
     task: TaskType
     language: Language
-    split_counts: dict = field(default_factory=dict)
+    split_counts: dict[str, int] = field(default_factory=dict)
     description: str = ""
     source_url: Optional[str] = None
-    label_vocab: tuple = ()
-    role_vocab: tuple = ()
+    label_vocab: tuple[str, ...] = ()
+    role_vocab: tuple[str, ...] = ()
     stage_override: Optional[str] = None  # "Type1" | "Type2"
     general_dialogue: bool = False
     re_untyped: bool = False
@@ -143,55 +150,82 @@ class UnifiedDocument:
     dataset_id: str
     language: Language
     text: str
-    entities: tuple = ()
-    relations: tuple = ()
-    events: tuple = ()
-    labels: tuple = ()
+    entities: tuple[EntityMention, ...] = ()
+    relations: tuple[RelationTriple, ...] = ()
+    events: tuple[EventFrame, ...] = ()
+    labels: tuple[str, ...] = ()
     qa: Optional[QAInstance] = None
-    dialogue: Optional[tuple] = None
+    dialogue: Optional[tuple[DialogueTurn, ...]] = None
     pair: Optional[TextPairInstance] = None
     translation: Optional[TranslationPair] = None
 
 
-# Payload fields each task type is allowed to populate.
+# Payload fields of a document, in field order.
 PAYLOAD_FIELDS = ("entities", "relations", "events", "labels", "qa", "dialogue", "pair", "translation")
 
-_ALLOWED_PAYLOADS = {
-    TaskType.NER_NEN: {"entities"},
-    TaskType.RE: {"entities", "relations"},
-    TaskType.CRE: {"entities", "relations"},
-    TaskType.COREF: {"entities", "relations"},
-    TaskType.EE: {"entities", "events"},
-    TaskType.TC: {"labels"},
-    TaskType.QA_MC: {"qa"},
-    TaskType.QA_SQA: {"qa"},
-    TaskType.QA_CQA: {"qa"},
-    TaskType.MRD: {"dialogue"},
-    TaskType.MT: {"translation"},
-    TaskType.TP_SS: {"pair"},
-    TaskType.TP_TE: {"pair"},
-    TaskType.TT_DS: {"pair"},
-    TaskType.TT_TS: {"pair"},
-}
 
-# Payloads that must be non-None for the task to make sense at all.
-_REQUIRED_PAYLOADS = {
-    TaskType.QA_MC: "qa",
-    TaskType.QA_SQA: "qa",
-    TaskType.QA_CQA: "qa",
-    TaskType.MRD: "dialogue",
-    TaskType.MT: "translation",
-    TaskType.TP_SS: "pair",
-    TaskType.TP_TE: "pair",
-    TaskType.TT_DS: "pair",
-    TaskType.TT_TS: "pair",
+@dataclass(frozen=True)
+class TaskSpec:
+    """The data facts of one task type.
+
+    ``payloads`` are the document fields the task may populate and
+    ``required`` the one that must be non-None, if any; ``group`` is the task
+    group of the statistics table; ``type2`` marks QA and dialogue tasks,
+    whose instruction is the question itself and which train in stage 2 only;
+    ``empty`` maps a language to the gold output of a document with no
+    annotations, for tasks that have one.  The output grammars themselves
+    live in ``forge.serialize_gold`` and the ``evaluation`` parsers.
+    """
+
+    payloads: frozenset[str]
+    group: str
+    required: Optional[str] = None
+    type2: bool = False
+    empty: dict[Language, str] = field(default_factory=dict)
+
+
+_RELATIONS = TaskSpec(
+    frozenset({"entities", "relations"}), "Relation Extraction",
+    empty={Language.EN: "No relations found.", Language.ZH: "未识别出关系。"},
+)
+_QA = TaskSpec(frozenset({"qa"}), "Biomedical Question Answering", required="qa", type2=True)
+_PAIR = TaskSpec(frozenset({"pair"}), "Text Pair Task", required="pair")
+_TEXT_TO_TEXT = TaskSpec(frozenset({"pair"}), "Other Additional Tasks", required="pair")
+
+TASKS: dict[TaskType, TaskSpec] = {
+    TaskType.NER_NEN: TaskSpec(
+        frozenset({"entities"}), "Named Entity Recognition",
+        empty={Language.EN: "No entities found.", Language.ZH: "未识别出实体。"},
+    ),
+    TaskType.RE: _RELATIONS,
+    TaskType.CRE: _RELATIONS,
+    TaskType.COREF: _RELATIONS,
+    TaskType.EE: TaskSpec(
+        frozenset({"entities", "events"}), "Event Extraction",
+        empty={Language.EN: "No events found.", Language.ZH: "未识别出事件。"},
+    ),
+    TaskType.TC: TaskSpec(
+        frozenset({"labels"}), "Text Classification",
+        empty={Language.EN: "No label.", Language.ZH: "无类别。"},
+    ),
+    TaskType.QA_MC: _QA,
+    TaskType.QA_SQA: _QA,
+    TaskType.QA_CQA: _QA,
+    TaskType.MRD: TaskSpec(
+        frozenset({"dialogue"}), "Biomedical Multi-Round Dialogue", required="dialogue", type2=True
+    ),
+    TaskType.MT: TaskSpec(frozenset({"translation"}), "Machine Translation", required="translation"),
+    TaskType.TP_SS: _PAIR,
+    TaskType.TP_TE: _PAIR,
+    TaskType.TT_DS: _TEXT_TO_TEXT,
+    TaskType.TT_TS: _TEXT_TO_TEXT,
 }
 
 
 @dataclass(frozen=True)
 class ValidationResult:
     ok: bool
-    violations: tuple = ()
+    violations: tuple[str, ...] = ()
 
 
 def _payload_populated(doc: UnifiedDocument, name: str) -> bool:
@@ -215,11 +249,11 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
     if doc.language != desc.language:
         v.append(f"language: document {doc.language.value} vs dataset {desc.language.value}")
 
-    allowed = _ALLOWED_PAYLOADS[desc.task]
+    spec = TASKS[desc.task]
     for name in PAYLOAD_FIELDS:
-        if name not in allowed and _payload_populated(doc, name):
+        if name not in spec.payloads and _payload_populated(doc, name):
             v.append(f"{name}: payload/task mismatch for task {desc.task.value}")
-    required = _REQUIRED_PAYLOADS.get(desc.task)
+    required = spec.required
     if required is not None and getattr(doc, required) is None:
         v.append(f"{required}: required payload missing for task {desc.task.value}")
 
@@ -284,122 +318,118 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
 # ---------------------------------------------------------------------------
 
 
+def _codec(tp) -> tuple[Optional[Callable], Optional[Callable]]:
+    """``(encode, decode)`` for a non-None value of type ``tp``; ``None`` where
+    the value passes through unchanged (str, int, float, bool)."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]; None passes through
+        return _codec(args[0])
+    if origin is tuple and args[-1] is Ellipsis:
+        enc, dec = _codec(args[0])
+        if enc is None:
+            return list, tuple
+        return (lambda v: list(map(enc, v))), (lambda v: tuple(map(dec, v)))
+    if origin is tuple:  # fixed-size tuple of plain values, e.g. a (key, text) pair
+        def decode_fixed(v):
+            items = tuple(v)
+            if len(items) != len(args):
+                raise ValueError(f"expected {len(args)} items, got {len(items)}")
+            return items
+        return list, decode_fixed
+    if origin is dict:
+        return dict, dict
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return operator.attrgetter("value"), tp
+    if is_dataclass(tp):
+        return _encoder(tp), _decoder(tp)
+    return None, None
+
+
+_REQUIRED = object()  # the "default" of a field that has none
+
+
+@functools.cache
+def _plan(cls) -> list[tuple]:
+    """Per field of ``cls``, in order: name, encoder, decoder, whether the
+    value may be None, and the default an absent key takes.  A factory
+    default is built once here; its field's decoder copies it (dict)."""
+    hints = get_type_hints(cls)
+    plan = []
+    for f in fields(cls):
+        if f.default is not MISSING:
+            default = f.default
+        elif f.default_factory is not MISSING:
+            default = f.default_factory()
+        else:
+            default = _REQUIRED
+        hint = hints[f.name]
+        plan.append((f.name, *_codec(hint), type(None) in get_args(hint), default))
+    return plan
+
+
+@functools.cache
+def _encoder(cls) -> Callable:
+    plan = [(name, enc) for name, enc, *_ in _plan(cls)]
+
+    def encode(obj) -> dict:
+        d = {}
+        for name, enc in plan:
+            value = getattr(obj, name)
+            d[name] = value if enc is None or value is None else enc(value)
+        return d
+    return encode
+
+
+@functools.cache
+def _decoder(cls) -> Callable:
+    plan = [(name, dec, nullable, default) for name, _, dec, nullable, default in _plan(cls)]
+
+    def decode(d):
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(d).__name__}")
+        args = []
+        for name, dec, nullable, default in plan:
+            value = d.get(name, default)
+            if value is _REQUIRED:
+                raise ValueError(f"{cls.__name__}.{name}: required key missing")
+            if dec is not None and not (nullable and value is None):
+                try:
+                    value = dec(value)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+            args.append(value)
+        return cls(*args)  # positional: faster than keywords, same field order
+    return decode
+
+
+def to_dict(obj) -> dict:
+    """Encode a record dataclass as a JSON-ready dict (see the module docstring)."""
+    return _encoder(type(obj))(obj)
+
+
+def from_dict(cls, d: dict):
+    """Decode a dict written by :func:`to_dict` back into a ``cls`` value."""
+    return _decoder(cls)(d)
+
+
 def document_to_dict(doc: UnifiedDocument) -> dict:
-    return {
-        "doc_id": doc.doc_id,
-        "dataset_id": doc.dataset_id,
-        "language": doc.language.value,
-        "text": doc.text,
-        "entities": [
-            {"surface": e.surface, "etype": e.etype, "start": e.start, "end": e.end, "norm_id": e.norm_id}
-            for e in doc.entities
-        ],
-        "relations": [{"head": r.head, "tail": r.tail, "rtype": r.rtype} for r in doc.relations],
-        "events": [
-            {"event_type": ev.event_type, "trigger": ev.trigger,
-             "arguments": [[role, filler] for role, filler in ev.arguments]}
-            for ev in doc.events
-        ],
-        "labels": list(doc.labels),
-        "qa": None if doc.qa is None else {
-            "question": doc.qa.question,
-            "options": None if doc.qa.options is None else [[k, t] for k, t in doc.qa.options],
-            "answer_keys": list(doc.qa.answer_keys),
-            "context": doc.qa.context,
-        },
-        "dialogue": None if doc.dialogue is None else [
-            {"speaker": t.speaker, "text": t.text} for t in doc.dialogue
-        ],
-        "pair": None if doc.pair is None else {
-            "text_a": doc.pair.text_a, "text_b": doc.pair.text_b, "label": doc.pair.label
-        },
-        "translation": None if doc.translation is None else {
-            "text_a": doc.translation.text_a, "text_b": doc.translation.text_b,
-            "source_lang": doc.translation.source_lang.value,
-            "target_lang": doc.translation.target_lang.value,
-        },
-    }
+    return to_dict(doc)
 
 
 def document_from_dict(d: dict) -> UnifiedDocument:
-    qa = d.get("qa")
-    dialogue = d.get("dialogue")
-    pair = d.get("pair")
-    translation = d.get("translation")
-    return UnifiedDocument(
-        doc_id=d["doc_id"],
-        dataset_id=d["dataset_id"],
-        language=Language(d["language"]),
-        text=d["text"],
-        entities=tuple(
-            EntityMention(e["surface"], e["etype"], e["start"], e["end"], e.get("norm_id"))
-            for e in d.get("entities", [])
-        ),
-        relations=tuple(
-            RelationTriple(r["head"], r["tail"], r["rtype"]) for r in d.get("relations", [])
-        ),
-        events=tuple(
-            EventFrame(ev["event_type"], ev["trigger"],
-                       tuple((role, filler) for role, filler in ev.get("arguments", [])))
-            for ev in d.get("events", [])
-        ),
-        labels=tuple(d.get("labels", [])),
-        qa=None if qa is None else QAInstance(
-            question=qa["question"],
-            options=None if qa.get("options") is None else tuple((k, t) for k, t in qa["options"]),
-            answer_keys=tuple(qa.get("answer_keys", [])),
-            context=qa.get("context"),
-        ),
-        dialogue=None if dialogue is None else tuple(
-            DialogueTurn(t["speaker"], t["text"]) for t in dialogue
-        ),
-        pair=None if pair is None else TextPairInstance(pair["text_a"], pair["text_b"], pair.get("label")),
-        translation=None if translation is None else TranslationPair(
-            translation["text_a"], translation["text_b"],
-            Language(translation.get("source_lang", "en")),
-            Language(translation.get("target_lang", "zh")),
-        ),
-    )
+    return from_dict(UnifiedDocument, d)
 
 
 def descriptor_to_dict(desc: DatasetDescriptor) -> dict:
-    return {
-        "id": desc.id,
-        "name": desc.name,
-        "task": desc.task.value,
-        "language": desc.language.value,
-        "split_counts": dict(desc.split_counts),
-        "description": desc.description,
-        "source_url": desc.source_url,
-        "label_vocab": list(desc.label_vocab),
-        "role_vocab": list(desc.role_vocab),
-        "stage_override": desc.stage_override,
-        "general_dialogue": desc.general_dialogue,
-        "re_untyped": desc.re_untyped,
-        "prompted_relation": desc.prompted_relation,
-    }
+    return to_dict(desc)
 
 
 def descriptor_from_dict(d: dict) -> DatasetDescriptor:
-    counts = d.get("split_counts", {})
-    for split, n in counts.items():
+    desc = from_dict(DatasetDescriptor, d)
+    for split, n in desc.split_counts.items():
         if n < 0:
             raise ValueError(f"split_counts[{split!r}] must be >= 0, got {n}")
-    return DatasetDescriptor(
-        id=d["id"],
-        name=d["name"],
-        task=TaskType(d["task"]),
-        language=Language(d["language"]),
-        split_counts=dict(counts),
-        description=d.get("description", ""),
-        source_url=d.get("source_url"),
-        label_vocab=tuple(d.get("label_vocab", [])),
-        role_vocab=tuple(d.get("role_vocab", [])),
-        stage_override=d.get("stage_override"),
-        general_dialogue=bool(d.get("general_dialogue", False)),
-        re_untyped=bool(d.get("re_untyped", False)),
-        prompted_relation=d.get("prompted_relation"),
-    )
+    return desc
 
 
 def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
@@ -423,11 +453,11 @@ def read_jsonl(path: Path | str) -> Iterator[dict]:
 
 
 def write_documents(path: Path | str, docs: Iterable[UnifiedDocument]) -> int:
-    return write_jsonl(path, (document_to_dict(d) for d in docs))
+    return write_jsonl(path, map(to_dict, docs))
 
 
 def read_documents(path: Path | str) -> list[UnifiedDocument]:
-    return [document_from_dict(d) for d in read_jsonl(path)]
+    return [from_dict(UnifiedDocument, d) for d in read_jsonl(path)]
 
 
 class Registry:
@@ -460,4 +490,4 @@ class Registry:
         return cls(descriptor_from_dict(d) for d in read_jsonl(path))
 
     def save(self, path: Path | str) -> int:
-        return write_jsonl(path, (descriptor_to_dict(d) for d in self))
+        return write_jsonl(path, map(to_dict, self))

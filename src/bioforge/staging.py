@@ -13,18 +13,14 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import UnregisteredDataset
+from .errors import UnknownDataset
 from .forge import InstructionInstance, write_instances
-from .schema import DatasetDescriptor, Registry, TaskType
+from .schema import TASKS, DatasetDescriptor, Registry
 
 TYPE1 = "Type1"
 TYPE2 = "Type2"
-
-_TYPE2_TASKS = frozenset(
-    {TaskType.QA_MC, TaskType.QA_SQA, TaskType.QA_CQA, TaskType.MRD}
-)
 
 # Free-text note carried on manifests: checkpoint selection between stages is
 # a human-in-the-loop protocol, not an executable step.
@@ -39,15 +35,15 @@ def assign_stage(desc: DatasetDescriptor) -> str:
     task-based partition (stage membership was assigned manually upstream)."""
     if desc.stage_override in (TYPE1, TYPE2):
         return desc.stage_override
-    if desc.general_dialogue or desc.task in _TYPE2_TASKS:
+    if desc.general_dialogue or TASKS[desc.task].type2:
         return TYPE2
     return TYPE1
 
 
 @dataclass(frozen=True)
 class StagePlan:
-    stage1_instances: tuple  # ordered instance ids
-    stage2_instances: tuple
+    stage1_instances: tuple[str, ...]  # ordered instance ids
+    stage2_instances: tuple[str, ...]
     stage1_count: int
     stage2_count: int
 
@@ -66,7 +62,7 @@ def build_stage_plan(
     for inst in instances:
         desc = registry.get(inst.dataset_id)
         if desc is None:
-            raise UnregisteredDataset(inst.dataset_id)
+            raise UnknownDataset(inst.dataset_id)
         stage2_ids.append(inst.instance_id)
         if assign_stage(desc) == TYPE1:
             stage1_ids.append(inst.instance_id)

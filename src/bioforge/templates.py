@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .schema import Language, TaskType, read_jsonl, write_jsonl
-
-# Tasks whose instruction is the question itself: no template machinery.
-QUESTION_DRIVEN_TASKS = frozenset(
-    {TaskType.QA_MC, TaskType.QA_SQA, TaskType.QA_CQA, TaskType.MRD}
-)
+from .schema import Language, TaskType, from_dict, read_jsonl, to_dict, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -51,33 +46,10 @@ class TemplateBank:
 
     @classmethod
     def load(cls, path: Path | str) -> "TemplateBank":
-        bank = cls()
-        for d in read_jsonl(path):
-            bank.add(
-                InstructionTemplate(
-                    template_id=d["template_id"],
-                    task=TaskType(d["task"]),
-                    language=Language(d["language"]),
-                    instruction_pattern=d["instruction_pattern"],
-                    notes=d.get("notes", ""),
-                )
-            )
-        return bank
+        return cls(from_dict(InstructionTemplate, d) for d in read_jsonl(path))
 
     def save(self, path: Path | str) -> int:
-        rows = []
-        for templates in self._by_pair.values():
-            for t in templates:
-                rows.append(
-                    {
-                        "template_id": t.template_id,
-                        "task": t.task.value,
-                        "language": t.language.value,
-                        "instruction_pattern": t.instruction_pattern,
-                        "notes": t.notes,
-                    }
-                )
-        return write_jsonl(path, rows)
+        return write_jsonl(path, (to_dict(t) for ts in self._by_pair.values() for t in ts))
 
 
 # ---------------------------------------------------------------------------

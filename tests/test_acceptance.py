@@ -24,7 +24,14 @@ from bioforge.evaluation import (
 )
 from bioforge.fixtures import reference_registry
 from bioforge.forge import build_corpus, read_instances
-from bioforge.schema import Language, Registry, UnifiedDocument, write_documents
+from bioforge.schema import (
+    DatasetDescriptor,
+    Language,
+    Registry,
+    TaskType,
+    UnifiedDocument,
+    write_documents,
+)
 from bioforge.staging import build_stage_plan, emit_training_manifest, registry_stage_counts
 from bioforge.synth import (
     make_ner_docs,
@@ -46,6 +53,12 @@ def oracle_preds(instances):
     return [PredictionRecord(i.instance_id, i.output) for i in instances]
 
 
+def relation_descriptor(task, label_vocab):
+    """A CRE or COREF dataset; both share RE's documents and output grammar."""
+    return DatasetDescriptor(id=f"{task.value.lower()}-en", name=task.value, task=task,
+                             language=Language.EN, label_vocab=label_vocab)
+
+
 def test_reference_count_reproduction():
     start = time.perf_counter()
     table = corpus_stats(reference_registry())
@@ -65,6 +78,8 @@ def test_round_trip_suite():
         make_re_docs(1000, seed=2, desc=re_descriptor("re-un", untyped=True)),
         make_tc_docs(1000, seed=3),
         make_qa_mc_docs(1000, seed=4),
+        make_re_docs(1000, seed=5, desc=relation_descriptor(TaskType.CRE, ("causes", "prevents"))),
+        make_re_docs(1000, seed=6, desc=relation_descriptor(TaskType.COREF, ("coref",))),
     ]
     for desc, docs in fixtures:
         instances = build_corpus([(desc, docs)], BANK, seed=7)
@@ -99,6 +114,27 @@ def test_metric_oracle_equivalence():
         assert abs(report.precision - precision) <= 1e-12
         assert abs(report.recall - recall) <= 1e-12
         assert abs(report.f1 - f1) <= 1e-12
+    # CRE and COREF through bioforge's own parse + score path: predictions
+    # keep ~70 % of the gold triples and sometimes add a spurious one.
+    for task, vocab in ((TaskType.CRE, ("causes", "prevents")), (TaskType.COREF, ("coref",))):
+        desc, docs = make_re_docs(200, seed=13, desc=relation_descriptor(task, vocab))
+        instances = build_corpus([(desc, docs)], BANK, seed=7)
+        preds = []
+        tp = fp = fn = 0
+        for inst, doc in zip(instances, docs):
+            gold = {(r.head, r.tail, r.rtype) for r in doc.relations}
+            pred = {t for t in sorted(gold) if rng.random() < 0.7}
+            if rng.random() < 0.3:
+                pred.add(("heparin", "sepsis", vocab[0]))
+            tp += len(pred & gold)
+            fp += len(pred - gold)
+            fn += len(gold - pred)
+            raw = "; ".join(f"({h}, {t}, {r})" for h, t, r in sorted(pred)) or "No relations found."
+            preds.append(PredictionRecord(inst.instance_id, raw))
+        report = evaluate_dataset(instances, preds, desc)
+        assert (report.tp, report.fp, report.fn) == (tp, fp, fn), task
+        precision, recall = tp / (tp + fp), tp / (tp + fn)
+        assert abs(report.f1 - 2 * precision * recall / (precision + recall)) <= 1e-12
     ok("metric-oracle-equivalence")
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from bioforge.errors import MissingSlotData, NoTemplate
 from bioforge.forge import (
-    EMPTY_MARKERS,
     build_corpus,
     render_instance,
     serialize_gold,
@@ -12,6 +11,7 @@ from bioforge.forge import (
     write_instances,
 )
 from bioforge.schema import (
+    TASKS,
     DatasetDescriptor,
     EntityMention,
     Language,
@@ -76,7 +76,7 @@ class TestSerializeGold:
         doc = UnifiedDocument(doc_id="d", dataset_id="ds", language=Language.EN, text="x")
         for lang in (Language.EN, Language.ZH):
             marker = serialize_gold(doc, TaskType.NER_NEN, lang)
-            assert marker == EMPTY_MARKERS[(TaskType.NER_NEN, lang)]
+            assert marker == TASKS[TaskType.NER_NEN].empty[lang]
             outcome = parse_ner_output(marker, lang, ["Chemical"])
             assert outcome.status == "parsed"
             assert outcome.ner == frozenset()
@@ -212,3 +212,14 @@ def test_default_bank_has_15_per_pair():
             templates = bank.for_pair(task, lang)
             assert len(templates) == 15
             assert len({t.instruction_pattern for t in templates}) == 15
+
+
+def test_template_bank_file_round_trip(tmp_path):
+    bank = default_template_bank()
+    path = tmp_path / "bank.jsonl"
+    assert bank.save(path) == len(bank)
+    loaded = TemplateBank.load(path)
+    assert len(loaded) == len(bank)
+    for task in TaskType:
+        for lang in Language:
+            assert loaded.for_pair(task, lang) == bank.for_pair(task, lang)

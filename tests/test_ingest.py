@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bioforge.errors import DanglingRef, MalformedLine, OffsetMismatch, UnknownDataset
@@ -192,6 +194,21 @@ class TestIngestDataset:
         assert report.loaded == 2
         assert report.violations == 1
         assert [d.doc_id for d in docs] == ["1", "3"]
+
+    def test_jsonl_row_missing_key_drops_only_its_row(self, tmp_path):
+        rows = [
+            {"doc_id": "1", "dataset_id": "ds", "language": "en", "text": "Abc"},
+            {"doc_id": "2", "dataset_id": "ds", "language": "en"},
+            {"doc_id": "3", "dataset_id": "ds", "language": "en", "text": "Ghi"},
+        ]
+        path = tmp_path / "f.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        cfg = IngestConfig(dataset_id="ds", format="generic_jsonl")
+        docs, report = ingest_dataset(path, cfg, self.registry())
+        assert report.loaded == 2
+        assert report.violations == 1
+        assert [d.doc_id for d in docs] == ["1", "3"]
+        assert "text" in report.violation_details[0]["violations"][0]
 
     def test_unknown_dataset(self, tmp_path):
         path = tmp_path / "f.pubtator"

@@ -1,12 +1,18 @@
+import json
+
 import pytest
 
 from bioforge.schema import (
     DatasetDescriptor,
+    DialogueTurn,
     EntityMention,
+    EventFrame,
     Language,
     QAInstance,
     Registry,
     TaskType,
+    TextPairInstance,
+    TranslationPair,
     UnifiedDocument,
     descriptor_from_dict,
     descriptor_to_dict,
@@ -89,13 +95,40 @@ def test_validate_is_deterministic(ner_desc):
     assert validate_document(doc, ner_desc) == validate_document(doc, ner_desc)
 
 
+PAYLOADS = ("events", "dialogue", "pair", "translation")
+
+
+def make_payload_docs(n, seed=0):
+    """Documents carrying the ``PAYLOADS[seed]`` payload."""
+    docs = []
+    for i in range(n):
+        base = dict(doc_id=f"d{i}", dataset_id="ds", language=Language.ZH if i % 2 else Language.EN,
+                    text=f"aspirin treats gout {i}")
+        kind = PAYLOADS[seed]
+        if kind == "events":
+            events = (EventFrame("Treatment", "treats", (("Drug", "aspirin"), ("Disease", "gout"))),
+                      EventFrame("Other", "", ()))
+            docs.append(UnifiedDocument(**base, entities=(EntityMention("aspirin", "Chemical", 0, 7, "D001"),),
+                                        events=events))
+        elif kind == "dialogue":
+            turns = tuple(DialogueTurn("user" if j % 2 == 0 else "assistant", f"turn {j}") for j in range(i % 4 + 1))
+            docs.append(UnifiedDocument(**base, dialogue=turns))
+        elif kind == "pair":
+            docs.append(UnifiedDocument(**base, pair=TextPairInstance("a", "b", None if i % 3 else "similar")))
+        else:
+            docs.append(UnifiedDocument(**base, translation=TranslationPair(
+                "aspirin", "阿司匹林", Language.ZH if i % 3 else Language.EN, Language.EN)))
+    return None, docs
+
+
 @pytest.mark.parametrize("maker,seed", [
     (make_ner_docs, 0), (make_re_docs, 1), (make_tc_docs, 2), (make_qa_mc_docs, 3),
+    (make_payload_docs, 0), (make_payload_docs, 1), (make_payload_docs, 2), (make_payload_docs, 3),
 ])
 def test_document_json_round_trip(maker, seed):
     _, docs = maker(25, seed=seed)
     for doc in docs:
-        assert document_from_dict(document_to_dict(doc)) == doc
+        assert document_from_dict(json.loads(json.dumps(document_to_dict(doc)))) == doc
 
 
 def test_zh_offsets_are_code_points():

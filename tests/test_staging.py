@@ -1,6 +1,6 @@
 import pytest
 
-from bioforge.errors import UnregisteredDataset
+from bioforge.errors import UnknownDataset
 from bioforge.fixtures import reference_registry
 from bioforge.forge import build_corpus, read_instances
 from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType
@@ -85,7 +85,7 @@ class TestBuildStagePlan:
 
     def test_unregistered_dataset(self):
         instances, _ = small_forged_corpus()
-        with pytest.raises(UnregisteredDataset):
+        with pytest.raises(UnknownDataset):
             build_stage_plan(instances, Registry(), seed=0)
 
     def test_reference_registry_counts(self):
