@@ -4,8 +4,7 @@ unified document schema.
 Run: python3 demos/01_harmonize_formats.py
 """
 
-from bioforge import IngestConfig, validate_document
-from bioforge.ingest import parse_bioc_xml, parse_conll, parse_pubtator
+from bioforge import IngestConfig, parse_documents, validate_document
 from bioforge.synth import ner_descriptor
 
 PUBTATOR = """\
@@ -48,15 +47,15 @@ def show(title, docs):
 
 def main():
     cfg = IngestConfig(dataset_id="synth-ner-en", format="pubtator")
-    pubtator_docs = parse_pubtator(PUBTATOR, cfg)
+    pubtator_docs = parse_documents(PUBTATOR, cfg)
     show("PubTator", pubtator_docs)
 
-    bioc_docs = parse_bioc_xml(BIOC, IngestConfig(dataset_id="synth-ner-en", format="bioc_xml"))
+    bioc_docs = parse_documents(BIOC, IngestConfig(dataset_id="synth-ner-en", format="bioc_xml"))
     show("BioC XML (offsets rebased across passages)", bioc_docs)
 
     warnings = []
-    conll_docs = parse_conll(CONLL, IngestConfig(dataset_id="synth-ner-en", format="conll"),
-                             warnings=warnings)
+    conll_docs = parse_documents(CONLL, IngestConfig(dataset_id="synth-ner-en", format="conll"),
+                                 warnings=warnings)
     show("CoNLL BIO", conll_docs)
     print("warnings:", warnings or "none")
 

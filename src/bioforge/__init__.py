@@ -30,9 +30,7 @@ from .ingest import (
     IngestConfig,
     IngestReport,
     ingest_dataset,
-    parse_bioc_xml,
-    parse_conll,
-    parse_pubtator,
+    parse_documents,
 )
 from .schema import (
     DatasetDescriptor,

@@ -3,7 +3,8 @@
 Every command is idempotent given identical inputs and seed, writes only
 under the output root, and records a run log (config, seed, input digests,
 counts) sufficient to reproduce its artifacts.  Exit codes: 1 for missing
-inputs (single-line diagnostic), 2 for configuration errors.
+inputs (single-line diagnostic), 2 for configuration errors, which include
+every :class:`~bioforge.errors.BioforgeError` a stage raises.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from pathlib import Path
 
 from . import __version__
 from .curation import corpus_stats, dedup_and_filter_overlap
+from .errors import BioforgeError
 from .evaluation import evaluate_dataset, read_predictions, sample_subset
 from .fixtures import reference_registry
 from .forge import build_corpus, read_instances, write_instances
 from .ingest import IngestConfig, ingest_dataset
-from .schema import Language, Registry, read_documents, write_documents
+from .schema import Language, Registry, read_documents, write_documents, write_jsonl
 from .staging import build_stage_plan, emit_training_manifest
 from .templates import TemplateBank, default_template_bank
 
@@ -87,6 +89,7 @@ def cmd_ingest(args) -> int:
     docs, report = ingest_dataset(src, cfg, registry)
     dest = out_root / "corpus" / args.dataset / f"{args.split}.jsonl"
     write_documents(dest, docs)
+    write_jsonl(dest.with_name(f"{args.split}.rejects.jsonl"), report.violation_details)
     counts = {"loaded": report.loaded, "violations": report.violations,
               "warnings": len(report.warnings)}
     _write_run_log(out_root, "ingest", args, [src], counts)
@@ -280,6 +283,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing input: {exc.filename}", file=sys.stderr)
         return 1
+    except BioforgeError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -257,10 +257,17 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
     if required is not None and getattr(doc, required) is None:
         v.append(f"{required}: required payload missing for task {desc.task.value}")
 
+    # A decoded record may carry any JSON value where a string or int belongs;
+    # each such value is a violation, never a TypeError below.
+    if type(doc.text) is not str:
+        v.append(f"text: expected a string, got {type(doc.text).__name__}")
+        return ValidationResult(ok=False, violations=tuple(v))
     n = len(doc.text)
-    surfaces = {e.surface for e in doc.entities}
+    surfaces = {e.surface for e in doc.entities if type(e.surface) is str}
     for e in doc.entities:
-        if not (0 <= e.start < e.end):
+        if not (type(e.surface) is type(e.etype) is str and type(e.start) is type(e.end) is int):
+            v.append(f"entities: wrongly typed field in {e}")
+        elif not (0 <= e.start < e.end):
             v.append(f"entities: span [{e.start},{e.end}) is not a valid range")
         elif e.end > n:
             v.append(f"entities: span [{e.start},{e.end}) out of bounds for text of length {n}")
@@ -270,6 +277,9 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
             )
 
     for r in doc.relations:
+        if not (type(r.head) is type(r.tail) is type(r.rtype) is str):
+            v.append(f"relations: wrongly typed field in {r}")
+            continue
         if not r.head or not r.tail:
             v.append("relations: head and tail must be non-empty")
             continue
@@ -278,6 +288,10 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
                 v.append(f"relations: argument {arg!r} not among entity surfaces or in text")
 
     for ev in doc.events:
+        if not (type(ev.event_type) is type(ev.trigger) is str
+                and all(type(x) is str for pair in ev.arguments for x in pair)):
+            v.append(f"events: wrongly typed field in {ev}")
+            continue
         if not ev.event_type:
             v.append("events: event_type must be non-empty")
         if ev.trigger and ev.trigger not in surfaces and ev.trigger not in doc.text:
@@ -292,6 +306,9 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
         if desc.task is TaskType.QA_MC:
             if not doc.qa.options:
                 v.append("qa: options must be non-empty for multiple-choice QA")
+            elif not (all(type(k) is str for k, _ in doc.qa.options)
+                      and all(type(a) is str for a in doc.qa.answer_keys)):
+                v.append("qa: option and answer keys must be strings")
             else:
                 keys = {k for k, _ in doc.qa.options}
                 for a in doc.qa.answer_keys:

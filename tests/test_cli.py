@@ -49,7 +49,67 @@ def test_ingest_command(tmp_path, capsys):
     ])
     assert code == 0
     assert (tmp_path / "out" / "corpus" / "synth-ner-en" / "train.jsonl").exists()
+    assert (tmp_path / "out" / "corpus" / "synth-ner-en" / "train.rejects.jsonl").read_text() == ""
     assert "loaded=1" in capsys.readouterr().out
+
+
+# Per format: three documents of which the second is corrupt, its doc id in
+# the reject row (None when it did not parse) and a fragment of the reason.
+REJECT_CASES = {
+    "pubtator": (
+        "1|t|Abc\n1\t0\t3\tAbc\tDisease\n\n2|t|Def\n2\t0\t3\tXyz\tDisease\n\n3|t|Ghi\n",
+        None, "'Xyz'",
+    ),
+    "conll": ("a\tB-Disease\n\nb\tX-Disease\n\nc\tO\n", None, "malformed line 3"),
+    "bioc_xml": (
+        "<collection>"
+        "<document><id>d0</id><passage><text>a</text></passage></document>"
+        "<document><id>d1</id><passage><text>abc</text><annotation>"
+        '<location offset="x" length="1"/></annotation></passage></document>'
+        "<document><id>d2</id><passage><text>c</text></passage></document>"
+        "</collection>",
+        None, "'x'",
+    ),
+    "generic_jsonl": (
+        "".join(json.dumps({"doc_id": f"j{k}", "dataset_id": "synth-ner-en", "language": "en",
+                            "text": None if k == 1 else "abc"}) + "\n" for k in range(3)),
+        "j1", "text: expected a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REJECT_CASES))
+def test_ingest_writes_a_reject_row_per_dropped_document(tmp_path, fmt):
+    raw, doc_id, reason = REJECT_CASES[fmt]
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([ner_descriptor("synth-ner-en")]).save(registry_path)
+    src = tmp_path / "raw.txt"
+    src.write_text(raw, encoding="utf-8")
+    assert main(["ingest", "--registry", str(registry_path), "--dataset", "synth-ner-en",
+                 "--format", fmt, "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    corpus = tmp_path / "out" / "corpus" / "synth-ner-en"
+    assert len((corpus / "train.jsonl").read_text(encoding="utf-8").splitlines()) == 2
+    rejects = [json.loads(line) for line in (corpus / "train.rejects.jsonl").read_text().splitlines()]
+    assert [(r["index"], r["doc_id"]) for r in rejects] == [(1, doc_id)]
+    assert reason in rejects[0]["violations"][0]
+
+
+def test_ingest_unknown_dataset_exits_2(tmp_path, capsys):
+    src = tmp_path / "raw.pubtator"
+    src.write_text("", encoding="utf-8")
+    code = main(["ingest", "--dataset", "nope", "--format", "pubtator", "--input", str(src),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: dataset id 'nope' not in registry\n"
+
+
+def test_eval_task_without_metric_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code = main(["eval", "--dataset", "mrd-en", "--gold", str(empty), "--predictions", str(empty),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: no automatic metric defined for task 'MRD'\n"
 
 
 def test_forge_is_idempotent_and_seed_sensitive(workspace):
@@ -174,8 +234,56 @@ def test_seed_env_var(workspace, monkeypatch):
     assert args.seed == 5
 
 
-# SHA-256 of every file the forge -> plan -> eval chain below writes from a
-# fixed-seed input.  The constants pin the on-disk bytes: a codec or grammar
+# One small source file per ingest format, keyed by (format, dataset, language).
+# They cover a title-only PubTator document, a norm id, CRLF line ends, runs of
+# blank and whitespace-only lines, a repaired I- tag, rebased BioC passages with
+# a relation, and a blank JSONL line.
+INGEST_INPUTS = {
+    ("pubtator", "ner-en", "en"): (
+        "10001|t|Valproic acid and blood ammonia.\n"
+        "10001|a|Acute changes of blood ammonia may predict adverse effects.\n"
+        "10001\t0\t13\tValproic acid\tChemical\tD014635\n"
+        "10001\t24\t31\tammonia\tChemical\n"
+        "10001\t50\t63\tblood ammonia\tChemical\n"
+        "\n \n"
+        "10002|t|Gout flares\n"
+        "10002\t0\t4\tGout\tDisease\n"
+    ),
+    ("conll", "ner-zh", "zh"): (
+        "阿\tB-药物\r\n司\tI-药物\r\n匹\tI-药物\r\n林\tI-药物\r\n治\tO\r\n痛\tB-疾病\r\n风\tI-疾病\r\n"
+        "\r\n\t\r\n\r\n"
+        "头\tI-疾病\r\n痛\tI-疾病\r\n"
+    ),
+    ("bioc_xml", "re-en", "en"): (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        "<collection><source>test</source>\n"
+        "<document><id>b1</id>\n"
+        '  <passage><offset>0</offset><text>Aspirin intake</text>\n'
+        '    <annotation id="a1"><infon key="type">Chemical</infon>\n'
+        '      <location offset="0" length="7"/><text>Aspirin</text></annotation>\n'
+        "  </passage>\n"
+        '  <passage><offset>15</offset><text>reduced gout flares</text>\n'
+        '    <annotation id="a2"><infon key="type">Disease</infon>\n'
+        '      <location offset="8" length="4"/><text>gout</text></annotation>\n'
+        "  </passage>\n"
+        '  <relation id="r1"><infon key="relation">treats</infon>\n'
+        '    <node refid="a1"/><node refid="a2"/></relation>\n'
+        "</document>\n"
+        "<document><id>b2</id><passage><text>No annotations here.</text></passage></document>\n"
+        "</collection>\n"
+    ),
+    ("generic_jsonl", "tc-en", "en"): (
+        '{"doc_id": "t1", "dataset_id": "tc-en", "language": "en", '
+        '"text": "Hand washing limits spread.", "labels": ["Prevention", "Transmission"]}\n'
+        "\n"
+        '{"doc_id": "t2", "dataset_id": "tc-en", "language": "en", '
+        '"text": "A case of measles.", "labels": ["Case Report"]}\n'
+    ),
+}
+
+
+# SHA-256 of every file the ingest and forge -> plan -> eval chains below write
+# from a fixed-seed input.  The constants pin the on-disk bytes: a codec or grammar
 # change that alters any output fails here even when two runs still agree.
 PINNED_DIGESTS = {
     "registry.jsonl": "5d43b91665e547954903c809d8628bb09d3e27becf2925c37ea58aa27ccb156a",
@@ -185,6 +293,10 @@ PINNED_DIGESTS = {
     "corpus/re-untyped-en/train.jsonl": "5f9aff848d9d828ffb0b274fa4003a95c3f5cb083bdc3013827efed3a192b38e",
     "corpus/synth-qamc-en/train.jsonl": "7aac9ca6f63624c50f300f95b7f5bc63e8f45082f5b89cef7d82752cc6e2d06b",
     "corpus/tc-en/train.jsonl": "2468c2e39d8f7898e8c031968094ba20412a26110d1b2b094dfc3de7555041a8",
+    "ingest/corpus/ner-en/train.jsonl": "b3d0ca4fa709b70d8a92d4f0583ecf20c38ae48af5e040ce3fdd86b1a8b32882",
+    "ingest/corpus/ner-zh/train.jsonl": "4d3ec2f4a8ca1830e7c639e46d69fb0fb008c58e62b7bd6908a085d0227f111a",
+    "ingest/corpus/re-en/train.jsonl": "200b0c4afeb2275d99ebf3a4d16e3e8513b6551620b9559ad9c9976d1325626d",
+    "ingest/corpus/tc-en/train.jsonl": "3cf311ab825da8fb08ed8bd338f1dbc6c8c25ee41908338582a2745a545d131c",
     "out/forged.jsonl": "bd773290cfcc63157b6e32282caeb781ac46f515fa30e788326af9a654866fe3",
     "out/plan/stage1.jsonl": "ef626f143906e5126f28c368f38fd1f92621ac623c9515c6993b5814182799e9",
     "out/plan/stage2.jsonl": "cb3555effa64c4beccd082171d55d882f0c1de2497a751bff86db8e120ec0395",
@@ -206,6 +318,12 @@ def test_pinned_output_digests(tmp_path):
     corpus_root = tmp_path / "corpus"
     for desc, docs in corpora:
         write_documents(corpus_root / desc.id / "train.jsonl", docs)
+    for (fmt, dataset_id, language), raw in INGEST_INPUTS.items():
+        src = tmp_path / f"raw.{fmt}"
+        src.write_bytes(raw.encode("utf-8"))
+        assert main(["ingest", "--registry", str(registry_path), "--dataset", dataset_id,
+                     "--format", fmt, "--input", str(src), "--language", language,
+                     "--out", str(tmp_path / "ingest")]) == 0
     out = tmp_path / "out"
     common = ["--registry", str(registry_path), "--seed", "7", "--out", str(out)]
     assert main(["forge", "--corpus-root", str(corpus_root), *common]) == 0
@@ -219,7 +337,8 @@ def test_pinned_output_digests(tmp_path):
     ), encoding="utf-8")
     assert main(["eval", "--dataset", "ner-en", "--gold", str(out / "forged.jsonl"),
                  "--predictions", str(preds), *common]) == 0
-    written = [registry_path, *sorted(corpus_root.glob("*/train.jsonl")), out / "forged.jsonl",
+    written = [registry_path, *sorted(corpus_root.glob("*/train.jsonl")),
+               *sorted((tmp_path / "ingest" / "corpus").glob("*/train.jsonl")), out / "forged.jsonl",
                out / "plan" / "stage1.jsonl", out / "plan" / "stage2.jsonl", out / "eval.ner-en.json"]
     digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in written}

@@ -1,15 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bioforge.errors import DanglingRef, MalformedLine, OffsetMismatch, UnknownDataset
-from bioforge.ingest import (
-    IngestConfig,
-    ingest_dataset,
-    parse_bioc_xml,
-    parse_conll,
-    parse_pubtator,
-)
+from bioforge.errors import DanglingRef, MalformedLine, OffsetMismatch, UnknownDataset, XmlSyntax
+from bioforge.ingest import IngestConfig, ingest_dataset, parse_documents
 from bioforge.schema import (
     DatasetDescriptor,
     Language,
@@ -22,7 +17,7 @@ CFG = IngestConfig(dataset_id="ds", format="pubtator")
 
 class TestPubTator:
     def test_minimal_document(self):
-        docs = parse_pubtator("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\n\n", CFG)
+        docs = parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\n\n", CFG)
         assert len(docs) == 1
         doc = docs[0]
         assert doc.text == "Abc\nxy"
@@ -31,29 +26,33 @@ class TestPubTator:
         assert (e.surface, e.etype, e.start, e.end) == ("Abc", "Disease", 0, 3)
 
     def test_empty_stream(self):
-        assert parse_pubtator("", CFG) == []
+        assert parse_documents("", CFG) == []
 
     def test_offset_mismatch_raises(self):
         with pytest.raises(OffsetMismatch):
-            parse_pubtator("1|t|Abc\n1|a|xy\n1\t0\t3\tXyz\tDisease\n\n", CFG)
+            parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tXyz\tDisease\n\n", CFG)
 
     def test_norm_id_is_kept(self):
-        docs = parse_pubtator("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\tD001\n\n", CFG)
+        docs = parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\tD001\n\n", CFG)
         assert docs[0].entities[0].norm_id == "D001"
 
     def test_malformed_line(self):
         with pytest.raises(MalformedLine):
-            parse_pubtator("1|t|Abc\n1|a|xy\nnot a mention line\n", CFG)
+            parse_documents("1|t|Abc\n1|a|xy\nnot a mention line\n", CFG)
 
-    def test_entity_type_remap(self):
-        cfg = IngestConfig(dataset_id="ds", format="pubtator",
-                           entity_type_map={"Disease": "疾病"})
-        docs = parse_pubtator("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\n\n", cfg)
-        assert docs[0].entities[0].etype == "疾病"
+    def test_pipe_code_inside_a_mention_is_not_a_title(self):
+        docs = parse_documents("1|t|gout|a|flare\n1\t0\t12\tgout|a|flare\tDisease\n", CFG)
+        assert [d.doc_id for d in docs] == ["1"]
+        assert docs[0].entities[0].surface == "gout|a|flare"
+
+    def test_second_pmid_in_one_block_is_malformed(self):
+        with pytest.raises(MalformedLine) as exc:
+            parse_documents("1|t|One\n2|t|Two\n", CFG)
+        assert exc.value.line_no == 2
 
     def test_multiple_documents_preserve_order(self):
         stream = "1|t|One\n1|a|a\n\n2|t|Two\n2|a|b\n\n"
-        docs = parse_pubtator(stream, CFG)
+        docs = parse_documents(stream, CFG)
         assert [d.doc_id for d in docs] == ["1", "2"]
 
 
@@ -83,13 +82,13 @@ class TestBioC:
             <location offset="0" length="4"/><text>Tree</text>
           </annotation>
         </passage></document></collection>"""
-        docs = parse_bioc_xml(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
         assert len(docs) == 1
         assert docs[0].entities[0].surface == "Tree"
 
     def test_offset_rebased_across_passages(self):
         # passage lengths 5 and 3, one separator char: local offset 1 -> 5+1+1
-        docs = parse_bioc_xml(BIOC_TWO_PASSAGES, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        docs = parse_documents(BIOC_TWO_PASSAGES, IngestConfig(dataset_id="ds", format="bioc_xml"))
         doc = docs[0]
         assert doc.text == "Hello\nabc"
         e = doc.entities[0]
@@ -107,7 +106,7 @@ class TestBioC:
           <node refid="a1"/><node refid="missing"/>
         </relation></document></collection>"""
         with pytest.raises(DanglingRef):
-            parse_bioc_xml(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
 
     def test_relation_becomes_triple(self):
         xml = """<collection><document><id>d</id><passage>
@@ -120,7 +119,7 @@ class TestBioC:
         <relation id="r1"><infon key="relation">treats</infon>
           <node refid="a1"/><node refid="a2"/>
         </relation></document></collection>"""
-        docs = parse_bioc_xml(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
         r = docs[0].relations[0]
         assert (r.head, r.tail, r.rtype) == ("aspirin", "gout", "treats")
 
@@ -130,33 +129,33 @@ class TestConll:
         return IngestConfig(dataset_id="ds", format="conll")
 
     def test_single_entity(self):
-        docs = parse_conll("aspirin\tB-Chem\nworks\tO\n", self.cfg())
+        docs = parse_documents("aspirin\tB-Chem\nworks\tO\n", self.cfg())
         doc = docs[0]
         assert doc.text == "aspirin works"
         e = doc.entities[0]
         assert (e.surface, e.etype, e.start, e.end) == ("aspirin", "Chem", 0, 7)
 
     def test_multi_token_entity(self):
-        docs = parse_conll("New\tB-Dis\nYork\tI-Dis\n", self.cfg())
+        docs = parse_documents("New\tB-Dis\nYork\tI-Dis\n", self.cfg())
         e = docs[0].entities[0]
         assert (e.surface, e.start, e.end) == ("New York", 0, 8)
 
     def test_illegal_i_tag_repaired_with_warning(self):
         warnings = []
-        docs = parse_conll("x\tI-Dis\n", self.cfg(), warnings=warnings)
+        docs = parse_documents("x\tI-Dis\n", self.cfg(), warnings=warnings)
         assert docs[0].entities[0].surface == "x"
         assert len(warnings) == 1
 
     def test_type_switch_closes_run(self):
-        docs = parse_conll("a\tB-Dis\nb\tI-Chem\n", self.cfg())
+        docs = parse_documents("a\tB-Dis\nb\tI-Chem\n", self.cfg())
         assert [e.etype for e in docs[0].entities] == ["Dis", "Chem"]
 
     def test_blank_line_separates_documents(self):
-        docs = parse_conll("a\tO\n\nb\tO\n", self.cfg())
+        docs = parse_documents("a\tO\n\nb\tO\n", self.cfg())
         assert len(docs) == 2
 
     def test_spans_match_surfaces(self):
-        docs = parse_conll("alpha\tB-X\nbeta\tI-X\ngamma\tO\ndelta\tB-Y\n", self.cfg())
+        docs = parse_documents("alpha\tB-X\nbeta\tI-X\ngamma\tO\ndelta\tB-Y\n", self.cfg())
         doc = docs[0]
         for e in doc.entities:
             assert doc.text[e.start:e.end] == e.surface
@@ -210,6 +209,32 @@ class TestIngestDataset:
         assert [d.doc_id for d in docs] == ["1", "3"]
         assert "text" in report.violation_details[0]["violations"][0]
 
+    def test_jsonl_mistyped_scalars_drop_only_their_rows(self, tmp_path):
+        rows = [
+            {"doc_id": "1", "dataset_id": "ds", "language": "en", "text": "Abc"},
+            {"doc_id": "2", "dataset_id": "ds", "language": "en", "text": None},
+            {"doc_id": "3", "dataset_id": "ds", "language": "en", "text": "Ghi",
+             "entities": [{"surface": "Ghi", "etype": "Disease", "start": "0", "end": 3}]},
+            {"doc_id": "4", "dataset_id": "ds", "language": "en", "text": "Jkl"},
+        ]
+        path = tmp_path / "f.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        cfg = IngestConfig(dataset_id="ds", format="generic_jsonl")
+        docs, report = ingest_dataset(path, cfg, self.registry())
+        assert [d.doc_id for d in docs] == ["1", "4"]
+        assert [(r["index"], r["doc_id"], r["violations"][0].split(":")[0])
+                for r in report.violation_details] == [(1, "2", "text"), (2, "3", "entities")]
+
+    def test_bad_block_keeps_conll_ids_and_warnings_by_block(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_text("a\tO\n\nb\tBAD\n\nc\tI-Disease\n", encoding="utf-8")
+        cfg = IngestConfig(dataset_id="ds", format="conll")
+        docs, report = ingest_dataset(path, cfg, self.registry())
+        assert [d.doc_id for d in docs] == ["ds-0", "ds-2"]
+        assert report.warnings == ["doc 2: I-Disease without open Disease run, treated as B-Disease"]
+        assert report.violation_details == [
+            {"index": 1, "doc_id": None, "violations": ["malformed line 3: 'b\\tBAD'"]}]
+
     def test_unknown_dataset(self, tmp_path):
         path = tmp_path / "f.pubtator"
         path.write_text("", encoding="utf-8")
@@ -219,4 +244,47 @@ class TestIngestDataset:
 
 def test_parsing_is_deterministic():
     stream = "1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\n\n"
-    assert parse_pubtator(stream, CFG) == parse_pubtator(stream, CFG)
+    assert parse_documents(stream, CFG) == parse_documents(stream, CFG)
+
+
+NER_REGISTRY = Registry([DatasetDescriptor(id="ds", name="ds", task=TaskType.NER_NEN, language=Language.EN)])
+FORMATS = ["pubtator", "bioc_xml", "conll", "generic_jsonl"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text())
+def test_ingest_is_total(tmp_path, fmt, text):
+    path = tmp_path / "f"
+    path.write_text(text, encoding="utf-8")
+    try:
+        docs, report = ingest_dataset(path, IngestConfig(dataset_id="ds", format=fmt), NER_REGISTRY)
+    except XmlSyntax:
+        assert fmt == "bioc_xml"
+    else:
+        assert report.loaded == len(docs)
+
+
+# Any JSON value where the schema wants a string, an int or a record.
+_FIELDS = ["text", "entities", "relations", "events", "labels", "qa", "dialogue", "pair", "translation",
+           "surface", "etype", "start", "end", "head", "tail", "rtype", "event_type", "trigger",
+           "arguments", "question", "options", "answer_keys", "speaker", "text_a", "text_b"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(_FIELDS), kids, max_size=4),
+    max_leaves=12,
+)
+_ROW = st.fixed_dictionaries(
+    {"doc_id": st.just("d"), "dataset_id": st.just("ds"), "language": st.just("en")},
+    optional={name: _JSON for name in _FIELDS[:9]},
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(_ROW, max_size=3), task=st.sampled_from(list(TaskType)))
+def test_jsonl_ingest_is_total_over_json_rows(tmp_path, rows, task):
+    path = tmp_path / "f.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    registry = Registry([DatasetDescriptor(id="ds", name="ds", task=task, language=Language.EN)])
+    docs, report = ingest_dataset(path, IngestConfig(dataset_id="ds", format="generic_jsonl"), registry)
+    assert report.loaded + report.violations == len(rows)
