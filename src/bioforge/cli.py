@@ -1,17 +1,21 @@
 """Command-line surface: one binary, one subcommand per pipeline stage.
 
 Every command is idempotent given identical inputs and seed, writes only
-under the output root, and records a run log (config, seed, input digests,
-counts) sufficient to reproduce its artifacts.  Exit codes: 1 for missing
-inputs (single-line diagnostic), 2 for configuration errors, which include
-every :class:`~bioforge.errors.BioforgeError` a stage raises.
+under the output root, and returns its input paths and counts; :func:`main`
+then records a run log (config, seed, input digests, counts) sufficient to
+reproduce its artifacts.  :func:`main` alone maps errors to exit codes: 1
+for a missing input (a ``FileNotFoundError`` or ``IsADirectoryError`` from
+the open that needs it), 2 for a configuration error (any
+:class:`~bioforge.errors.BioforgeError`, ``ValueError`` or other
+``OSError``), each with a one-line diagnostic on stderr.  A failed command
+writes no run log, and every output file is written whole or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,15 +27,18 @@ from .evaluation import evaluate_dataset, read_predictions, sample_subset
 from .fixtures import reference_registry
 from .forge import build_corpus, read_instances, write_instances
 from .ingest import IngestConfig, ingest_dataset
-from .schema import Language, Registry, read_documents, write_documents, write_jsonl
+from .schema import (
+    Language,
+    Registry,
+    atomic_writer,
+    read_documents,
+    read_jsonl,
+    write_documents,
+    write_json,
+    write_jsonl,
+)
 from .staging import build_stage_plan, emit_training_manifest
 from .templates import TemplateBank, default_template_bank
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 def _digest(path: Path) -> str:
@@ -42,44 +49,41 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _require(path_str: str, what: str) -> Path:
-    path = Path(path_str)
-    if not path.exists():
-        raise CliError(f"missing {what}: {path}", 1)
-    return path
-
-
 def _load_registry(args) -> Registry:
     if args.registry is None:
         return reference_registry()
-    return Registry.load(_require(args.registry, "registry file"))
+    return Registry.load(args.registry)
 
 
 def _load_bank(args) -> TemplateBank:
     if args.templates is None:
         return default_template_bank()
-    return TemplateBank.load(_require(args.templates, "template bank"))
+    return TemplateBank.load(args.templates)
 
 
-def _write_run_log(out_root: Path, command: str, args, inputs: list[Path], counts: dict) -> None:
-    out_root.mkdir(parents=True, exist_ok=True)
+def _write_run_log(args, inputs: list[Path], counts: dict) -> None:
     log = {
         "tool": f"bioforge {__version__}",
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "input_digests": {str(p): _digest(p) for p in inputs if p.is_file()},
         "counts": counts,
     }
-    with (out_root / f"run_log.{command}.json").open("w", encoding="utf-8") as f:
-        json.dump(log, f, indent=2, ensure_ascii=False, default=str)
-        f.write("\n")
+    write_json(Path(args.out) / f"run_log.{args.command}.json", log)
 
 
-def cmd_ingest(args) -> int:
+def _corpus_files(corpus_root: str, split: str) -> list[Path]:
+    files = sorted(Path(corpus_root).glob(f"*/{split}.jsonl"))
+    if not files:
+        raise FileNotFoundError(errno.ENOENT, "no corpus files",
+                                str(Path(corpus_root) / "*" / f"{split}.jsonl"))
+    return files
+
+
+def cmd_ingest(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
-    src = _require(args.input, "input file")
-    out_root = Path(args.out)
+    src = Path(args.input)
     cfg = IngestConfig(
         dataset_id=args.dataset,
         format=args.format,
@@ -87,27 +91,18 @@ def cmd_ingest(args) -> int:
         language=Language(args.language),
     )
     docs, report = ingest_dataset(src, cfg, registry)
-    dest = out_root / "corpus" / args.dataset / f"{args.split}.jsonl"
+    dest = Path(args.out) / "corpus" / args.dataset / f"{args.split}.jsonl"
     write_documents(dest, docs)
     write_jsonl(dest.with_name(f"{args.split}.rejects.jsonl"), report.violation_details)
-    counts = {"loaded": report.loaded, "violations": report.violations,
-              "warnings": len(report.warnings)}
-    _write_run_log(out_root, "ingest", args, [src], counts)
     print(f"ingest {args.dataset}/{args.split}: loaded={report.loaded} "
           f"violations={report.violations} -> {dest}")
-    return 0
+    return [src], {"loaded": report.loaded, "violations": report.violations,
+                   "warnings": len(report.warnings)}
 
 
-def _corpus_files(corpus_root: Path, split: str) -> list[Path]:
-    return sorted(corpus_root.glob(f"*/{split}.jsonl"))
-
-
-def cmd_curate(args) -> int:
-    corpus_root = _require(args.corpus_root, "corpus root")
-    train_files = _corpus_files(corpus_root, "train")
-    if not train_files:
-        raise CliError(f"missing input: no */train.jsonl under {corpus_root}", 1)
-    test_files = _corpus_files(corpus_root, "test")
+def cmd_curate(args) -> tuple[list[Path], dict]:
+    train_files = _corpus_files(args.corpus_root, "train")
+    test_files = sorted(Path(args.corpus_root).glob("*/test.jsonl"))
     train = [doc for path in train_files for doc in read_documents(path)]
     test = [doc for path in test_files for doc in read_documents(path)]
     kept, report = dedup_and_filter_overlap(train, test)
@@ -117,98 +112,66 @@ def cmd_curate(args) -> int:
             out_root / "curated" / dataset_id / "train.jsonl",
             [d for d in kept if d.dataset_id == dataset_id],
         )
-    report_path = out_root / "curation_report.json"
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-    _write_run_log(out_root, "curate", args, train_files + test_files, report.to_dict())
+    write_json(out_root / "curation_report.json", report.to_dict())
     print(f"curate: input={report.input_count} dups={report.duplicates_removed} "
           f"overlap={report.overlap_removed} output={report.output_count}")
-    return 0
+    return train_files + test_files, report.to_dict()
 
 
-def cmd_forge(args) -> int:
+def cmd_forge(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     bank = _load_bank(args)
-    corpus_root = _require(args.corpus_root, "corpus root")
-    files = _corpus_files(corpus_root, args.split)
-    if not files:
-        raise CliError(f"missing input: no */{args.split}.jsonl under {corpus_root}", 1)
-    corpora = []
-    for path in files:
-        dataset_id = path.parent.name
-        desc = registry.get(dataset_id)
-        if desc is None:
-            raise CliError(f"config error: dataset {dataset_id!r} not in registry", 2)
-        corpora.append((desc, read_documents(path)))
+    files = _corpus_files(args.corpus_root, args.split)
+    corpora = [(registry[path.parent.name], read_documents(path)) for path in files]
     instances = build_corpus(corpora, bank, args.seed)
-    out_root = Path(args.out)
-    dest = out_root / "forged.jsonl"
+    dest = Path(args.out) / "forged.jsonl"
     write_instances(dest, instances)
-    _write_run_log(out_root, "forge", args, files,
-                   {"instances": len(instances), "output_digest": _digest(dest)})
     print(f"forge: {len(instances)} instances (seed={args.seed}) -> {dest}")
-    return 0
+    return files, {"instances": len(instances), "output_digest": _digest(dest)}
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
-    forged = _require(args.forged, "forged corpus")
+    forged = Path(args.forged)
     instances = read_instances(forged)
     plan = build_stage_plan(instances, registry, seed=args.seed)
-    out_root = Path(args.out)
     stages = [args.stage] if args.stage else [1, 2]
     for stage in stages:
-        manifest = emit_training_manifest(plan, stage, instances, out_root / "plan")
+        manifest = emit_training_manifest(plan, stage, instances, Path(args.out) / "plan")
         print(f"plan stage {stage}: {plan.stage1_count if stage == 1 else plan.stage2_count} "
               f"instances, epochs={manifest.epochs} -> {manifest.data_path}")
-    _write_run_log(out_root, "plan", args, [forged],
-                   {"stage1_count": plan.stage1_count, "stage2_count": plan.stage2_count})
-    return 0
+    return [forged], {"stage1_count": plan.stage1_count, "stage2_count": plan.stage2_count}
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
-    gold_path = _require(args.gold, "gold corpus")
-    pred_path = _require(args.predictions, "predictions file")
-    desc = registry.get(args.dataset)
-    if desc is None:
-        raise CliError(f"config error: dataset {args.dataset!r} not in registry", 2)
+    desc = registry[args.dataset]
+    gold_path, pred_path = Path(args.gold), Path(args.predictions)
     gold = [i for i in read_instances(gold_path) if i.dataset_id == args.dataset]
     if args.sample_n is not None:
         gold = sample_subset(gold, args.sample_n, args.seed)
     predictions = read_predictions(pred_path)
     report = evaluate_dataset(gold, predictions, desc)
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / f"eval.{args.dataset}.json").write_text(
-        json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    (out_root / f"eval.{args.dataset}.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-    _write_run_log(out_root, "eval", args, [gold_path, pred_path],
-                   {"instances": len(gold), "metric": report.metric_name})
+    write_json(out_root / f"eval.{args.dataset}.json", report.to_dict())
+    with atomic_writer(out_root / f"eval.{args.dataset}.txt") as f:
+        f.write(report.to_text() + "\n")
     print(report.to_text())
-    return 0
+    return [gold_path, pred_path], {"instances": len(gold), "metric": report.metric_name}
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     corpus_counts = None
     if args.corpus_root:
-        corpus_root = Path(args.corpus_root)
-        if corpus_root.exists():
-            corpus_counts = {
-                path.parent.name: sum(1 for _ in path.open(encoding="utf-8") if _.strip())
-                for path in _corpus_files(corpus_root, "train")
-            }
+        corpus_counts = {
+            path.parent.name: sum(1 for _ in read_jsonl(path))
+            for path in _corpus_files(args.corpus_root, "train")
+        }
     table = corpus_stats(registry, corpus_counts)
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "stats.json").write_text(
-        json.dumps(table.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    _write_run_log(out_root, "stats", args, [], {"total": table.total})
+    write_json(Path(args.out) / "stats.json", table.to_dict())
     print(table.to_text())
-    return 0
+    return [], {"total": table.total}
 
 
 def _default_seed() -> int:
@@ -276,16 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except FileNotFoundError as exc:
+        inputs, counts = args.func(args)
+        _write_run_log(args, inputs, counts)
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"missing input: {exc.filename}", file=sys.stderr)
         return 1
-    except BioforgeError as exc:
+    except (BioforgeError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

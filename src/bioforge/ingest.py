@@ -24,7 +24,6 @@ from .errors import (
     EmptyToken,
     MalformedLine,
     OffsetMismatch,
-    UnknownDataset,
     XmlSyntax,
 )
 from .schema import (
@@ -33,7 +32,7 @@ from .schema import (
     Registry,
     RelationTriple,
     UnifiedDocument,
-    document_from_dict,
+    from_dict,
     validate_document,
 )
 
@@ -242,7 +241,7 @@ def _parse_conll(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
 
 def _parse_jsonl(line: str, index: int, cfg: IngestConfig, warnings: list) -> UnifiedDocument:
     """One document already in canonical schema, as one JSON object."""
-    return document_from_dict(json.loads(line))
+    return from_dict(UnifiedDocument, json.loads(line))
 
 
 _FORMATS = {
@@ -275,9 +274,7 @@ def ingest_dataset(
     is dropped and recorded in the report, and the rest still load.  Only a
     BioC file that is not well-formed XML fails as a whole, with XmlSyntax.
     """
-    desc = registry.get(cfg.dataset_id)
-    if desc is None:
-        raise UnknownDataset(cfg.dataset_id)
+    desc = registry[cfg.dataset_id]
     chunker, parser = _FORMATS[cfg.format]
     report = IngestReport(dataset_id=cfg.dataset_id, split=cfg.split)
     kept: list[UnifiedDocument] = []

@@ -15,9 +15,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import UnknownDataset
 from .forge import InstructionInstance, write_instances
-from .schema import TASKS, DatasetDescriptor, Registry
+from .schema import TASKS, DatasetDescriptor, Registry, write_json
 
 TYPE1 = "Type1"
 TYPE2 = "Type2"
@@ -60,9 +59,7 @@ def build_stage_plan(
     stage1_ids = []
     stage2_ids = []
     for inst in instances:
-        desc = registry.get(inst.dataset_id)
-        if desc is None:
-            raise UnknownDataset(inst.dataset_id)
+        desc = registry[inst.dataset_id]
         stage2_ids.append(inst.instance_id)
         if assign_stage(desc) == TYPE1:
             stage1_ids.append(inst.instance_id)
@@ -127,7 +124,6 @@ def emit_training_manifest(
     if stage not in STAGE_EPOCHS:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     by_id = {inst.instance_id: inst for inst in instances}
     ordered_ids = plan.stage1_instances if stage == 1 else plan.stage2_instances
     data_path = out_dir / f"stage{stage}.jsonl"
@@ -135,11 +131,7 @@ def emit_training_manifest(
     manifest = TrainingManifest(
         stage=stage, epochs=STAGE_EPOCHS[stage], data_path=str(data_path)
     )
-    manifest_path = out_dir / f"stage{stage}.manifest.json"
-    manifest_path.write_text(
-        json.dumps(asdict(manifest), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_dir / f"stage{stage}.manifest.json", asdict(manifest))
     return manifest
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from bioforge.cli import main
 from bioforge.forge import read_instances
-from bioforge.schema import Language, Registry, write_documents
+from bioforge.schema import Language, Registry, to_dict, write_documents
 from bioforge.synth import (
     make_ner_docs,
     make_qa_mc_docs,
@@ -110,6 +110,71 @@ def test_eval_task_without_metric_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == "config error: no automatic metric defined for task 'MRD'\n"
+
+
+# Invocations that must end in one stderr line with exit 1 (missing input) or
+# 2 (configuration error): the exit code and a fragment of that line.  "{tmp}"
+# is the test's directory, which the ``bad_inputs`` fixture fills.
+ERROR_CASES = {
+    "ingest_latin1": (2, "ingest --dataset synth-ner-en --format pubtator --input {tmp}/latin1.txt", "utf-8"),
+    "ingest_directory": (1, "ingest --dataset synth-ner-en --format pubtator --input {tmp}/corpus",
+                         "missing input: {tmp}/corpus"),
+    "eval_row_without_raw_text": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
+                                  "--predictions {tmp}/no_raw_text.jsonl", "raw_text"),
+    "eval_bad_gold_json": (2, "eval --dataset synth-ner-en --gold {tmp}/bad.jsonl "
+                           "--predictions {tmp}/no_raw_text.jsonl", "{tmp}/bad.jsonl:2: "),
+    "eval_bad_predictions_json": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
+                                  "--predictions {tmp}/bad.jsonl", "{tmp}/bad.jsonl:2: "),
+    "plan_bad_forged_json": (2, "plan --forged {tmp}/bad.jsonl", "{tmp}/bad.jsonl:2: "),
+    "forge_bad_templates_json": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/bad.jsonl",
+                                 "{tmp}/bad.jsonl:2: "),
+    "eval_negative_sample_n": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
+                               "--predictions {tmp}/forged/forged.jsonl --sample-n -1", "sample size"),
+    "stats_negative_count": (2, "stats --registry {tmp}/negative.jsonl", "must be >= 0"),
+    "stats_duplicate_id": (2, "stats --registry {tmp}/duplicate.jsonl", "duplicate dataset id"),
+    "stats_missing_corpus_root": (1, "stats --corpus-root {tmp}/nope",
+                                  "missing input: {tmp}/nope/*/train.jsonl"),
+    "forge_unregistered_dataset": (2, "forge --corpus-root {tmp}/corpus --registry {tmp}/ner_only.jsonl",
+                                   "config error: dataset id 'synth-qamc-en' not in registry"),
+}
+
+
+@pytest.fixture
+def bad_inputs(workspace):
+    tmp_path, registry_path, corpus_root = workspace
+    assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(tmp_path / "forged")]) == 0
+    (tmp_path / "latin1.txt").write_bytes("1|t|caf\xe9\n".encode("latin-1"))
+    (tmp_path / "bad.jsonl").write_text('\n{"instance_id":\n')
+    (tmp_path / "no_raw_text.jsonl").write_text('{"instance_id": "x"}\n')
+    row = to_dict(ner_descriptor("synth-ner-en"))
+    (tmp_path / "duplicate.jsonl").write_text(2 * (json.dumps(row) + "\n"))
+    (tmp_path / "negative.jsonl").write_text(json.dumps({**row, "split_counts": {"train": -1}}) + "\n")
+    Registry([ner_descriptor("synth-ner-en")]).save(tmp_path / "ner_only.jsonl")
+    return tmp_path, registry_path
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_failed_command_prints_one_line_and_writes_nothing(bad_inputs, capsys, case):
+    tmp_path, registry_path = bad_inputs
+    code, argv, fragment = ERROR_CASES[case]
+    argv = argv.format(tmp=tmp_path).split()
+    if "--registry" not in argv:
+        argv += ["--registry", str(registry_path)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert fragment.format(tmp=tmp_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curate", "forge"])
+def test_empty_corpus_root_exits_1_naming_the_glob(tmp_path, capsys, command):
+    code = main([command, "--corpus-root", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"missing input: {tmp_path}/*/train.jsonl\n"
 
 
 def test_forge_is_idempotent_and_seed_sensitive(workspace):

@@ -14,11 +14,10 @@ from bioforge.schema import (
     TextPairInstance,
     TranslationPair,
     UnifiedDocument,
-    descriptor_from_dict,
-    descriptor_to_dict,
-    document_from_dict,
-    document_to_dict,
+    from_dict,
+    to_dict,
     validate_document,
+    write_jsonl,
 )
 from bioforge.synth import (
     make_ner_docs,
@@ -128,7 +127,7 @@ def make_payload_docs(n, seed=0):
 def test_document_json_round_trip(maker, seed):
     _, docs = maker(25, seed=seed)
     for doc in docs:
-        assert document_from_dict(json.loads(json.dumps(document_to_dict(doc)))) == doc
+        assert from_dict(UnifiedDocument, json.loads(json.dumps(to_dict(doc)))) == doc
 
 
 def test_zh_offsets_are_code_points():
@@ -147,11 +146,11 @@ def test_descriptor_round_trip_and_negative_counts():
         split_counts={"train": 10, "test": 2}, label_vocab=("并发症",),
         re_untyped=True, prompted_relation="并发症",
     )
-    assert descriptor_from_dict(descriptor_to_dict(desc)) == desc
-    bad = descriptor_to_dict(desc)
+    assert from_dict(DatasetDescriptor, to_dict(desc)) == desc
+    bad = to_dict(desc)
     bad["split_counts"]["train"] = -1
     with pytest.raises(ValueError):
-        descriptor_from_dict(bad)
+        Registry([from_dict(DatasetDescriptor, bad)])
 
 
 def test_registry_rejects_duplicate_ids():
@@ -170,3 +169,18 @@ def test_registry_file_round_trip(tmp_path):
     path = tmp_path / "registry.jsonl"
     registry.save(path)
     assert list(Registry.load(path)) == [desc]
+
+
+def test_write_jsonl_failing_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"n": 0}])
+    before = path.read_bytes()
+
+    def records():
+        yield {"n": 1}
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_jsonl(path, records())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
