@@ -18,6 +18,7 @@ import errno
 import hashlib
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -143,21 +144,32 @@ def cmd_plan(args) -> tuple[list[Path], dict]:
     return [forged], {"stage1_count": plan.stage1_count, "stage2_count": plan.stage2_count}
 
 
+def _prediction_id_counts(gold_ids: set, predictions) -> dict:
+    """Prediction ids given more than once (the last is scored) and ids that
+    name no gold row (not scored)."""
+    seen = Counter(p.instance_id for p in predictions)
+    return {"duplicate_prediction_ids": sum(1 for n in seen.values() if n > 1),
+            "unknown_prediction_ids": sum(1 for i in seen if i not in gold_ids)}
+
+
 def cmd_eval(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     desc = registry[args.dataset]
     gold_path, pred_path = Path(args.gold), Path(args.predictions)
     gold = [i for i in read_instances(gold_path) if i.dataset_id == args.dataset]
+    gold_ids = {i.instance_id for i in gold}
     if args.sample_n is not None:
         gold = sample_subset(gold, args.sample_n, args.seed)
     predictions = read_predictions(pred_path)
+    id_counts = _prediction_id_counts(gold_ids, predictions)
+    del gold_ids  # freed before scoring, which sets the command's peak memory
     report = evaluate_dataset(gold, predictions, desc)
     out_root = Path(args.out)
     write_json(out_root / f"eval.{args.dataset}.json", report.to_dict())
     with atomic_writer(out_root / f"eval.{args.dataset}.txt") as f:
         f.write(report.to_text() + "\n")
     print(report.to_text())
-    return [gold_path, pred_path], {"instances": len(gold), "metric": report.metric_name}
+    return [gold_path, pred_path], {"instances": len(gold), "metric": report.metric_name, **id_counts}
 
 
 def cmd_stats(args) -> tuple[list[Path], dict]:

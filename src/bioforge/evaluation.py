@@ -7,10 +7,18 @@ relation triples, span excluded.  Surface matching is case-sensitive (gold
 keeps differently-cased mentions as distinct items) while header and label
 matching during parsing is case-insensitive (model outputs drift in casing).
 Unparseable outputs score zero; excluding them would flatter evasive models.
+
+Parsers are pure: the outcome depends on the input string and the vocabulary
+alone.  The patterns and casing maps a vocabulary implies are compiled once
+per vocabulary and cached, and :func:`evaluate_dataset` parses each distinct
+string once per call, so a prediction that repeats its gold output verbatim,
+the ``""`` that stands in for every missing prediction and repeated empty
+markers or labels cost one parse each.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -39,7 +47,7 @@ def write_predictions(path: Path | str, records: Iterable[PredictionRecord]) -> 
     return write_jsonl(path, map(to_dict, records))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: evaluate_dataset holds one per distinct string
 class ParseOutcome:
     status: str
     ner: frozenset[tuple[str, str]] = frozenset()  # (surface, etype) pairs
@@ -55,6 +63,30 @@ def _is_empty_marker(raw: str) -> bool:
     return raw.strip() in _EMPTY_MARKER_STRINGS
 
 
+_ITEM_SEP = re.compile(r"[;；]")
+_FIELD_SEP = re.compile(r"[,，]")
+_LABEL_SEP = re.compile(r"[;；,，]")
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical(vocab: tuple[str, ...]) -> dict[str, str]:
+    """Lower-cased vocabulary entry -> its declared casing (read-only)."""
+    return {v.lower(): v for v in vocab}
+
+
+@functools.lru_cache(maxsize=256)
+def _ner_header(type_vocab: tuple[str, ...]) -> re.Pattern:
+    """``<Type>:`` for any type of the vocabulary, longest type first."""
+    alts = "|".join(re.escape(t) for t in sorted(type_vocab, key=len, reverse=True))
+    return re.compile(rf"({alts})\s*[:：]", re.IGNORECASE)
+
+
+@functools.lru_cache(maxsize=256)
+def _qa_key(key: str) -> re.Pattern:
+    """An option key as a standalone token."""
+    return re.compile(rf"(?<![A-Za-z0-9]){re.escape(key)}(?![A-Za-z0-9])")
+
+
 def parse_ner_output(raw: str, language: Language, type_vocab: Sequence[str]) -> ParseOutcome:
     """Scan for ``<Type>:`` headers matching the vocabulary and split the
     remainders on ";" / "；".  Header matching is case-insensitive; surfaces
@@ -65,10 +97,9 @@ def parse_ner_output(raw: str, language: Language, type_vocab: Sequence[str]) ->
         return ParseOutcome(status=PARSED)
     if not type_vocab:
         return ParseOutcome(status=UNPARSEABLE)
-    canonical = {t.lower(): t for t in type_vocab}
-    alts = "|".join(re.escape(t) for t in sorted(type_vocab, key=len, reverse=True))
-    header = re.compile(rf"({alts})\s*[:：]", re.IGNORECASE)
-    matches = list(header.finditer(raw))
+    type_vocab = tuple(type_vocab)
+    canonical = _canonical(type_vocab)
+    matches = list(_ner_header(type_vocab).finditer(raw))
     if not matches:
         return ParseOutcome(status=UNPARSEABLE)
     found: set[tuple] = set()
@@ -78,7 +109,7 @@ def parse_ner_output(raw: str, language: Language, type_vocab: Sequence[str]) ->
         if newline != -1:
             seg_end = min(seg_end, newline)
         etype = canonical[m.group(1).lower()]
-        for piece in re.split(r"[;；]", raw[m.end():seg_end]):
+        for piece in _ITEM_SEP.split(raw[m.end():seg_end]):
             surface = piece.strip()
             if surface:
                 found.add((surface, etype))
@@ -103,14 +134,14 @@ def parse_re_output(
     """
     if _is_empty_marker(raw):
         return ParseOutcome(status=PARSED)
-    canonical = {r.lower(): r for r in relation_vocab}
+    canonical = _canonical(tuple(relation_vocab))
     implied = prompted_relation
     if implied is None and len(relation_vocab) == 1:
         implied = relation_vocab[0]
     triples: set[RelationTriple] = set()
     for m in _BRACKET_GROUP.finditer(raw):
         body = m.group(1) if m.group(1) is not None else m.group(2)
-        parts = [p.strip() for p in re.split(r"[,，]", body)]
+        parts = [p.strip() for p in _FIELD_SEP.split(body)]
         parts = [p for p in parts if p]
         if len(parts) == 3:
             rtype = canonical.get(parts[2].lower(), parts[2])
@@ -131,13 +162,13 @@ def parse_tc_output(raw: str, language: Language, label_vocab: Sequence[str]) ->
     ``partial``)."""
     if _is_empty_marker(raw):
         return ParseOutcome(status=PARSED)
-    canonical = {l.lower(): l for l in label_vocab}
+    canonical = _canonical(tuple(label_vocab))
     m = _TC_MARKER.search(raw)
     if m is not None:
         newline = raw.find("\n", m.end())
         tail = raw[m.end():] if newline == -1 else raw[m.end():newline]
         labels = set()
-        for piece in re.split(r"[;；,，]", tail):
+        for piece in _LABEL_SEP.split(tail):
             label = canonical.get(piece.strip().lower())
             if label is not None:
                 labels.add(label)
@@ -155,10 +186,7 @@ def parse_qa_choice(raw: str, options: Sequence[tuple]) -> ParseOutcome:
     ("B", "B.", "(B)"); (2) a unique option text contained in the output;
     otherwise unparseable (scored incorrect).  Ambiguity in either rule falls
     through rather than guessing."""
-    matched_keys = []
-    for key, _text in options:
-        if re.search(rf"(?<![A-Za-z0-9]){re.escape(key)}(?![A-Za-z0-9])", raw):
-            matched_keys.append(key)
+    matched_keys = [key for key, _text in options if _qa_key(key).search(raw)]
     if len(matched_keys) == 1:
         return ParseOutcome(status=PARSED, qa_choice=matched_keys[0])
     lowered = raw.casefold()
@@ -332,8 +360,12 @@ def evaluate_dataset(
 
     Gold structure is recovered by running the same parser over the canonical
     gold output (an exact inverse by construction).  Missing predictions score
-    as empty/unparseable.  QA-mc scores accuracy; the tasks of ``_F1_TASKS``
-    score micro-F1; any other task raises :class:`UnknownTaskMetric`.
+    as empty/unparseable; of several predictions with one id the last wins.
+    QA-mc scores accuracy; the tasks of ``_F1_TASKS`` score micro-F1; any
+    other task raises :class:`UnknownTaskMetric`.
+
+    The parsers are pure, so each distinct string (gold or prediction) is
+    parsed once per call and its outcome reused.
     """
     task = desc.task
     if task is not TaskType.QA_MC and task not in _F1_TASKS:
@@ -341,22 +373,21 @@ def evaluate_dataset(
     by_id = {p.instance_id: p.raw_text for p in predictions}
 
     if task is TaskType.QA_MC:
-        gold_keys = []
-        outcomes = []
-        for inst in gold:
-            options = _options_from_instruction(inst.instruction)
-            gold_outcome = parse_qa_choice(inst.output, options)
-            gold_keys.append(gold_outcome.qa_choice or "")
-            outcomes.append(parse_qa_choice(by_id.get(inst.instance_id, ""), options))
+        # a choice depends on the options too, which the instruction fixes
+        choice = functools.cache(
+            lambda raw, instruction: parse_qa_choice(raw, _options_from_instruction(instruction)))
+        gold_keys = [choice(inst.output, inst.instruction).qa_choice or "" for inst in gold]
+        outcomes = [choice(by_id.get(inst.instance_id, ""), inst.instruction) for inst in gold]
         return score_accuracy(gold_keys, outcomes, dataset_id=desc.id)
 
     parse, items = _F1_TASKS[task]
+    outcome_of = functools.cache(lambda raw: parse(raw, desc))
     gold_sets = []
     pred_sets = []
     unparseable = 0
     for inst in gold:
-        p = parse(by_id.get(inst.instance_id, ""), desc)
-        gold_sets.append(getattr(parse(inst.output, desc), items))
+        p = outcome_of(by_id.get(inst.instance_id, ""))
+        gold_sets.append(getattr(outcome_of(inst.output), items))
         pred_sets.append(getattr(p, items))
         if p.status == UNPARSEABLE:
             unparseable += 1

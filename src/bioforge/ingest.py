@@ -272,25 +272,29 @@ def ingest_dataset(
 
     Each document is parsed and validated on its own: one that fails either
     is dropped and recorded in the report, and the rest still load.  Only a
-    BioC file that is not well-formed XML fails as a whole, with XmlSyntax.
+    BioC file that is not well-formed XML fails as a whole, with XmlSyntax,
+    and a file that is not UTF-8 text, with ``ValueError`` naming the path.
     """
     desc = registry[cfg.dataset_id]
     chunker, parser = _FORMATS[cfg.format]
     report = IngestReport(dataset_id=cfg.dataset_id, split=cfg.split)
     kept: list[UnifiedDocument] = []
-    with Path(path).open(encoding="utf-8") as stream:
-        for index, chunk in enumerate(chunker(stream)):
-            doc = None
-            try:
-                doc = parser(chunk, index, cfg, report.warnings)
-                reasons = list(validate_document(doc, desc).violations)
-            except (BioforgeError, ValueError) as exc:
-                reasons = [str(exc)]
-            if reasons:
-                report.violations += 1
-                report.violation_details.append(
-                    {"index": index, "doc_id": doc.doc_id if doc else None, "violations": reasons})
-            else:
-                kept.append(doc)
-                report.loaded += 1
+    try:
+        with Path(path).open(encoding="utf-8") as stream:
+            for index, chunk in enumerate(chunker(stream)):
+                doc = None
+                try:
+                    doc = parser(chunk, index, cfg, report.warnings)
+                    reasons = list(validate_document(doc, desc).violations)
+                except (BioforgeError, ValueError) as exc:
+                    reasons = [str(exc)]
+                if reasons:
+                    report.violations += 1
+                    report.violation_details.append(
+                        {"index": index, "doc_id": doc.doc_id if doc else None, "violations": reasons})
+                else:
+                    kept.append(doc)
+                    report.loaded += 1
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return kept, report

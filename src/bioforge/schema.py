@@ -440,8 +440,11 @@ def atomic_writer(path: Path | str) -> Iterator[TextIO]:
     """Open ``path`` for UTF-8 text writing so that it appears whole or not at
     all: the body writes ``<name>.tmp`` beside it, which then replaces
     ``path``.  If the body raises, the temp file is removed and an earlier
-    ``path`` is left as it was."""
+    ``path`` is left as it was.  A ``path`` that is a directory raises
+    ``ValueError`` before anything is written."""
     path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"{path}: output path is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -116,7 +117,8 @@ def test_eval_task_without_metric_exits_2(tmp_path, capsys):
 # 2 (configuration error): the exit code and a fragment of that line.  "{tmp}"
 # is the test's directory, which the ``bad_inputs`` fixture fills.
 ERROR_CASES = {
-    "ingest_latin1": (2, "ingest --dataset synth-ner-en --format pubtator --input {tmp}/latin1.txt", "utf-8"),
+    "ingest_latin1": (2, "ingest --dataset synth-ner-en --format pubtator --input {tmp}/latin1.txt",
+                      "config error: {tmp}/latin1.txt: not UTF-8 text ("),
     "ingest_directory": (1, "ingest --dataset synth-ner-en --format pubtator --input {tmp}/corpus",
                          "missing input: {tmp}/corpus"),
     "eval_row_without_raw_text": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
@@ -168,6 +170,17 @@ def test_failed_command_prints_one_line_and_writes_nothing(bad_inputs, capsys, c
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert fragment.format(tmp=tmp_path) in err
     assert not out.exists()
+
+
+def test_output_path_that_is_a_directory_exits_2(workspace, capsys):
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "fo"
+    (out / "forged.jsonl").mkdir(parents=True)
+    code = main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {out}/forged.jsonl: output path is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == ["forged.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["curate", "forge"])
@@ -270,6 +283,33 @@ def test_eval_oracle_round_trip(workspace, capsys):
     assert code == 0
     report = json.loads((tmp_path / "out" / "eval.synth-ner-en.json").read_text())
     assert report["f1"] == 1.0
+
+
+def test_eval_counts_duplicate_and_unknown_prediction_ids(workspace):
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    common = ["--registry", str(registry_path), "--out", str(out)]
+    assert main(["forge", "--corpus-root", str(corpus_root), *common]) == 0
+    gold = [i for i in read_instances(out / "forged.jsonl") if i.dataset_id == "synth-ner-en"]
+    rows = [{"instance_id": i.instance_id, "raw_text": i.output} for i in gold]
+    # a junk copy of the first row that the verbatim one after it overrides,
+    # a stray id, and a row of the other dataset in the same gold file
+    rows[1:1] = [{"instance_id": gold[0].instance_id, "raw_text": "junk"},
+                 {"instance_id": "stray", "raw_text": "x"},
+                 {"instance_id": gold[0].instance_id, "raw_text": gold[0].output}]
+    qa_id = next(i.instance_id for i in read_instances(out / "forged.jsonl")
+                 if i.dataset_id == "synth-qamc-en")
+    rows.append({"instance_id": qa_id, "raw_text": "A"})
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert main(["eval", "--dataset", "synth-ner-en", "--gold", str(out / "forged.jsonl"),
+                 "--predictions", str(preds), "--sample-n", "3", *common]) == 0
+    counts = json.loads((out / "run_log.eval.json").read_text())["counts"]
+    assert counts["duplicate_prediction_ids"] == 1
+    assert counts["unknown_prediction_ids"] == 2
+    assert counts["instances"] == 3
+    # last wins: the verbatim copy, so every sampled row scores as gold
+    assert json.loads((out / "eval.synth-ner-en.json").read_text())["f1"] == 1.0
 
 
 def test_curate_command(workspace, capsys):
@@ -408,3 +448,73 @@ def test_pinned_output_digests(tmp_path):
     digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in written}
     assert digests == PINNED_DIGESTS
+
+
+# Half- and full-width separators, swapped both ways: model outputs drift
+# between the two whatever the language of the prompt.
+_SWAP_WIDTH = str.maketrans(":;,()：；，（）", "：；，（）:;,()")
+
+
+def _drifted(n: int, gold: str) -> str:
+    """The n-th prediction: the gold verbatim, its headers upper-cased with
+    separators swapped in width, wrapped in chatter lines, or case-swapped."""
+    kind = n % 4
+    if kind == 0:
+        return gold
+    if kind == 1:
+        return re.sub(r"^[^:：\n]*(?=[:：])", lambda m: m.group(0).upper(), gold,
+                      flags=re.MULTILINE).translate(_SWAP_WIDTH)
+    if kind == 2:
+        return f"Sure, here is the answer.\n{gold}\nI hope that helps!"
+    return gold.swapcase()
+
+
+# SHA-256 of eval.<ds>.json and eval.<ds>.txt for every scored task kind, on
+# the drifted predictions of ``_drifted`` with the first row missing and the
+# second row's id given twice (the first copy is junk: the last one wins).
+PINNED_EVAL_DIGESTS = {
+    "eval.ner-zh.json": "8891a211280b26485b88430de1d90e63e11d243b092d29b9eaa16c415edd129d",
+    "eval.ner-zh.txt": "e8cbc0aa9d611cded6faf294436228d153847688797a091de385430d7a4d145e",
+    "eval.re-en.json": "99367987f4dd75c83a1da3a67ac5255471a18e389fa8f409ce8c48a74fef5518",
+    "eval.re-en.txt": "d72b35bdd3ee5eb8706cbbb1e01787d56f04bc4889232ff50faa8b12d35b4928",
+    "eval.re-untyped-en.json": "656e094d0f16e0cfc26999420949ced3fd1c732d09af13d27e5b11e01218b55a",
+    "eval.re-untyped-en.txt": "8202628a262ed2ce2f3d38ec88830c248c64a485b93f8a6fb4fb3ce78efb27a8",
+    "eval.tc-en.json": "accd717f63162c3f9d7a2441cbeb536e033da6100b1a6013f446cde96f4fb54c",
+    "eval.tc-en.txt": "d22dc91fcaf8ccef70407c58eccadfc842081297cef5463858be5f43d655409f",
+    "eval.synth-qamc-en.json": "d5ff38ee60f2b3a2ee596de2ecd7d559241bcb343973aec2b02554d6cf64badf",
+    "eval.synth-qamc-en.txt": "8d4b1182d8216133e98a252a58772329968bb7c4923c8218959b8893e4c13913",
+}
+
+
+def test_pinned_eval_digests(tmp_path):
+    corpora = [
+        make_ner_docs(40, seed=12, desc=ner_descriptor("ner-zh", Language.ZH)),
+        make_re_docs(40, seed=13, desc=re_descriptor("re-en")),
+        make_re_docs(40, seed=14, desc=re_descriptor("re-untyped-en", untyped=True)),
+        make_tc_docs(40, seed=15, desc=tc_descriptor("tc-en")),
+        make_qa_mc_docs(40, seed=16),
+    ]
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([desc for desc, _ in corpora]).save(registry_path)
+    for desc, docs in corpora:
+        write_documents(tmp_path / "corpus" / desc.id / "train.jsonl", docs)
+    out = tmp_path / "out"
+    common = ["--registry", str(registry_path), "--seed", "7", "--out", str(out)]
+    assert main(["forge", "--corpus-root", str(tmp_path / "corpus"), *common]) == 0
+    instances = read_instances(out / "forged.jsonl")
+    written = []
+    for desc, _ in corpora:
+        rows = [{"instance_id": "stray", "raw_text": "x"}]
+        for n, inst in enumerate(i for i in instances if i.dataset_id == desc.id):
+            if n == 1:
+                rows.append({"instance_id": inst.instance_id, "raw_text": "junk"})
+            if n:
+                rows.append({"instance_id": inst.instance_id, "raw_text": _drifted(n, inst.output)})
+        preds = tmp_path / f"preds.{desc.id}.jsonl"
+        preds.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                         encoding="utf-8")
+        assert main(["eval", "--dataset", desc.id, "--gold", str(out / "forged.jsonl"),
+                     "--predictions", str(preds), *common]) == 0
+        written += [out / f"eval.{desc.id}.json", out / f"eval.{desc.id}.txt"]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert digests == PINNED_EVAL_DIGESTS

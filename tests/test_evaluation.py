@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from bioforge.evaluation import (
     PARSED,
     UNPARSEABLE,
     PredictionRecord,
+    _options_from_instruction,
     evaluate_dataset,
     parse_ner_output,
     parse_qa_choice,
@@ -18,13 +20,15 @@ from bioforge.evaluation import (
     score_micro_f1,
 )
 from bioforge.forge import build_corpus
-from bioforge.schema import Language, RelationTriple
+from bioforge.schema import TASKS, Language, RelationTriple, TaskType
 from bioforge.synth import (
     make_ner_docs,
     make_qa_mc_docs,
     make_re_docs,
     make_tc_docs,
+    ner_descriptor,
     re_descriptor,
+    tc_descriptor,
 )
 from bioforge.templates import default_template_bank
 
@@ -307,3 +311,108 @@ def test_parsers_are_total(raw):
     parse_re_output(raw, Language.EN, ["CID"], prompted_relation="CID")
     parse_tc_output(raw, Language.EN, ["Prevention", "Treatment"])
     parse_qa_choice(raw, OPTIONS)
+
+
+def reference_evaluation(gold, predictions, desc):
+    """``evaluate_dataset`` spelled out with no memo: the public parser
+    called once per gold output and once per prediction, then the scorer."""
+    by_id = {p.instance_id: p.raw_text for p in predictions}
+    raws = [by_id.get(i.instance_id, "") for i in gold]
+    if desc.task is TaskType.QA_MC:
+        options = [_options_from_instruction(i.instruction) for i in gold]
+        keys = [parse_qa_choice(i.output, o).qa_choice or "" for i, o in zip(gold, options)]
+        outcomes = [parse_qa_choice(r, o) for r, o in zip(raws, options)]
+        return score_accuracy(keys, outcomes, dataset_id=desc.id)
+    if desc.task is TaskType.NER_NEN:
+        parse, items = (lambda raw: parse_ner_output(raw, desc.language, desc.label_vocab)), "ner"
+    elif desc.task is TaskType.TC:
+        parse, items = (lambda raw: parse_tc_output(raw, desc.language, desc.label_vocab)), "tc"
+    else:
+        parse, items = (lambda raw: parse_re_output(raw, desc.language, desc.label_vocab,
+                                                    desc.prompted_relation)), "re_triples"
+    outcomes = [parse(r) for r in raws]
+    report = score_micro_f1([getattr(parse(i.output), items) for i in gold],
+                            [getattr(o, items) for o in outcomes], dataset_id=desc.id)
+    report.unparseable_count = sum(1 for o in outcomes if o.status == UNPARSEABLE)
+    return report
+
+
+def _forged(maker, desc, n=12, seed=5):
+    desc, docs = maker(n, seed, desc)
+    return desc, build_corpus([(desc, docs)], default_template_bank(), seed=7)
+
+
+FORGED = [
+    _forged(make_ner_docs, ner_descriptor("ner-en")),
+    _forged(make_ner_docs, ner_descriptor("ner-zh", Language.ZH)),
+    _forged(make_re_docs, re_descriptor("re-en")),
+    _forged(make_re_docs, re_descriptor("re-untyped-en", untyped=True)),
+    _forged(make_tc_docs, tc_descriptor("tc-en")),
+    _forged(make_qa_mc_docs, None),
+]
+EMPTY_MARKERS = sorted({m for spec in TASKS.values() for m in spec.empty.values()})
+_WIDTH = str.maketrans(":;,()：；，（）", "：；，（）:;,()")
+MUTATIONS = [
+    str.swapcase,
+    str.upper,
+    lambda s: s.translate(_WIDTH),
+    lambda s: f"Sure.\n{s}\nHope that helps!",
+    lambda s: s[: len(s) // 2],
+    lambda s: s.replace("\n", " "),
+    lambda s: s.partition(". ")[2],  # a QA answer's option text without its key
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_evaluate_dataset_equals_one_parse_per_instance(data):
+    desc, gold = data.draw(st.sampled_from(FORGED))
+    outputs = [i.output for i in gold]
+
+    def text(own):  # mostly the instance's own gold output, verbatim or mutated
+        return st.one_of(
+            st.just(own),
+            st.sampled_from(MUTATIONS).map(lambda f: f(own)),
+            st.sampled_from(outputs),
+            st.sampled_from(MUTATIONS).flatmap(lambda f: st.sampled_from(outputs).map(f)),
+            st.sampled_from(["", *EMPTY_MARKERS]),
+            st.text(max_size=40),
+        )
+
+    rows = [PredictionRecord(i.instance_id, data.draw(text(i.output)))
+            for i in gold if data.draw(st.integers(0, 9))]  # about one row in ten missing
+    ids = st.sampled_from([i.instance_id for i in gold] + ["stray"])
+    rows += data.draw(st.lists(st.builds(PredictionRecord, ids, text("")), max_size=4))
+    predictions = data.draw(st.permutations(rows))
+    assert evaluate_dataset(gold, predictions, desc) == reference_evaluation(gold, predictions, desc)
+
+
+def test_ner_vocabularies_evaluated_alternately_keep_their_own_results():
+    full, gold = _forged(make_ner_docs, ner_descriptor("ner-full"), n=30)
+    narrow = dataclasses.replace(full, id="ner-narrow", label_vocab=("Disease",))
+    lower = dataclasses.replace(full, id="ner-lower", label_vocab=("chemical", "disease"))
+    predictions = oracle_predictions(gold)
+    first = {}
+    for desc in (full, narrow, lower, full, narrow, lower):
+        report = evaluate_dataset(gold, predictions, desc)
+        assert report == first.setdefault(desc.id, report)
+        assert report == reference_evaluation(gold, predictions, desc)
+    assert list(first["ner-full"].per_type) == ["Chemical", "Disease"]
+    assert list(first["ner-narrow"].per_type) == ["Disease"]
+    assert list(first["ner-lower"].per_type) == ["chemical", "disease"]
+    assert first["ner-narrow"].tp == first["ner-full"].per_type["Disease"]["tp"] < first["ner-full"].tp
+
+
+def test_qa_answer_text_is_resolved_against_each_instance_options():
+    desc, gold = FORGED[-1]
+    # answers given as option text alone: one text sits under different keys
+    # in different instances, so the same string must resolve per instance
+    keys_by_text = {}
+    for inst in gold:
+        key, _, text = inst.output.partition(". ")
+        keys_by_text.setdefault(text, set()).add(key)
+    assert any(len(keys) > 1 for keys in keys_by_text.values())
+    predictions = [PredictionRecord(i.instance_id, i.output.partition(". ")[2]) for i in gold]
+    report = evaluate_dataset(gold, predictions, desc)
+    assert report == reference_evaluation(gold, predictions, desc)
+    assert report.accuracy == 1.0
