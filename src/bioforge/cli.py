@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .curation import corpus_stats, dedup_and_filter_overlap
 from .errors import BioforgeError
-from .evaluation import evaluate_dataset, read_predictions, sample_subset
+from .evaluation import evaluate_dataset, read_predictions, require_strings, sample_subset
 from .fixtures import reference_registry
 from .forge import build_corpus, read_instances, write_instances
 from .ingest import IngestConfig, ingest_dataset
@@ -156,7 +156,9 @@ def cmd_eval(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     desc = registry[args.dataset]
     gold_path, pred_path = Path(args.gold), Path(args.predictions)
-    gold = [i for i in read_instances(gold_path) if i.dataset_id == args.dataset]
+    gold = require_strings(gold_path, read_instances(gold_path),
+                           ("instance_id", "dataset_id", "output", "instruction"))
+    gold = [i for i in gold if i.dataset_id == args.dataset]
     gold_ids = {i.instance_id for i in gold}
     if args.sample_n is not None:
         gold = sample_subset(gold, args.sample_n, args.seed)

@@ -1,5 +1,6 @@
-"""Free-text evaluation harness: tolerant parsers that invert the gold
-output grammars, plus exact-match micro-F1 and accuracy scoring.
+"""Output grammars and free-text evaluation: :data:`GRAMMARS` gives each task
+type the renderer of its gold output, the tolerant parser that inverts it and
+its metric, exact-match micro-F1 or accuracy.
 
 Parsers are total: any input string yields a :class:`ParseOutcome`, never an
 exception.  Scoring uses set semantics over (surface, type) pairs and
@@ -25,8 +26,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import LengthMismatch, UnknownTaskMetric
-from .forge import InstructionInstance
-from .schema import TASKS, Language, RelationTriple, TaskType, from_dict, read_jsonl, to_dict, write_jsonl
+from .schema import (TASKS, DatasetDescriptor, InstructionInstance, Language, RelationTriple, TaskType,
+                     UnifiedDocument, from_dict, read_jsonl)
 
 PARSED = "parsed"
 PARTIAL = "partial"
@@ -36,15 +37,25 @@ UNPARSEABLE = "unparseable"
 @dataclass(frozen=True)
 class PredictionRecord:
     instance_id: str
-    raw_text: str
+    raw_text: Optional[str]  # None: a failed generation, scored like a missing row
+
+
+def require_strings(path: Path | str, records: Iterable, names: Sequence[str],
+                    nullable: Sequence[str] = ()) -> list:
+    """Return ``records``, or raise ``ValueError`` naming ``path`` at the first
+    one whose field in ``names`` holds anything but a string (or None, for a
+    ``nullable`` field)."""
+    for n, rec in enumerate(records, 1):
+        for name in names:
+            value = getattr(rec, name)
+            if type(value) is not str and (value is not None or name not in nullable):
+                raise ValueError(f"{path}: record {n}: {name} is {value!r:.40}, not a string")
+    return records
 
 
 def read_predictions(path: Path | str) -> list[PredictionRecord]:
-    return [from_dict(PredictionRecord, d) for d in read_jsonl(path)]
-
-
-def write_predictions(path: Path | str, records: Iterable[PredictionRecord]) -> int:
-    return write_jsonl(path, map(to_dict, records))
+    records = [from_dict(PredictionRecord, d) for d in read_jsonl(path)]
+    return require_strings(path, records, ("instance_id", "raw_text"), nullable=("raw_text",))
 
 
 @dataclass(frozen=True, slots=True)  # slots: evaluate_dataset holds one per distinct string
@@ -63,9 +74,76 @@ def _is_empty_marker(raw: str) -> bool:
     return raw.strip() in _EMPTY_MARKER_STRINGS
 
 
-_ITEM_SEP = re.compile(r"[;；]")
-_FIELD_SEP = re.compile(r"[,，]")
-_LABEL_SEP = re.compile(r"[;；,，]")
+# Separators as each language writes them; parsers read either width.
+# Relation, QA-mc and event items are written the English way in both.
+_ITEM = {Language.EN: "; ", Language.ZH: "；"}
+_HEADER = {Language.EN: ": ", Language.ZH: "："}
+_FIELD = {Language.EN: ", ", Language.ZH: "，"}
+TC_MARKER = {Language.EN: "Result: ", Language.ZH: "上述文本被分类为: "}
+
+
+def _either_width(*seps: dict) -> str:
+    """A regex character class of the separators' marks, in both widths."""
+    return "[" + "".join(re.escape(s.strip()) for sep in seps for s in sep.values()) + "]"
+
+
+_ITEM_SEP = re.compile(_either_width(_ITEM))
+_FIELD_SEP = re.compile(_either_width(_FIELD))
+_LABEL_SEP = re.compile(_either_width(_ITEM, _FIELD))
+_HEADER_SEP = _either_width(_HEADER)
+
+
+def option_line(key: str, text: str) -> str:
+    """One QA-mc option, as the prompt lists it and the gold answer names it."""
+    return f"{key}. {text}"
+
+
+_OPTION_LINE = re.compile(r"^\s*([A-Za-z0-9]+)\.\s+(.*)$")
+
+
+def _options_from_instruction(instruction: str) -> list[tuple]:
+    """Recover the rendered option list from a forged QA-mc instruction."""
+    options = []
+    for line in instruction.split("\n"):
+        m = _OPTION_LINE.match(line)
+        if m:
+            options.append((m.group(1), m.group(2).strip()))
+    return options
+
+
+# Renderers (see Grammar.render) keep each item's first occurrence.
+
+def _render_ner(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+    by_type: dict[str, dict[str, None]] = {}
+    for e in doc.entities:
+        by_type.setdefault(e.etype, {})[e.surface] = None
+    return "\n".join(etype + _HEADER[language] + _ITEM[language].join(surfaces)
+                     for etype, surfaces in by_type.items()) or None
+
+
+def _render_relations(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+    sep = _FIELD[Language.EN]
+    items = [f"[{r.head}{sep}{r.tail}]" if re_untyped else f"({r.head}{sep}{r.tail}{sep}{r.rtype})"
+             for r in dict.fromkeys(doc.relations)]
+    return _ITEM[Language.EN].join(items) or None
+
+
+def _render_ee(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+    header, sep = _HEADER[Language.EN], _FIELD[Language.EN]
+    return "\n".join(
+        f"{ev.event_type}{header}(Trigger{header}{ev.trigger}"
+        + "".join(f"{sep}{role}{header}{filler}" for role, filler in ev.arguments) + ")"
+        for ev in doc.events) or None
+
+
+def _render_tc(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+    labels = dict.fromkeys(doc.labels)
+    return TC_MARKER[language] + _ITEM[language].join(labels) if labels else None
+
+
+def _render_qa_mc(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+    texts = dict(doc.qa.options or ())
+    return _ITEM[Language.EN].join(option_line(k, texts[k]) for k in doc.qa.answer_keys) if texts else None
 
 
 @functools.lru_cache(maxsize=256)
@@ -78,7 +156,7 @@ def _canonical(vocab: tuple[str, ...]) -> dict[str, str]:
 def _ner_header(type_vocab: tuple[str, ...]) -> re.Pattern:
     """``<Type>:`` for any type of the vocabulary, longest type first."""
     alts = "|".join(re.escape(t) for t in sorted(type_vocab, key=len, reverse=True))
-    return re.compile(rf"({alts})\s*[:：]", re.IGNORECASE)
+    return re.compile(rf"({alts})\s*{_HEADER_SEP}", re.IGNORECASE)
 
 
 @functools.lru_cache(maxsize=256)
@@ -99,7 +177,8 @@ def parse_ner_output(raw: str, language: Language, type_vocab: Sequence[str]) ->
         return ParseOutcome(status=UNPARSEABLE)
     type_vocab = tuple(type_vocab)
     canonical = _canonical(type_vocab)
-    matches = list(_ner_header(type_vocab).finditer(raw))
+    # a header in a casing whose lower() names no type (a "ſ" read as "s") is no header
+    matches = [m for m in _ner_header(type_vocab).finditer(raw) if m.group(1).lower() in canonical]
     if not matches:
         return ParseOutcome(status=UNPARSEABLE)
     found: set[tuple] = set()
@@ -153,7 +232,9 @@ def parse_re_output(
     return ParseOutcome(status=PARSED, re_triples=frozenset(triples))
 
 
-_TC_MARKER = re.compile(r"(?:Result|上述文本被分类为)\s*[:：]", re.IGNORECASE)
+_TC_MARKER = re.compile(
+    "(?:" + "|".join(re.escape(m.rstrip(": ")) for m in TC_MARKER.values()) + rf")\s*{_HEADER_SEP}",
+    re.IGNORECASE)
 
 
 def parse_tc_output(raw: str, language: Language, label_vocab: Sequence[str]) -> ParseOutcome:
@@ -265,22 +346,16 @@ def score_micro_f1(
     if len(gold) != len(pred):
         raise LengthMismatch(len(gold), len(pred))
     report = EvalReport(dataset_id=dataset_id, metric_name="micro_f1", total=len(gold))
+    totals = [0, 0, 0]  # tp, fp, fn
     by_type: dict[str, list[int]] = {}
     for g, p in zip(gold, pred):
-        report.tp += len(g & p)
-        report.fp += len(p - g)
-        report.fn += len(g - p)
-        for item in g | p:
-            etype = type_key(item)
-            if etype is None:
-                continue
-            counts = by_type.setdefault(etype, [0, 0, 0])
-            if item in g and item in p:
-                counts[0] += 1
-            elif item in p:
-                counts[1] += 1
-            else:
-                counts[2] += 1
+        for column, items in enumerate((g & p, p - g, g - p)):
+            totals[column] += len(items)
+            for item in items:
+                etype = type_key(item)
+                if etype is not None:
+                    by_type.setdefault(etype, [0, 0, 0])[column] += 1
+    report.tp, report.fp, report.fn = totals
     report.precision, report.recall, report.f1 = _prf(report.tp, report.fp, report.fn)
     for etype, (tp, fp, fn) in sorted(by_type.items()):
         p, r, f1 = _prf(tp, fp, fn)
@@ -323,31 +398,52 @@ def sample_subset(instances: Sequence, n: int, seed: int) -> list:
     return [instances[i] for i in indices]
 
 
-_OPTION_LINE = re.compile(r"^\s*([A-Za-z0-9]+)\.\s+(.*)$")
+@dataclass(frozen=True)
+class Grammar:
+    """How one task's gold output is written, read back and scored:
+    ``render(doc, language, re_untyped)`` writes it (None: nothing to render),
+    ``parse(raw, desc, instruction)`` inverts it (``instruction`` is read for
+    accuracy only), and ``metric`` is ``"micro_f1"`` or ``"accuracy"`` over the
+    ParseOutcome field ``items``, or None (not scored)."""
+
+    render: Callable[[UnifiedDocument, Language, bool], Optional[str]]
+    parse: Optional[Callable[[str, DatasetDescriptor, Optional[str]], ParseOutcome]] = None
+    metric: Optional[str] = None
+    items: str = ""
 
 
-def _options_from_instruction(instruction: str) -> list[tuple]:
-    """Recover the rendered option list from a forged QA-mc instruction."""
-    options = []
-    for line in instruction.split("\n"):
-        m = _OPTION_LINE.match(line)
-        if m:
-            options.append((m.group(1), m.group(2).strip()))
-    return options
+_RELATIONS = Grammar(
+    _render_relations,
+    lambda raw, desc, _: parse_re_output(raw, desc.language, desc.label_vocab, desc.prompted_relation),
+    "micro_f1", "re_triples")
+_ANSWER_KEYS = Grammar(lambda doc, *_: "\n".join(doc.qa.answer_keys))
+_LABEL = Grammar(lambda doc, *_: doc.pair.label)
+_TEXT_B = Grammar(lambda doc, *_: doc.pair.text_b)
 
-
-def _parse_re(raw: str, desc) -> ParseOutcome:
-    return parse_re_output(raw, desc.language, desc.label_vocab, desc.prompted_relation)
-
-
-# Micro-F1 tasks: the parser that inverts the task's gold grammar and the
-# ParseOutcome field holding its items.  CRE and COREF share RE's grammar.
-_F1_TASKS = {
-    TaskType.NER_NEN: (lambda raw, desc: parse_ner_output(raw, desc.language, desc.label_vocab), "ner"),
-    TaskType.RE: (_parse_re, "re_triples"),
-    TaskType.CRE: (_parse_re, "re_triples"),
-    TaskType.COREF: (_parse_re, "re_triples"),
-    TaskType.TC: (lambda raw, desc: parse_tc_output(raw, desc.language, desc.label_vocab), "tc"),
+GRAMMARS: dict[TaskType, Grammar] = {
+    TaskType.NER_NEN: Grammar(
+        _render_ner, lambda raw, desc, _: parse_ner_output(raw, desc.language, desc.label_vocab),
+        "micro_f1", "ner"),
+    TaskType.RE: _RELATIONS,  # CRE and COREF share RE's grammar
+    TaskType.CRE: _RELATIONS,
+    TaskType.COREF: _RELATIONS,
+    TaskType.EE: Grammar(_render_ee),
+    TaskType.TC: Grammar(
+        _render_tc, lambda raw, desc, _: parse_tc_output(raw, desc.language, desc.label_vocab),
+        "micro_f1", "tc"),
+    TaskType.QA_MC: Grammar(
+        _render_qa_mc,
+        lambda raw, _, instruction: parse_qa_choice(raw, _options_from_instruction(instruction)),
+        "accuracy", "qa_choice"),
+    TaskType.QA_SQA: _ANSWER_KEYS,
+    TaskType.QA_CQA: _ANSWER_KEYS,
+    TaskType.MRD: Grammar(  # the last assistant turn
+        lambda doc, *_: next((t.text for t in reversed(doc.dialogue) if t.speaker == "assistant"), None)),
+    TaskType.MT: Grammar(lambda doc, *_: doc.translation.text_b),
+    TaskType.TP_SS: _LABEL,
+    TaskType.TP_TE: _LABEL,
+    TaskType.TT_DS: _TEXT_B,
+    TaskType.TT_TS: _TEXT_B,
 }
 
 
@@ -356,41 +452,30 @@ def evaluate_dataset(
     predictions: Sequence[PredictionRecord],
     desc,
 ) -> EvalReport:
-    """Parse and score free-text predictions against a forged gold corpus.
+    """Parse and score free-text predictions against a forged gold corpus,
+    with the parser and metric of the task's row of :data:`GRAMMARS`; a task
+    without a metric raises :class:`UnknownTaskMetric`.
 
     Gold structure is recovered by running the same parser over the canonical
-    gold output (an exact inverse by construction).  Missing predictions score
-    as empty/unparseable; of several predictions with one id the last wins.
-    QA-mc scores accuracy; the tasks of ``_F1_TASKS`` score micro-F1; any
-    other task raises :class:`UnknownTaskMetric`.
-
-    The parsers are pure, so each distinct string (gold or prediction) is
-    parsed once per call and its outcome reused.
+    gold output (an exact inverse by construction).  Missing predictions and
+    a ``raw_text`` of None score as empty/unparseable; of several predictions
+    with one id the last wins.  The parsers are pure, so each distinct string
+    (with the instruction, for accuracy) is parsed once per call.
     """
-    task = desc.task
-    if task is not TaskType.QA_MC and task not in _F1_TASKS:
-        raise UnknownTaskMetric(task.value)
-    by_id = {p.instance_id: p.raw_text for p in predictions}
-
-    if task is TaskType.QA_MC:
+    grammar = GRAMMARS[desc.task]
+    if grammar.metric is None:
+        raise UnknownTaskMetric(desc.task.value)
+    by_id = {p.instance_id: p.raw_text or "" for p in predictions}
+    if grammar.metric == "accuracy":
         # a choice depends on the options too, which the instruction fixes
-        choice = functools.cache(
-            lambda raw, instruction: parse_qa_choice(raw, _options_from_instruction(instruction)))
-        gold_keys = [choice(inst.output, inst.instruction).qa_choice or "" for inst in gold]
+        choice = functools.cache(lambda raw, instruction: grammar.parse(raw, desc, instruction))
+        gold_keys = [getattr(choice(inst.output, inst.instruction), grammar.items) or "" for inst in gold]
         outcomes = [choice(by_id.get(inst.instance_id, ""), inst.instruction) for inst in gold]
         return score_accuracy(gold_keys, outcomes, dataset_id=desc.id)
-
-    parse, items = _F1_TASKS[task]
-    outcome_of = functools.cache(lambda raw: parse(raw, desc))
-    gold_sets = []
-    pred_sets = []
-    unparseable = 0
-    for inst in gold:
-        p = outcome_of(by_id.get(inst.instance_id, ""))
-        gold_sets.append(getattr(outcome_of(inst.output), items))
-        pred_sets.append(getattr(p, items))
-        if p.status == UNPARSEABLE:
-            unparseable += 1
-    report = score_micro_f1(gold_sets, pred_sets, dataset_id=desc.id)
-    report.unparseable_count = unparseable
+    outcome_of = functools.cache(lambda raw: grammar.parse(raw, desc, None))
+    golds = [outcome_of(inst.output) for inst in gold]
+    preds = [outcome_of(by_id.get(inst.instance_id, "")) for inst in gold]
+    report = score_micro_f1([getattr(g, grammar.items) for g in golds],
+                            [getattr(p, grammar.items) for p in preds], dataset_id=desc.id)
+    report.unparseable_count = sum(p.status == UNPARSEABLE for p in preds)
     return report

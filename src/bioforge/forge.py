@@ -1,35 +1,20 @@
-"""Instruction-record forging: gold-output serialization and template
-rendering.
+"""Instruction-record forging: template rendering and gold outputs.
 
-The gold output grammars are frozen here and inverted by the evaluation
-parsers; ``parse(serialize_gold(doc))`` recovers exactly the
-scoring-relevant structure.  Canonical separators: English uses "; "
-between items, ": " after headers, newline between entity-type lines;
-Chinese uses "；" and "：".
+Each task's gold output is written by its row of ``evaluation.GRAMMARS``,
+beside the parser that inverts it; ``parse(serialize_gold(doc))`` recovers
+exactly the scoring-relevant structure.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import MissingSlotData, NoTemplate, UnsupportedTask
-from .schema import (
-    TASKS,
-    DatasetDescriptor,
-    Language,
-    TaskType,
-    UnifiedDocument,
-    from_dict,
-    read_jsonl,
-    to_dict,
-    write_jsonl,
-)
+from .evaluation import GRAMMARS, option_line
+from .schema import TASKS, DatasetDescriptor, InstructionInstance, Language, TaskType, UnifiedDocument
+from .schema import read_instances, write_instances  # noqa: F401 (re-exported)
 from .templates import InstructionTemplate, TemplateBank
-
-TC_MARKER = {Language.EN: "Result: ", Language.ZH: "上述文本被分类为: "}
 
 _LANG_NAMES = {
     Language.EN: {"en": "English", "zh": "Chinese"},
@@ -37,124 +22,25 @@ _LANG_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class InstructionInstance:
-    instance_id: str
-    dataset_id: str
-    task: TaskType
-    language: Language
-    template_id: str
-    instruction: str
-    input: str
-    output: str
-    source_doc_id: str
-
-
-def write_instances(path: Path | str, instances: Iterable[InstructionInstance]) -> int:
-    return write_jsonl(path, map(to_dict, instances))
-
-
-def read_instances(path: Path | str) -> list[InstructionInstance]:
-    return [from_dict(InstructionInstance, d) for d in read_jsonl(path)]
-
-
-def _dedup_keep_order(items):
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
 def serialize_gold(
     doc: UnifiedDocument, task: TaskType, language: Language, re_untyped: bool = False
 ) -> str:
-    """Render the document's gold annotations as the canonical output string.
+    """Render the document's gold annotations with ``GRAMMARS[task]``.
 
-    Entity order is first-occurrence order; triple order is document order.
     ``re_untyped`` selects the binary ``[head, tail]`` relation grammar, in
-    which the relation type is implied by the prompt.  A document without
-    annotations renders as its task's empty marker (``TASKS[task].empty``),
-    which the evaluation parsers invert to the empty set.
+    which the prompt implies the relation type.  A document with nothing to
+    render gets its task's empty marker (``TASKS[task].empty``); without the
+    required payload, or without a marker, it raises :class:`UnsupportedTask`.
     """
-    zh = language is Language.ZH
-    item_sep = "；" if zh else "; "
-    header_sep = "：" if zh else ": "
-
-    if task is TaskType.NER_NEN:
-        if not doc.entities:
-            return TASKS[task].empty[language]
-        by_type: dict[str, list[str]] = {}
-        for e in doc.entities:
-            by_type.setdefault(e.etype, []).append(e.surface)
-        lines = [
-            etype + header_sep + item_sep.join(_dedup_keep_order(surfaces))
-            for etype, surfaces in by_type.items()
-        ]
-        return "\n".join(lines)
-
-    if task in (TaskType.RE, TaskType.CRE, TaskType.COREF):
-        triples = _dedup_keep_order(doc.relations)
-        if not triples:
-            return TASKS[task].empty[language]
-        if re_untyped:
-            items = [f"[{r.head}, {r.tail}]" for r in triples]
-        else:
-            items = [f"({r.head}, {r.tail}, {r.rtype})" for r in triples]
-        return "; ".join(items)
-
-    if task is TaskType.TC:
-        labels = _dedup_keep_order(doc.labels)
-        if not labels:
-            return TASKS[task].empty[language]
-        return TC_MARKER[language] + item_sep.join(labels)
-
-    if task is TaskType.EE:
-        if not doc.events:
-            return TASKS[task].empty[language]
-        lines = []
-        for ev in doc.events:
-            args = "".join(f", {role}: {filler}" for role, filler in ev.arguments)
-            lines.append(f"{ev.event_type}: (Trigger: {ev.trigger}{args})")
-        return "\n".join(lines)
-
-    if task is TaskType.QA_MC:
-        if doc.qa is None or not doc.qa.options:
-            raise UnsupportedTask(task.value)
-        texts = dict(doc.qa.options)
-        return "; ".join(f"{k}. {texts[k]}" for k in doc.qa.answer_keys)
-
-    if task in (TaskType.QA_SQA, TaskType.QA_CQA):
-        if doc.qa is None:
-            raise UnsupportedTask(task.value)
-        return "\n".join(doc.qa.answer_keys)
-
-    if task is TaskType.MRD:
-        if not doc.dialogue:
-            raise UnsupportedTask(task.value)
-        answers = [t.text for t in doc.dialogue if t.speaker == "assistant"]
-        if not answers:
-            raise UnsupportedTask(task.value)
-        return answers[-1]
-
-    if task is TaskType.MT:
-        if doc.translation is None:
-            raise UnsupportedTask(task.value)
-        return doc.translation.text_b
-
-    if task in (TaskType.TP_SS, TaskType.TP_TE):
-        if doc.pair is None or doc.pair.label is None:
-            raise UnsupportedTask(task.value)
-        return doc.pair.label
-
-    if task in (TaskType.TT_DS, TaskType.TT_TS):
-        if doc.pair is None:
-            raise UnsupportedTask(task.value)
-        return doc.pair.text_b
-
-    raise UnsupportedTask(str(task))
+    spec = TASKS[task]
+    if spec.required is not None and getattr(doc, spec.required) is None:
+        raise UnsupportedTask(task.value)
+    output = GRAMMARS[task].render(doc, language, re_untyped)
+    if output is None:
+        output = spec.empty.get(language)
+    if output is None:
+        raise UnsupportedTask(task.value)
+    return output
 
 
 def _input_text(doc: UnifiedDocument, task: TaskType, language: Language) -> str:
@@ -204,7 +90,7 @@ def render_instance(
             if task is TaskType.QA_MC:
                 if not doc.qa.options:
                     raise MissingSlotData("options")
-                parts.append("\n".join(f"{k}. {t}" for k, t in doc.qa.options))
+                parts.append("\n".join(option_line(k, t) for k, t in doc.qa.options))
             instruction = "\n".join(parts)
         template_id = ""
     else:

@@ -179,8 +179,8 @@ class TaskSpec:
     group of the statistics table; ``type2`` marks QA and dialogue tasks,
     whose instruction is the question itself and which train in stage 2 only;
     ``empty`` maps a language to the gold output of a document with no
-    annotations, for tasks that have one.  The output grammars themselves
-    live in ``forge.serialize_gold`` and the ``evaluation`` parsers.
+    annotations, for tasks that have one.  How each task's output is written,
+    read back and scored is its row of ``evaluation.GRAMMARS``.
     """
 
     payloads: frozenset[str]
@@ -500,6 +500,27 @@ def write_documents(path: Path | str, docs: Iterable[UnifiedDocument]) -> int:
 
 def read_documents(path: Path | str) -> list[UnifiedDocument]:
     return [from_dict(UnifiedDocument, d) for d in read_jsonl(path)]
+
+
+@dataclass(frozen=True)
+class InstructionInstance:
+    instance_id: str
+    dataset_id: str
+    task: TaskType
+    language: Language
+    template_id: str
+    instruction: str
+    input: str
+    output: str
+    source_doc_id: str
+
+
+def write_instances(path: Path | str, instances: Iterable[InstructionInstance]) -> int:
+    return write_jsonl(path, map(to_dict, instances))
+
+
+def read_instances(path: Path | str) -> list[InstructionInstance]:
+    return [from_dict(InstructionInstance, d) for d in read_jsonl(path)]
 
 
 class Registry:

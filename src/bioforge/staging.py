@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .forge import InstructionInstance, write_instances
-from .schema import TASKS, DatasetDescriptor, Registry, write_json
+from .schema import TASKS, DatasetDescriptor, InstructionInstance, Registry, write_instances, write_json
 
 TYPE1 = "Type1"
 TYPE2 = "Type2"

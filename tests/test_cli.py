@@ -138,6 +138,23 @@ ERROR_CASES = {
                                   "missing input: {tmp}/nope/*/train.jsonl"),
     "forge_unregistered_dataset": (2, "forge --corpus-root {tmp}/corpus --registry {tmp}/ner_only.jsonl",
                                    "config error: dataset id 'synth-qamc-en' not in registry"),
+    # a value that is not a string where eval reads one (a null raw_text is scored instead)
+    "eval_raw_text_number": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
+                             "--predictions {tmp}/raw_text_number.jsonl",
+                             "config error: {tmp}/raw_text_number.jsonl: record 1: raw_text is 3, not a string"),
+    "eval_raw_text_list": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
+                           "--predictions {tmp}/raw_text_list.jsonl",
+                           "config error: {tmp}/raw_text_list.jsonl: record 1: raw_text is ['x'], not a string"),
+    "eval_prediction_id_list": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
+                                "--predictions {tmp}/id_list.jsonl",
+                                "config error: {tmp}/id_list.jsonl: record 1: instance_id is ['a'], not a string"),
+    "eval_gold_output_null": (2, "eval --dataset synth-ner-en --gold {tmp}/null_output.jsonl "
+                              "--predictions {tmp}/no_raw_text.jsonl",
+                              "config error: {tmp}/null_output.jsonl: record 2: output is None, not a string"),
+    "eval_gold_dataset_id_number": (2, "eval --dataset synth-ner-en --gold {tmp}/number_dataset_id.jsonl "
+                                    "--predictions {tmp}/no_raw_text.jsonl",
+                                    "config error: {tmp}/number_dataset_id.jsonl: record 1: dataset_id is 3, "
+                                    "not a string"),
 }
 
 
@@ -153,6 +170,14 @@ def bad_inputs(workspace):
     (tmp_path / "duplicate.jsonl").write_text(2 * (json.dumps(row) + "\n"))
     (tmp_path / "negative.jsonl").write_text(json.dumps({**row, "split_counts": {"train": -1}}) + "\n")
     Registry([ner_descriptor("synth-ner-en")]).save(tmp_path / "ner_only.jsonl")
+    for name, row in {"raw_text_number": {"instance_id": "x", "raw_text": 3},
+                      "raw_text_list": {"instance_id": "x", "raw_text": ["x"]},
+                      "id_list": {"instance_id": ["a"], "raw_text": "x"}}.items():
+        (tmp_path / f"{name}.jsonl").write_text(json.dumps(row) + "\n")
+    gold = [json.loads(line) for line in (tmp_path / "forged" / "forged.jsonl").read_text().splitlines()]
+    (tmp_path / "null_output.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in (gold[0], {**gold[1], "output": None})))
+    (tmp_path / "number_dataset_id.jsonl").write_text(json.dumps({**gold[0], "dataset_id": 3}) + "\n")
     return tmp_path, registry_path
 
 
@@ -310,6 +335,23 @@ def test_eval_counts_duplicate_and_unknown_prediction_ids(workspace):
     assert counts["instances"] == 3
     # last wins: the verbatim copy, so every sampled row scores as gold
     assert json.loads((out / "eval.synth-ner-en.json").read_text())["f1"] == 1.0
+
+
+def test_eval_scores_a_null_prediction_as_unparseable(workspace):
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    common = ["--registry", str(registry_path), "--out", str(out)]
+    assert main(["forge", "--corpus-root", str(corpus_root), *common]) == 0
+    gold = [i for i in read_instances(out / "forged.jsonl") if i.dataset_id == "synth-ner-en"]
+    rows = [{"instance_id": i.instance_id, "raw_text": None if n == 0 else i.output}
+            for n, i in enumerate(gold)]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert main(["eval", "--dataset", "synth-ner-en", "--gold", str(out / "forged.jsonl"),
+                 "--predictions", str(preds), *common]) == 0
+    report = json.loads((out / "eval.synth-ner-en.json").read_text())
+    assert report["unparseable_count"] == 1
+    assert report["fn"] > 0 and report["fp"] == 0
 
 
 def test_curate_command(workspace, capsys):

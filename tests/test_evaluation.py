@@ -1,11 +1,14 @@
 import dataclasses
 import random
+import re
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bioforge.errors import LengthMismatch, UnknownTaskMetric
+from bioforge.errors import LengthMismatch, UnknownTaskMetric, UnsupportedTask
 from bioforge.evaluation import (
+    GRAMMARS,
     PARSED,
     UNPARSEABLE,
     PredictionRecord,
@@ -19,8 +22,21 @@ from bioforge.evaluation import (
     score_accuracy,
     score_micro_f1,
 )
-from bioforge.forge import build_corpus
-from bioforge.schema import TASKS, Language, RelationTriple, TaskType
+from bioforge.forge import build_corpus, render_instance, serialize_gold
+from bioforge.schema import (
+    TASKS,
+    DatasetDescriptor,
+    DialogueTurn,
+    EntityMention,
+    EventFrame,
+    Language,
+    QAInstance,
+    RelationTriple,
+    TaskType,
+    TextPairInstance,
+    TranslationPair,
+    UnifiedDocument,
+)
 from bioforge.synth import (
     make_ner_docs,
     make_qa_mc_docs,
@@ -64,6 +80,11 @@ class TestParseNer:
             "Chemical: aspirin\nI hope that helps!", Language.EN, ["Chemical"]
         )
         assert out.ner == {("aspirin", "Chemical")}
+
+    def test_header_whose_lowercase_names_no_type_is_skipped(self):
+        # "ſ" matches "s" case-insensitively, but "diſeaſe" is no vocabulary key
+        out = parse_ner_output("Diſeaſe: x\nChemical: y", Language.EN, ["Chemical", "Disease"])
+        assert out.ner == {("y", "Chemical")}
 
     def test_totality_on_adversarial_vocab(self):
         # vocabulary entries with regex metacharacters must not break the scanner
@@ -262,6 +283,23 @@ class TestSampleSubset:
         assert sample_subset(items, 200, seed=1) != sample_subset(items, 200, seed=2)
 
 
+# The tasks the paper's evaluation scores, and how.
+SCORED = {
+    TaskType.NER_NEN: "micro_f1",
+    TaskType.RE: "micro_f1",
+    TaskType.CRE: "micro_f1",
+    TaskType.COREF: "micro_f1",
+    TaskType.TC: "micro_f1",
+    TaskType.QA_MC: "accuracy",
+}
+UNSCORED = [t for t in TaskType if t not in SCORED]
+
+
+def test_grammars_hold_one_row_per_task_type():
+    assert len(GRAMMARS) == len(TaskType) and set(GRAMMARS) == set(TaskType)
+    assert {task: g.metric for task, g in GRAMMARS.items() if g.metric is not None} == SCORED
+
+
 def oracle_predictions(instances):
     return [PredictionRecord(i.instance_id, i.output) for i in instances]
 
@@ -290,10 +328,9 @@ class TestEvaluateDataset:
         assert report.accuracy == 0.0
         assert report.unparseable_count == report.total
 
-    def test_unknown_task_metric(self):
-        from bioforge.synth import tc_descriptor
-        from bioforge.schema import DatasetDescriptor, TaskType
-        desc = DatasetDescriptor(id="mt", name="mt", task=TaskType.MT, language=Language.ZH)
+    @pytest.mark.parametrize("task", UNSCORED, ids=lambda t: t.name)
+    def test_unknown_task_metric(self, task):
+        desc = DatasetDescriptor(id="x", name="x", task=task, language=Language.ZH)
         with pytest.raises(UnknownTaskMetric):
             evaluate_dataset([], [], desc)
 
@@ -416,3 +453,117 @@ def test_qa_answer_text_is_resolved_against_each_instance_options():
     report = evaluate_dataset(gold, predictions, desc)
     assert report == reference_evaluation(gold, predictions, desc)
     assert report.accuracy == 1.0
+
+
+# The grammar's reserved characters, which no rendered item may contain.
+RESERVED = {
+    ";": "item separator",
+    "；": "item separator (zh)",
+    ",": "relation field and TC label separator",
+    "，": "relation field and TC label separator (zh)",
+    ":": "NER header and TC marker separator",
+    "：": "NER header separator (zh)",
+    "(": "typed relation bracket",
+    ")": "typed relation bracket",
+    "（": "typed relation bracket (full width)",
+    "）": "typed relation bracket (full width)",
+    "[": "untyped relation bracket",
+    "]": "untyped relation bracket",
+    "\n": "line break between NER types and between QA-mc options",
+}
+ITEM = st.text(st.characters(exclude_characters="".join(RESERVED), exclude_categories=("Cs",)),
+               min_size=1, max_size=6)
+OPTION_KEY = st.text(string.ascii_letters + string.digits, min_size=1, max_size=2)  # the option-line key
+
+
+# Documents the grammar cannot carry, each recorded as a FOUND line in
+# CHANGES.md; output bytes are pinned, so the grammar keeps them for now.  A
+# round trip may miss the gold structure only for a document of one of these.
+def _blank(*fields: str) -> bool:
+    """A whitespace-only field is trimmed to nothing."""
+    return any(not f.strip() for f in fields)
+
+
+def _clashing(vocab) -> bool:
+    """Vocabulary entries equal ignoring case and edge whitespace read back as one."""
+    keys = [v.strip().lower() for v in vocab]
+    return len(set(keys)) < len(keys)
+
+
+def _qa_ambiguous(qa: QAInstance) -> bool:
+    """The answer's line names another option's key, or a prompt line reads as an option."""
+    answer = qa.answer_keys[0]
+    line = f"{answer}. {dict(qa.options)[answer]}"
+    named = any(re.search(rf"(?<![A-Za-z0-9]){re.escape(k)}(?![A-Za-z0-9])", line)
+                for k, _ in qa.options if k != answer)
+    return named or any(re.match(r"\s*[A-Za-z0-9]+\.\s", p) for p in (qa.question, qa.context or ""))
+
+
+@st.composite
+def scored_cases(draw, task, language):
+    """A document of ``task``, its descriptor, the gold structure its output
+    must parse back to (fields whitespace-trimmed, as every parser documents)
+    and whether it is a document the grammar cannot carry."""
+    vocab = tuple(draw(st.lists(ITEM, min_size=1, max_size=4, unique=True)))
+    desc = DatasetDescriptor(id="ds", name="ds", task=task, language=language, label_vocab=vocab)
+    doc = UnifiedDocument(doc_id="d", dataset_id="ds", language=language, text="")
+    if task is TaskType.NER_NEN:
+        pairs = draw(st.lists(st.tuples(ITEM, st.sampled_from(vocab)), max_size=5))
+        doc = dataclasses.replace(doc, entities=tuple(EntityMention(s, t, 0, len(s)) for s, t in pairs))
+        lossy = _clashing(vocab) or _blank(*(s for s, _ in pairs))
+        return desc, doc, frozenset((s.strip(), t) for s, t in pairs), lossy
+    if task is TaskType.TC:
+        labels = draw(st.lists(st.sampled_from(vocab), max_size=3))
+        # the label lookup trims the output but not the vocabulary
+        lossy = _clashing(vocab) or any(label != label.strip() for label in labels)
+        return desc, dataclasses.replace(doc, labels=tuple(labels)), frozenset(labels), lossy
+    if task is TaskType.QA_MC:
+        keys = draw(st.lists(OPTION_KEY, min_size=1, max_size=5, unique=True))
+        options = tuple(zip(keys, draw(st.lists(ITEM, min_size=len(keys), max_size=len(keys)))))
+        answer = draw(st.sampled_from(keys))
+        qa = QAInstance(draw(ITEM), options, (answer,), draw(st.none() | ITEM))
+        return desc, dataclasses.replace(doc, qa=qa), answer, _qa_ambiguous(qa)
+    if task is TaskType.RE and draw(st.booleans()):  # untyped: the prompt implies vocab[0]
+        desc = dataclasses.replace(desc, re_untyped=True, prompted_relation=vocab[0])
+        vocab = vocab[:1]
+    triples = draw(st.lists(st.builds(RelationTriple, ITEM, ITEM, st.sampled_from(vocab)), max_size=5))
+    gold = frozenset(RelationTriple(r.head.strip(), r.tail.strip(),
+                                    r.rtype if desc.re_untyped else r.rtype.strip()) for r in triples)
+    lossy = _clashing(vocab) or _blank(*(f for r in triples for f in (r.head, r.tail, r.rtype)))
+    return desc, dataclasses.replace(doc, relations=tuple(triples)), gold, lossy
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), task=st.sampled_from(sorted(SCORED)), language=st.sampled_from(Language))
+def test_parse_inverts_render_for_every_scored_row(data, task, language):
+    desc, doc, gold, lossy = data.draw(scored_cases(task, language))
+    grammar = GRAMMARS[task]
+    inst = render_instance(doc, None, desc) if task is TaskType.QA_MC else None
+    raw = inst.output if inst else serialize_gold(doc, task, language, re_untyped=desc.re_untyped)
+    outcome = grammar.parse(raw, desc, inst and inst.instruction)
+    assert getattr(outcome, grammar.items) == gold or lossy
+
+
+TEXT = st.text(max_size=8)
+ANY_DOC = st.builds(
+    UnifiedDocument, doc_id=st.just("d"), dataset_id=st.just("ds"), language=st.sampled_from(Language),
+    text=TEXT,
+    events=st.lists(st.builds(EventFrame, TEXT, TEXT, st.lists(st.tuples(TEXT, TEXT)).map(tuple)),
+                    max_size=3).map(tuple),
+    qa=st.none() | st.builds(QAInstance, TEXT, st.none() | st.lists(st.tuples(TEXT, TEXT)).map(tuple),
+                             st.lists(TEXT, max_size=2).map(tuple)),
+    dialogue=st.none() | st.lists(st.builds(DialogueTurn, st.sampled_from(["user", "assistant"]), TEXT),
+                                  max_size=4).map(tuple),
+    pair=st.none() | st.builds(TextPairInstance, TEXT, TEXT, st.none() | TEXT),
+    translation=st.none() | st.builds(TranslationPair, TEXT, TEXT),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(task=st.sampled_from(UNSCORED), doc=ANY_DOC)
+def test_every_unscored_row_renders_or_raises_unsupported_task(task, doc):
+    try:
+        output = serialize_gold(doc, task, doc.language)
+    except UnsupportedTask:
+        return
+    assert isinstance(output, str)
