@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .curation import corpus_stats, dedup_and_filter_overlap
 from .errors import BioforgeError
-from .evaluation import evaluate_dataset, read_predictions, require_strings, sample_subset
+from .evaluation import evaluate_dataset, read_predictions, sample_subset
 from .fixtures import reference_registry
 from .forge import build_corpus, read_instances, write_instances
 from .ingest import IngestConfig, ingest_dataset
@@ -156,9 +156,7 @@ def cmd_eval(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     desc = registry[args.dataset]
     gold_path, pred_path = Path(args.gold), Path(args.predictions)
-    gold = require_strings(gold_path, read_instances(gold_path),
-                           ("instance_id", "dataset_id", "output", "instruction"))
-    gold = [i for i in gold if i.dataset_id == args.dataset]
+    gold = [i for i in read_instances(gold_path) if i.dataset_id == args.dataset]
     gold_ids = {i.instance_id for i in gold}
     if args.sample_n is not None:
         gold = sample_subset(gold, args.sample_n, args.seed)
@@ -179,17 +177,13 @@ def cmd_stats(args) -> tuple[list[Path], dict]:
     corpus_counts = None
     if args.corpus_root:
         corpus_counts = {
-            path.parent.name: sum(1 for _ in read_jsonl(path))
+            registry[path.parent.name].id: sum(1 for _ in read_jsonl(path))  # raises if unregistered
             for path in _corpus_files(args.corpus_root, "train")
         }
     table = corpus_stats(registry, corpus_counts)
     write_json(Path(args.out) / "stats.json", table.to_dict())
     print(table.to_text())
     return [], {"total": table.total}
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("BIOFORGE_SEED", "0"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--registry", help="registry JSONL (default: bundled reference registry)")
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int, default=os.environ.get("BIOFORGE_SEED", "0"),
                        help="pipeline seed (env BIOFORGE_SEED, overridable by this flag)")
         p.add_argument("--out", default="out", help="output root directory")
 

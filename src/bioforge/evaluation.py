@@ -14,7 +14,9 @@ alone.  The patterns and casing maps a vocabulary implies are compiled once
 per vocabulary and cached, and :func:`evaluate_dataset` parses each distinct
 string once per call, so a prediction that repeats its gold output verbatim,
 the ``""`` that stands in for every missing prediction and repeated empty
-markers or labels cost one parse each.
+markers or labels cost one parse each.  Gold and prediction rows are
+type-checked by the record codec as they are read: only ``raw_text`` may be
+``null``, a failed generation that scores as unparseable.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import functools
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import LengthMismatch, UnknownTaskMetric
 from .schema import (TASKS, DatasetDescriptor, InstructionInstance, Language, RelationTriple, TaskType,
-                     UnifiedDocument, from_dict, read_jsonl)
+                     UnifiedDocument, read_jsonl)
 
 PARSED = "parsed"
 PARTIAL = "partial"
@@ -40,22 +42,8 @@ class PredictionRecord:
     raw_text: Optional[str]  # None: a failed generation, scored like a missing row
 
 
-def require_strings(path: Path | str, records: Iterable, names: Sequence[str],
-                    nullable: Sequence[str] = ()) -> list:
-    """Return ``records``, or raise ``ValueError`` naming ``path`` at the first
-    one whose field in ``names`` holds anything but a string (or None, for a
-    ``nullable`` field)."""
-    for n, rec in enumerate(records, 1):
-        for name in names:
-            value = getattr(rec, name)
-            if type(value) is not str and (value is not None or name not in nullable):
-                raise ValueError(f"{path}: record {n}: {name} is {value!r:.40}, not a string")
-    return records
-
-
 def read_predictions(path: Path | str) -> list[PredictionRecord]:
-    records = [from_dict(PredictionRecord, d) for d in read_jsonl(path)]
-    return require_strings(path, records, ("instance_id", "raw_text"), nullable=("raw_text",))
+    return list(read_jsonl(path, PredictionRecord))
 
 
 @dataclass(frozen=True, slots=True)  # slots: evaluate_dataset holds one per distinct string

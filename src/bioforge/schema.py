@@ -12,10 +12,13 @@ single JSONL file of descriptor rows.  One codec, :func:`to_dict` /
 :func:`from_dict`, maps every record dataclass to JSON and back, driven by
 its fields and their type hints: keys are the field names, tuples become
 lists, enums become their values, nested records become objects, and a key
-absent on input takes the field's default.  A missing required key or a
-value of the wrong shape raises ``ValueError`` naming the field.  Every
-output file is written through :func:`atomic_writer`, so it appears whole or
-not at all.
+absent on input takes the field's default.  It is the one type check of
+JSON input: a field takes only a value of its exact type (``true`` is no
+int), ``null`` only if ``Optional``, and each tuple item and dict value is
+checked; a missing required key or a mistyped value raises ``ValueError``
+naming the class and field, which :func:`read_jsonl` prefixes with
+``<path>:<line>:``.  Every output file is written through
+:func:`atomic_writer`, so it appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -247,7 +250,8 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
     """Check every schema invariant of ``doc`` against its dataset descriptor.
 
     Pure and deterministic.  Violations are data, not failures: each names the
-    offending field and the rule broken.
+    offending field and the rule broken.  Field types are not checked here:
+    :func:`from_dict` decodes no value of the wrong type.
     """
     v: list[str] = []
     if doc.dataset_id != desc.id:
@@ -263,17 +267,10 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
     if required is not None and getattr(doc, required) is None:
         v.append(f"{required}: required payload missing for task {desc.task.value}")
 
-    # A decoded record may carry any JSON value where a string or int belongs;
-    # each such value is a violation, never a TypeError below.
-    if type(doc.text) is not str:
-        v.append(f"text: expected a string, got {type(doc.text).__name__}")
-        return ValidationResult(ok=False, violations=tuple(v))
     n = len(doc.text)
-    surfaces = {e.surface for e in doc.entities if type(e.surface) is str}
+    surfaces = {e.surface for e in doc.entities}
     for e in doc.entities:
-        if not (type(e.surface) is type(e.etype) is str and type(e.start) is type(e.end) is int):
-            v.append(f"entities: wrongly typed field in {e}")
-        elif not (0 <= e.start < e.end):
+        if not (0 <= e.start < e.end):
             v.append(f"entities: span [{e.start},{e.end}) is not a valid range")
         elif e.end > n:
             v.append(f"entities: span [{e.start},{e.end}) out of bounds for text of length {n}")
@@ -283,9 +280,6 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
             )
 
     for r in doc.relations:
-        if not (type(r.head) is type(r.tail) is type(r.rtype) is str):
-            v.append(f"relations: wrongly typed field in {r}")
-            continue
         if not r.head or not r.tail:
             v.append("relations: head and tail must be non-empty")
             continue
@@ -294,10 +288,6 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
                 v.append(f"relations: argument {arg!r} not among entity surfaces or in text")
 
     for ev in doc.events:
-        if not (type(ev.event_type) is type(ev.trigger) is str
-                and all(type(x) is str for pair in ev.arguments for x in pair)):
-            v.append(f"events: wrongly typed field in {ev}")
-            continue
         if not ev.event_type:
             v.append("events: event_type must be non-empty")
         if ev.trigger and ev.trigger not in surfaces and ev.trigger not in doc.text:
@@ -312,9 +302,6 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
         if desc.task is TaskType.QA_MC:
             if not doc.qa.options:
                 v.append("qa: options must be non-empty for multiple-choice QA")
-            elif not (all(type(k) is str for k, _ in doc.qa.options)
-                      and all(type(a) is str for a in doc.qa.answer_keys)):
-                v.append("qa: option and answer keys must be strings")
             else:
                 keys = {k for k, _ in doc.qa.options}
                 for a in doc.qa.answer_keys:
@@ -341,52 +328,70 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
 # ---------------------------------------------------------------------------
 
 
-def _codec(tp) -> tuple[Optional[Callable], Optional[Callable]]:
-    """``(encode, decode)`` for a non-None value of type ``tp``; ``None`` where
-    the value passes through unchanged (str, int, float, bool)."""
+def _mistyped(expected: str, value) -> ValueError:
+    return ValueError(f"expected {expected}, got {value!r:.40}")
+
+
+def _checked(json_type: type, convert: Optional[Callable] = None) -> Callable:
+    """A decoder that takes only a value of exactly ``json_type``."""
+    def decode(v):
+        if type(v) is not json_type:
+            raise _mistyped(json_type.__name__, v)
+        return v if convert is None else convert(v)
+    return decode
+
+
+def _codec(tp) -> tuple[Optional[Callable], Callable]:
+    """``(encode, decode)`` for a non-None value of type ``tp``.  ``encode`` is
+    None for a plain value (str, int, float, bool), written as it is;
+    ``decode`` raises ``ValueError`` for a JSON value that does not fit."""
     origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:  # Optional[X]; None passes through
-        return _codec(args[0])
     if origin is tuple and args[-1] is Ellipsis:
         enc, dec = _codec(args[0])
-        if enc is None:
-            return list, tuple
-        return (lambda v: list(map(enc, v))), (lambda v: tuple(map(dec, v)))
+        return ((list if enc is None else lambda v: list(map(enc, v))),
+                _checked(list, lambda v: tuple(map(dec, v))))
     if origin is tuple:  # fixed-size tuple of plain values, e.g. a (key, text) pair
+        decs = [_codec(a)[1] for a in args]
+
         def decode_fixed(v):
-            items = tuple(v)
-            if len(items) != len(args):
-                raise ValueError(f"expected {len(args)} items, got {len(items)}")
-            return items
+            if type(v) is not list or len(v) != len(decs):
+                raise _mistyped(f"list of {len(decs)}", v)
+            return tuple(dec(x) for dec, x in zip(decs, v))
         return list, decode_fixed
-    if origin is dict:
-        return dict, dict
+    if origin is dict:  # JSON object keys are strings; each value is checked
+        dec = _codec(args[1])[1]
+        return dict, _checked(dict, lambda v: {k: dec(x) for k, x in v.items()})
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return operator.attrgetter("value"), tp
+        members = {m.value: m for m in tp}
+
+        def decode_enum(v):
+            if type(v) is str and v in members:
+                return members[v]
+            raise _mistyped(tp.__name__, v)
+        return operator.attrgetter("value"), decode_enum
     if is_dataclass(tp):
         return _encoder(tp), _decoder(tp)
-    return None, None
+    return None, _checked(tp)
 
 
-_REQUIRED = object()  # the "default" of a field that has none
+_ABSENT = object()  # what ``dict.get`` gives for a key the JSON object lacks
 
 
 @functools.cache
 def _plan(cls) -> list[tuple]:
-    """Per field of ``cls``, in order: name, encoder, decoder, whether the
-    value may be None, and the default an absent key takes.  A factory
-    default is built once here; its field's decoder copies it (dict)."""
+    """Per field of ``cls``, in order: name, encoder, decoder, its type if plain
+    (else None), whether it may be None, and a callable that gives an absent
+    key's value afresh for each record (MISSING if the key is required)."""
     hints = get_type_hints(cls)
     plan = []
     for f in fields(cls):
-        if f.default is not MISSING:
-            default = f.default
-        elif f.default_factory is not MISSING:
-            default = f.default_factory()
-        else:
-            default = _REQUIRED
         hint = hints[f.name]
-        plan.append((f.name, *_codec(hint), type(None) in get_args(hint), default))
+        nullable = get_origin(hint) is Union  # Optional[X]
+        if nullable:
+            hint = get_args(hint)[0]
+        default = f.default_factory if f.default is MISSING else lambda v=f.default: v
+        enc, dec = _codec(hint)
+        plan.append((f.name, enc, dec, hint if enc is None else None, nullable, default))
     return plan
 
 
@@ -405,22 +410,26 @@ def _encoder(cls) -> Callable:
 
 @functools.cache
 def _decoder(cls) -> Callable:
-    plan = [(name, dec, nullable, default) for name, _, dec, nullable, default in _plan(cls)]
+    plan = [(name, plain, dec, nullable, default) for name, _, dec, plain, nullable, default in _plan(cls)]
 
     def decode(d):
-        if not isinstance(d, dict):
-            raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(d).__name__}")
+        if type(d) is not dict:
+            raise _mistyped(cls.__name__, d)
         args = []
-        for name, dec, nullable, default in plan:
-            value = d.get(name, default)
-            if value is _REQUIRED:
-                raise ValueError(f"{cls.__name__}.{name}: required key missing")
-            if dec is not None and not (nullable and value is None):
-                try:
-                    value = dec(value)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
-            args.append(value)
+        try:
+            for name, plain, dec, nullable, default in plan:
+                value = d.get(name, _ABSENT)
+                # a plain value of its exact type is checked inline: no call
+                if type(value) is not plain:
+                    if value is _ABSENT:
+                        if default is MISSING:
+                            raise ValueError("required key missing")
+                        value = default()
+                    elif value is not None or not nullable:
+                        value = dec(value)
+                args.append(value)
+        except ValueError as exc:
+            raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
         return cls(*args)  # positional: faster than keywords, same field order
     return decode
 
@@ -430,8 +439,8 @@ def to_dict(obj) -> dict:
     return _encoder(type(obj))(obj)
 
 
-def from_dict(cls, d: dict):
-    """Decode a dict written by :func:`to_dict` back into a ``cls`` value."""
+def from_dict(cls, d):
+    """Decode a JSON value into a ``cls`` record (see the module docstring)."""
     return _decoder(cls)(d)
 
 
@@ -472,9 +481,12 @@ def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
     return n
 
 
-def read_jsonl(path: Path | str) -> Iterator[dict]:
-    """Parse each non-blank line of a UTF-8 JSONL file.  Undecodable bytes or
-    a line that is not JSON raise ``ValueError`` naming the path (and line)."""
+def read_jsonl(path: Path | str, cls=None) -> Iterator:
+    """Parse each non-blank line of a UTF-8 JSONL file, decoded as a ``cls``
+    record when ``cls`` is given.  Bytes that are not UTF-8 raise
+    ``ValueError`` naming the path, and a line that is not JSON or does not
+    fit ``cls`` one naming the path and line: ``<path>:<line>: <message>``."""
+    decode = None if cls is None else _decoder(cls)
     with Path(path).open("r", encoding="utf-8") as f:
         # counted by hand: enumerate's result tuple would keep each raw line
         # alive one line longer, which raised `bioforge plan`'s peak RSS by
@@ -485,13 +497,24 @@ def read_jsonl(path: Path | str) -> Iterator[dict]:
                 line_no += 1
                 line = line.strip()
                 if line:
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"{path}:{line_no}: {exc.msg} (column {exc.colno})") from None
+                    rec = json.loads(line)
+                    if decode is not None:
+                        rec = decode(rec)
                     yield rec
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc.msg} (column {exc.colno})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+
+
+def read_json(path: Path | str, cls):
+    """Decode the JSON document in ``path`` as one ``cls`` record; errors name ``path``."""
+    try:
+        return from_dict(cls, json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_documents(path: Path | str, docs: Iterable[UnifiedDocument]) -> int:
@@ -499,7 +522,7 @@ def write_documents(path: Path | str, docs: Iterable[UnifiedDocument]) -> int:
 
 
 def read_documents(path: Path | str) -> list[UnifiedDocument]:
-    return [from_dict(UnifiedDocument, d) for d in read_jsonl(path)]
+    return list(read_jsonl(path, UnifiedDocument))
 
 
 @dataclass(frozen=True)
@@ -520,7 +543,7 @@ def write_instances(path: Path | str, instances: Iterable[InstructionInstance]) 
 
 
 def read_instances(path: Path | str) -> list[InstructionInstance]:
-    return [from_dict(InstructionInstance, d) for d in read_jsonl(path)]
+    return list(read_jsonl(path, InstructionInstance))
 
 
 class Registry:
@@ -559,7 +582,7 @@ class Registry:
 
     @classmethod
     def load(cls, path: Path | str) -> "Registry":
-        return cls(from_dict(DatasetDescriptor, d) for d in read_jsonl(path))
+        return cls(read_jsonl(path, DatasetDescriptor))
 
     def save(self, path: Path | str) -> int:
         return write_jsonl(path, map(to_dict, self))

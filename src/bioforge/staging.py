@@ -9,13 +9,12 @@ retrospective plus Type2 instances; one fixed order per seed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .schema import TASKS, DatasetDescriptor, InstructionInstance, Registry, write_instances, write_json
+from .schema import TASKS, DatasetDescriptor, InstructionInstance, Registry, read_json, write_instances, write_json
 
 TYPE1 = "Type1"
 TYPE2 = "Type2"
@@ -135,5 +134,4 @@ def emit_training_manifest(
 
 
 def load_manifest(path: Path | str) -> TrainingManifest:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    return TrainingManifest(**d)
+    return read_json(path, TrainingManifest)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .schema import Language, TaskType, from_dict, read_jsonl, to_dict, write_jsonl
+from .schema import Language, TaskType, read_jsonl, to_dict, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class TemplateBank:
 
     @classmethod
     def load(cls, path: Path | str) -> "TemplateBank":
-        return cls(from_dict(InstructionTemplate, d) for d in read_jsonl(path))
+        return cls(read_jsonl(path, InstructionTemplate))
 
     def save(self, path: Path | str) -> int:
         return write_jsonl(path, (to_dict(t) for ts in self._by_pair.values() for t in ts))

@@ -6,7 +6,7 @@ import pytest
 
 from bioforge.cli import main
 from bioforge.forge import read_instances
-from bioforge.schema import Language, Registry, to_dict, write_documents
+from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType, to_dict, write_documents
 from bioforge.synth import (
     make_ner_docs,
     make_qa_mc_docs,
@@ -54,7 +54,18 @@ def test_ingest_command(tmp_path, capsys):
     assert "loaded=1" in capsys.readouterr().out
 
 
-# Per format: three documents of which the second is corrupt, its doc id in
+MRD_DESC = DatasetDescriptor(id="mrd-en", name="mrd-en", task=TaskType.MRD, language=Language.EN)
+
+
+def _jsonl_docs(dataset_id: str, good: dict, corrupt: dict) -> str:
+    """Three JSONL documents of ``dataset_id`` with the payload ``good``,
+    except the second, which has ``corrupt``."""
+    return "".join(json.dumps({"doc_id": f"j{k}", "dataset_id": dataset_id, "language": "en", "text": "abc",
+                               **(corrupt if k == 1 else good)}) + "\n" for k in range(3))
+
+
+# Per case, keyed ``<format>`` or ``<format>/<dataset>`` (default dataset
+# synth-ner-en): three documents of which the second is corrupt, its doc id in
 # the reject row (None when it did not parse) and a fragment of the reason.
 REJECT_CASES = {
     "pubtator": (
@@ -74,7 +85,16 @@ REJECT_CASES = {
     "generic_jsonl": (
         "".join(json.dumps({"doc_id": f"j{k}", "dataset_id": "synth-ner-en", "language": "en",
                             "text": None if k == 1 else "abc"}) + "\n" for k in range(3)),
-        "j1", "text: expected a string",
+        None, "UnifiedDocument.text: expected str, got None",
+    ),
+    # mistyped values that used to load, and then crashed or corrupted forge
+    "generic_jsonl/tc-en": (_jsonl_docs("tc-en", {"labels": ["A"]}, {"labels": [3]}), None,
+                            "UnifiedDocument.labels: expected str, got 3"),
+    "generic_jsonl/mrd-en": (
+        _jsonl_docs("mrd-en",
+                    {"dialogue": [{"speaker": "user", "text": "hi"}, {"speaker": "assistant", "text": "ok"}]},
+                    {"dialogue": [{"speaker": "user", "text": "hi"}, {"speaker": "assistant", "text": 5}]}),
+        None, "UnifiedDocument.dialogue: DialogueTurn.text: expected str, got 5",
     ),
 }
 
@@ -82,13 +102,15 @@ REJECT_CASES = {
 @pytest.mark.parametrize("fmt", sorted(REJECT_CASES))
 def test_ingest_writes_a_reject_row_per_dropped_document(tmp_path, fmt):
     raw, doc_id, reason = REJECT_CASES[fmt]
+    fmt, _, dataset = fmt.partition("/")
+    dataset = dataset or "synth-ner-en"
     registry_path = tmp_path / "registry.jsonl"
-    Registry([ner_descriptor("synth-ner-en")]).save(registry_path)
+    Registry([ner_descriptor("synth-ner-en"), tc_descriptor("tc-en"), MRD_DESC]).save(registry_path)
     src = tmp_path / "raw.txt"
     src.write_text(raw, encoding="utf-8")
-    assert main(["ingest", "--registry", str(registry_path), "--dataset", "synth-ner-en",
+    assert main(["ingest", "--registry", str(registry_path), "--dataset", dataset,
                  "--format", fmt, "--input", str(src), "--out", str(tmp_path / "out")]) == 0
-    corpus = tmp_path / "out" / "corpus" / "synth-ner-en"
+    corpus = tmp_path / "out" / "corpus" / dataset
     assert len((corpus / "train.jsonl").read_text(encoding="utf-8").splitlines()) == 2
     rejects = [json.loads(line) for line in (corpus / "train.rejects.jsonl").read_text().splitlines()]
     assert [(r["index"], r["doc_id"]) for r in rejects] == [(1, doc_id)]
@@ -141,20 +163,53 @@ ERROR_CASES = {
     # a value that is not a string where eval reads one (a null raw_text is scored instead)
     "eval_raw_text_number": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
                              "--predictions {tmp}/raw_text_number.jsonl",
-                             "config error: {tmp}/raw_text_number.jsonl: record 1: raw_text is 3, not a string"),
+                             "config error: {tmp}/raw_text_number.jsonl:1: PredictionRecord.raw_text: "
+                             "expected str, got 3\n"),
     "eval_raw_text_list": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
                            "--predictions {tmp}/raw_text_list.jsonl",
-                           "config error: {tmp}/raw_text_list.jsonl: record 1: raw_text is ['x'], not a string"),
+                           "config error: {tmp}/raw_text_list.jsonl:1: PredictionRecord.raw_text: "
+                           "expected str, got ['x']\n"),
     "eval_prediction_id_list": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
                                 "--predictions {tmp}/id_list.jsonl",
-                                "config error: {tmp}/id_list.jsonl: record 1: instance_id is ['a'], not a string"),
+                                "config error: {tmp}/id_list.jsonl:1: PredictionRecord.instance_id: "
+                                "expected str, got ['a']\n"),
     "eval_gold_output_null": (2, "eval --dataset synth-ner-en --gold {tmp}/null_output.jsonl "
                               "--predictions {tmp}/no_raw_text.jsonl",
-                              "config error: {tmp}/null_output.jsonl: record 2: output is None, not a string"),
+                              "config error: {tmp}/null_output.jsonl:2: InstructionInstance.output: "
+                              "expected str, got None\n"),
     "eval_gold_dataset_id_number": (2, "eval --dataset synth-ner-en --gold {tmp}/number_dataset_id.jsonl "
                                     "--predictions {tmp}/no_raw_text.jsonl",
-                                    "config error: {tmp}/number_dataset_id.jsonl: record 1: dataset_id is 3, "
-                                    "not a string"),
+                                    "config error: {tmp}/number_dataset_id.jsonl:1: "
+                                    "InstructionInstance.dataset_id: expected str, got 3\n"),
+    # a mistyped value in any record file, named by file, line and field
+    "forge_tc_label_number": (2, "forge --corpus-root {tmp}/tc_corpus --registry {tmp}/tc_mrd.jsonl",
+                              "config error: {tmp}/tc_corpus/tc-en/train.jsonl:2: UnifiedDocument.labels: "
+                              "expected str, got 3\n"),
+    "forge_mrd_turn_text_number": (2, "forge --corpus-root {tmp}/mrd_corpus --registry {tmp}/tc_mrd.jsonl",
+                                   "config error: {tmp}/mrd_corpus/mrd-en/train.jsonl:2: "
+                                   "UnifiedDocument.dialogue: DialogueTurn.text: expected str, got 5\n"),
+    "stats_split_count_string": (2, "stats --registry {tmp}/split_count_string.jsonl",
+                                 "config error: {tmp}/split_count_string.jsonl:1: "
+                                 "DatasetDescriptor.split_counts: expected int, got '5'\n"),
+    "eval_label_vocab_number": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
+                                "--predictions {tmp}/one_prediction.jsonl --registry {tmp}/vocab_number.jsonl",
+                                "config error: {tmp}/vocab_number.jsonl:1: DatasetDescriptor.label_vocab: "
+                                "expected str, got 3\n"),
+    "stats_label_vocab_string": (2, "stats --registry {tmp}/vocab_string.jsonl",
+                                 "config error: {tmp}/vocab_string.jsonl:1: DatasetDescriptor.label_vocab: "
+                                 "expected list, got 'AB'\n"),
+    "plan_general_dialogue_string": (2, "plan --forged {tmp}/forged/forged.jsonl "
+                                     "--registry {tmp}/dialogue_string.jsonl",
+                                     "config error: {tmp}/dialogue_string.jsonl:1: "
+                                     "DatasetDescriptor.general_dialogue: expected bool, got 'false'\n"),
+    "forge_pattern_number": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/pattern_number.jsonl",
+                             "config error: {tmp}/pattern_number.jsonl:1: "
+                             "InstructionTemplate.instruction_pattern: expected str, got 3\n"),
+    "plan_unknown_task": (2, "plan --forged {tmp}/unknown_task.jsonl",
+                          "config error: {tmp}/unknown_task.jsonl:2: InstructionInstance.task: "
+                          "expected TaskType, got 'XYZ'\n"),
+    "stats_unregistered_corpus_dir": (2, "stats --corpus-root {tmp}/corpus --registry {tmp}/ner_only.jsonl",
+                                      "config error: dataset id 'synth-qamc-en' not in registry\n"),
 }
 
 
@@ -169,15 +224,30 @@ def bad_inputs(workspace):
     row = to_dict(ner_descriptor("synth-ner-en"))
     (tmp_path / "duplicate.jsonl").write_text(2 * (json.dumps(row) + "\n"))
     (tmp_path / "negative.jsonl").write_text(json.dumps({**row, "split_counts": {"train": -1}}) + "\n")
+    qa_row = registry_path.read_text().splitlines(keepends=True)[1]
+    for name, change in {"split_count_string": {"split_counts": {"train": "5"}},
+                         "vocab_number": {"label_vocab": ["A", 3]},
+                         "vocab_string": {"label_vocab": "AB"},
+                         "dialogue_string": {"general_dialogue": "false"}}.items():
+        (tmp_path / f"{name}.jsonl").write_text(json.dumps({**row, **change}) + "\n" + qa_row)
     Registry([ner_descriptor("synth-ner-en")]).save(tmp_path / "ner_only.jsonl")
     for name, row in {"raw_text_number": {"instance_id": "x", "raw_text": 3},
                       "raw_text_list": {"instance_id": "x", "raw_text": ["x"]},
-                      "id_list": {"instance_id": ["a"], "raw_text": "x"}}.items():
+                      "id_list": {"instance_id": ["a"], "raw_text": "x"},
+                      "one_prediction": {"instance_id": "x", "raw_text": "x"}}.items():
         (tmp_path / f"{name}.jsonl").write_text(json.dumps(row) + "\n")
     gold = [json.loads(line) for line in (tmp_path / "forged" / "forged.jsonl").read_text().splitlines()]
     (tmp_path / "null_output.jsonl").write_text(
         "".join(json.dumps(row) + "\n" for row in (gold[0], {**gold[1], "output": None})))
     (tmp_path / "number_dataset_id.jsonl").write_text(json.dumps({**gold[0], "dataset_id": 3}) + "\n")
+    (tmp_path / "unknown_task.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in (gold[0], {**gold[1], "task": "XYZ"})))
+    (tmp_path / "pattern_number.jsonl").write_text(json.dumps(
+        {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": 3}) + "\n")
+    Registry([tc_descriptor("tc-en"), MRD_DESC]).save(tmp_path / "tc_mrd.jsonl")
+    for corpus, dataset_id in (("tc_corpus", "tc-en"), ("mrd_corpus", "mrd-en")):
+        (tmp_path / corpus / dataset_id).mkdir(parents=True)
+        (tmp_path / corpus / dataset_id / "train.jsonl").write_text(REJECT_CASES[f"generic_jsonl/{dataset_id}"][0])
     return tmp_path, registry_path
 
 
@@ -371,7 +441,7 @@ def test_curate_command(workspace, capsys):
     )
 
 
-def test_seed_env_var(workspace, monkeypatch):
+def test_seed_env_var(workspace, monkeypatch, capsys):
     tmp_path, registry_path, corpus_root = workspace
     monkeypatch.setenv("BIOFORGE_SEED", "99")
     from bioforge.cli import build_parser
@@ -379,6 +449,12 @@ def test_seed_env_var(workspace, monkeypatch):
     assert args.seed == 99
     args = build_parser().parse_args(["stats", "--seed", "5"])
     assert args.seed == 5
+    monkeypatch.setenv("BIOFORGE_SEED", "abc")
+    assert build_parser().parse_args(["stats", "--seed", "5"]).seed == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 # One small source file per ingest format, keyed by (format, dataset, language).

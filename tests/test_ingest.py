@@ -223,7 +223,8 @@ class TestIngestDataset:
         docs, report = ingest_dataset(path, cfg, self.registry())
         assert [d.doc_id for d in docs] == ["1", "4"]
         assert [(r["index"], r["doc_id"], r["violations"][0].split(":")[0])
-                for r in report.violation_details] == [(1, "2", "text"), (2, "3", "entities")]
+                for r in report.violation_details] == [(1, None, "UnifiedDocument.text"),
+                                                       (2, None, "UnifiedDocument.entities")]
 
     def test_bad_block_keeps_conll_ids_and_warnings_by_block(self, tmp_path):
         path = tmp_path / "f.conll"
