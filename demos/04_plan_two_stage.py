@@ -17,6 +17,7 @@ from bioforge import (
     reference_registry,
     registry_stage_counts,
 )
+from bioforge.forge import write_instances
 from bioforge.synth import make_ner_docs, make_qa_mc_docs
 
 
@@ -32,14 +33,17 @@ def main():
     registry = Registry([ner_desc, qa_desc])
     instances = build_corpus([(ner_desc, ner_docs), (qa_desc, qa_docs)],
                              default_template_bank(), seed=7)
-    plan = build_stage_plan(instances, registry, seed=0)
-    print(f"synthetic corpus: stage1={plan.stage1_count} stage2={plan.stage2_count}")
-    print("stage1 subset of stage2:",
-          set(plan.stage1_instances) <= set(plan.stage2_instances))
 
     with tempfile.TemporaryDirectory() as tmp:
+        # plan reads the forged file, and copies each stage row from it
+        forged = Path(tmp) / "forged.jsonl"
+        write_instances(forged, instances)
+        plan = build_stage_plan(forged, registry, seed=0)
+        print(f"synthetic corpus: stage1={plan.stage1_count} stage2={plan.stage2_count}")
+        print("stage1 subset of stage2:",
+              set(plan.stage1_instances) <= set(plan.stage2_instances))
         for stage in (1, 2):
-            manifest = emit_training_manifest(plan, stage, instances, Path(tmp))
+            manifest = emit_training_manifest(plan, stage, Path(tmp))
             print(f"stage {stage} manifest: epochs={manifest.epochs} "
                   f"batch={manifest.batch_size_per_gpu} lr={manifest.learning_rate} "
                   f"lora r={manifest.lora_rank}/a={manifest.lora_alpha}")

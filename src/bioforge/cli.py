@@ -134,11 +134,10 @@ def cmd_forge(args) -> tuple[list[Path], dict]:
 def cmd_plan(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     forged = Path(args.forged)
-    instances = read_instances(forged)
-    plan = build_stage_plan(instances, registry, seed=args.seed)
+    plan = build_stage_plan(forged, registry, seed=args.seed)
     stages = [args.stage] if args.stage else [1, 2]
     for stage in stages:
-        manifest = emit_training_manifest(plan, stage, instances, Path(args.out) / "plan")
+        manifest = emit_training_manifest(plan, stage, Path(args.out) / "plan")
         print(f"plan stage {stage}: {plan.stage1_count if stage == 1 else plan.stage2_count} "
               f"instances, epochs={manifest.epochs} -> {manifest.data_path}")
     return [forged], {"stage1_count": plan.stage1_count, "stage2_count": plan.stage2_count}

@@ -31,7 +31,7 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO, Union, get_args, get_origin, get_type_hints
+from typing import IO, Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import UnknownDataset
 
@@ -118,6 +118,11 @@ class TranslationPair:
     target_lang: Language = Language.ZH
 
 
+# The two training stages a dataset can be assigned to (see ``staging``).
+TYPE1 = "Type1"
+TYPE2 = "Type2"
+
+
 @dataclass(frozen=True)
 class DatasetDescriptor:
     """One registry row.
@@ -141,10 +146,18 @@ class DatasetDescriptor:
     source_url: Optional[str] = None
     label_vocab: tuple[str, ...] = ()
     role_vocab: tuple[str, ...] = ()
-    stage_override: Optional[str] = None  # "Type1" | "Type2"
+    stage_override: Optional[str] = None  # TYPE1 | TYPE2
     general_dialogue: bool = False
     re_untyped: bool = False
     prompted_relation: Optional[str] = None
+
+    def __post_init__(self):
+        for split, n in self.split_counts.items():
+            if n < 0:
+                raise ValueError(f"dataset {self.id!r}: split_counts[{split!r}] must be >= 0, got {n}")
+        if self.stage_override not in (None, TYPE1, TYPE2):
+            raise ValueError(f"dataset {self.id!r}: stage_override must be {TYPE1!r} or {TYPE2!r}, "
+                             f"got {self.stage_override!r}")
 
 
 @dataclass(frozen=True)
@@ -445,19 +458,19 @@ def from_dict(cls, d):
 
 
 @contextlib.contextmanager
-def atomic_writer(path: Path | str) -> Iterator[TextIO]:
-    """Open ``path`` for UTF-8 text writing so that it appears whole or not at
-    all: the body writes ``<name>.tmp`` beside it, which then replaces
-    ``path``.  If the body raises, the temp file is removed and an earlier
-    ``path`` is left as it was.  A ``path`` that is a directory raises
-    ``ValueError`` before anything is written."""
+def atomic_writer(path: Path | str, binary: bool = False) -> Iterator[IO]:
+    """Open ``path`` for UTF-8 text writing (bytes if ``binary``) so that it
+    appears whole or not at all: the body writes ``<name>.tmp`` beside it,
+    which then replaces ``path``.  If the body raises, the temp file is
+    removed and an earlier ``path`` is left as it was.  A ``path`` that is a
+    directory raises ``ValueError`` before anything is written."""
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"{path}: output path is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as f:
+        with (tmp.open("wb") if binary else tmp.open("w", encoding="utf-8")) as f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -481,25 +494,31 @@ def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
     return n
 
 
-def read_jsonl(path: Path | str, cls=None) -> Iterator:
+def read_jsonl(path: Path | str, cls=None, *, spans: bool = False) -> Iterator:
     """Parse each non-blank line of a UTF-8 JSONL file, decoded as a ``cls``
-    record when ``cls`` is given.  Bytes that are not UTF-8 raise
-    ``ValueError`` naming the path, and a line that is not JSON or does not
-    fit ``cls`` one naming the path and line: ``<path>:<line>: <message>``."""
+    record when ``cls`` is given.  With ``spans``, each item is ``(record,
+    start, length)``: the byte span of the record's line in the file, without
+    its edge ASCII whitespace.  Bytes that are not UTF-8 raise ``ValueError``
+    naming the path, and a line that is not JSON or does not fit ``cls`` one
+    naming the path and line: ``<path>:<line>: <message>``."""
     decode = None if cls is None else _decoder(cls)
-    with Path(path).open("r", encoding="utf-8") as f:
+    with Path(path).open("rb") as f:
         # counted by hand: enumerate's result tuple would keep each raw line
         # alive one line longer, which raised `bioforge plan`'s peak RSS by
         # 1.3 MiB on the benchmark's plan-reference workload
-        line_no = 0
+        line_no = end = 0
         try:
-            for line in f:
+            for raw in f:
                 line_no += 1
-                line = line.strip()
+                start, end = end, end + len(raw)
+                line = raw.decode("utf-8").strip()
                 if line:
                     rec = json.loads(line)
                     if decode is not None:
                         rec = decode(rec)
+                    if spans:
+                        lead = len(raw) - len(raw.lstrip())
+                        rec = (rec, start + lead, len(raw.rstrip()) - lead)
                     yield rec
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -557,9 +576,6 @@ class Registry:
     def add(self, desc: DatasetDescriptor) -> None:
         if desc.id in self._rows:
             raise ValueError(f"duplicate dataset id {desc.id!r} in registry")
-        for split, n in desc.split_counts.items():
-            if n < 0:
-                raise ValueError(f"dataset {desc.id!r}: split_counts[{split!r}] must be >= 0, got {n}")
         self._rows[desc.id] = desc
 
     def __getitem__(self, dataset_id: str) -> DatasetDescriptor:
@@ -582,7 +598,13 @@ class Registry:
 
     @classmethod
     def load(cls, path: Path | str) -> "Registry":
-        return cls(read_jsonl(path, DatasetDescriptor))
+        registry = cls()
+        for desc in read_jsonl(path, DatasetDescriptor):
+            try:
+                registry.add(desc)
+            except ValueError as exc:  # a duplicate id
+                raise ValueError(f"{path}: {exc}") from None
+        return registry
 
     def save(self, path: Path | str) -> int:
         return write_jsonl(path, map(to_dict, self))

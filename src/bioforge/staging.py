@@ -5,19 +5,30 @@ translation, text-to-text); stage 2 re-includes all stage-1 data as
 retrospective data and mixes in the Type2 tasks (QA, dialogue) for
 incremental training.  The stage-2 order is one global seeded shuffle over
 retrospective plus Type2 instances; one fixed order per seed.
+
+A plan holds ids and byte spans, not records: each stage row is the forged
+line copied verbatim, without its edge whitespace, plus a newline.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
 
-from .schema import TASKS, DatasetDescriptor, InstructionInstance, Registry, read_json, write_instances, write_json
-
-TYPE1 = "Type1"
-TYPE2 = "Type2"
+from .schema import (
+    TASKS,
+    TYPE1,
+    TYPE2,
+    DatasetDescriptor,
+    InstructionInstance,
+    Registry,
+    atomic_writer,
+    read_json,
+    read_jsonl,
+    write_json,
+)
 
 # Free-text note carried on manifests: checkpoint selection between stages is
 # a human-in-the-loop protocol, not an executable step.
@@ -30,7 +41,7 @@ CHECKPOINT_NOTE = (
 def assign_stage(desc: DatasetDescriptor) -> str:
     """Map a dataset to Type1 or Type2; a registry override wins over the
     task-based partition (stage membership was assigned manually upstream)."""
-    if desc.stage_override in (TYPE1, TYPE2):
+    if desc.stage_override is not None:
         return desc.stage_override
     if desc.general_dialogue or TASKS[desc.task].type2:
         return TYPE2
@@ -43,24 +54,29 @@ class StagePlan:
     stage2_instances: tuple[str, ...]
     stage1_count: int
     stage2_count: int
+    source: str  # the forged file that stage rows are copied from
+    spans: dict[str, tuple[int, int]]  # instance id -> (start, length) of its last row
 
 
-def build_stage_plan(
-    instances: Sequence[InstructionInstance], registry: Registry, seed: int = 0
-) -> StagePlan:
-    """Partition a forged corpus into the two training stages.
+def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> StagePlan:
+    """Partition the forged corpus in the file ``forged`` into the two
+    training stages.
 
     Stage 1 holds every Type1 instance; stage 2 holds everything (stage-1
     data re-included as retrospective data).  Ordering within each stage is a
-    deterministic shuffle of the seed.
+    deterministic shuffle of the seed.  Every row is decoded and its dataset
+    looked up, but only its id, and the byte span of the last row with that
+    id, are kept: an id given twice is listed twice, each copy the last row.
     """
     stage1_ids = []
     stage2_ids = []
-    for inst in instances:
+    spans = {}
+    for inst, start, length in read_jsonl(forged, InstructionInstance, spans=True):
         desc = registry[inst.dataset_id]
         stage2_ids.append(inst.instance_id)
         if assign_stage(desc) == TYPE1:
             stage1_ids.append(inst.instance_id)
+        spans[inst.instance_id] = (start, length)
     random.Random(f"stage1:{seed}").shuffle(stage1_ids)
     random.Random(f"stage2:{seed}").shuffle(stage2_ids)
     return StagePlan(
@@ -68,6 +84,8 @@ def build_stage_plan(
         stage2_instances=tuple(stage2_ids),
         stage1_count=len(stage1_ids),
         stage2_count=len(stage2_ids),
+        source=str(forged),
+        spans=spans,
     )
 
 
@@ -108,24 +126,27 @@ class TrainingManifest:
 STAGE_EPOCHS = {1: 5, 2: 3}
 
 
-def emit_training_manifest(
-    plan: StagePlan,
-    stage: int,
-    instances: Sequence[InstructionInstance],
-    out_dir: Path | str,
-) -> TrainingManifest:
+def emit_training_manifest(plan: StagePlan, stage: int, out_dir: Path | str) -> TrainingManifest:
     """Write ``plan/stage<k>.manifest.json`` and ``plan/stage<k>.jsonl``.
 
-    The data file holds the stage's instances in plan order; the manifest
-    carries the fixed hyperparameter block (only epochs differs per stage).
+    The data file holds the stage's rows in plan order, each copied from the
+    plan's forged file; the manifest carries the fixed hyperparameter block
+    (only epochs differs per stage).
     """
     if stage not in STAGE_EPOCHS:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     out_dir = Path(out_dir)
-    by_id = {inst.instance_id: inst for inst in instances}
     ordered_ids = plan.stage1_instances if stage == 1 else plan.stage2_instances
     data_path = out_dir / f"stage{stage}.jsonl"
-    write_instances(data_path, (by_id[i] for i in ordered_ids))
+    with open(plan.source, "rb") as src, atomic_writer(data_path, binary=True) as f:
+        fd = src.fileno()
+        for instance_id in ordered_ids:
+            start, length = plan.spans[instance_id]
+            row = os.pread(fd, length, start)
+            if len(row) != length:
+                raise ValueError(f"{plan.source}: file changed since it was planned")
+            f.write(row)
+            f.write(b"\n")
     manifest = TrainingManifest(
         stage=stage, epochs=STAGE_EPOCHS[stage], data_path=str(data_path)
     )

@@ -23,7 +23,7 @@ from bioforge.evaluation import (
     score_micro_f1,
 )
 from bioforge.fixtures import reference_registry
-from bioforge.forge import build_corpus, read_instances
+from bioforge.forge import build_corpus, read_instances, write_instances
 from bioforge.schema import (
     DatasetDescriptor,
     Language,
@@ -279,10 +279,11 @@ def test_parser_robustness_fuzz():
 def test_manifest_fidelity(tmp_path):
     desc, docs = make_ner_docs(10, seed=1)
     registry = Registry([desc])
-    instances = build_corpus([(desc, docs)], BANK, seed=7)
-    plan = build_stage_plan(instances, registry, seed=0)
-    m1 = emit_training_manifest(plan, 1, instances, tmp_path)
-    m2 = emit_training_manifest(plan, 2, instances, tmp_path)
+    forged = tmp_path / "forged.jsonl"
+    write_instances(forged, build_corpus([(desc, docs)], BANK, seed=7))
+    plan = build_stage_plan(forged, registry, seed=0)
+    m1 = emit_training_manifest(plan, 1, tmp_path)
+    m2 = emit_training_manifest(plan, 2, tmp_path)
     expected = {
         "epochs": 5, "batch_size_per_gpu": 12, "learning_rate": 0.0002,
         "warmup_ratio": 0.1, "max_length": 1024, "lora_rank": 64,
@@ -309,7 +310,6 @@ def test_200_sample_protocol(tmp_path):
     registry_path = tmp_path / "registry.jsonl"
     registry.save(registry_path)
     gold_path = tmp_path / "forged.jsonl"
-    from bioforge.forge import write_instances
     write_instances(gold_path, instances)
     preds_path = tmp_path / "preds.jsonl"
     preds_path.write_text(

@@ -11,6 +11,10 @@ from pathlib import Path
 import pytest
 
 import bioforge.cli
+from bioforge.forge import build_corpus, write_instances
+from bioforge.schema import Registry
+from bioforge.synth import make_ner_docs, make_qa_mc_docs
+from bioforge.templates import default_template_bank
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")])
@@ -68,3 +72,25 @@ def test_bioforge_imports_are_found():
 
 def test_cli_binds_every_name_the_benchmark_traces():
     assert [n for n in TRACED_CLI_NAMES if not callable(getattr(bioforge.cli, n, None))] == []
+
+
+def test_plan_records_the_staging_spans_the_benchmark_reads(tmp_path, monkeypatch):
+    """The benchmark's per-layer plan metrics are read from these spans: a
+    staging refactor that stops calling the traced names would zero them."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    ner_desc, ner_docs = make_ner_docs(30, seed=1)
+    qa_desc, qa_docs = make_qa_mc_docs(20, seed=2)
+    registry = tmp_path / "registry.jsonl"
+    Registry([ner_desc, qa_desc]).save(registry)
+    forged = tmp_path / "forged.jsonl"
+    write_instances(forged, build_corpus([(ner_desc, ner_docs), (qa_desc, qa_docs)],
+                                         default_template_bank(), seed=7))
+    tracer = tracing.Tracer()
+    with tracer.layer_patches():
+        assert bioforge.cli.main(["plan", "--registry", str(registry), "--forged", str(forged),
+                                  "--out", str(tmp_path / "out")]) == 0
+    spans = {s["name"]: s for s in tracer.spans}
+    assert {"staging.build_stage_plan", "staging.emit_training_manifest.stage1",
+            "staging.emit_training_manifest.stage2"} <= set(spans)
+    assert spans["staging.build_stage_plan"]["attrs"] == {"stage1": 30, "stage2": 50}

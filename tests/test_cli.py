@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -154,8 +155,17 @@ ERROR_CASES = {
                                  "{tmp}/bad.jsonl:2: "),
     "eval_negative_sample_n": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
                                "--predictions {tmp}/forged/forged.jsonl --sample-n -1", "sample size"),
-    "stats_negative_count": (2, "stats --registry {tmp}/negative.jsonl", "must be >= 0"),
-    "stats_duplicate_id": (2, "stats --registry {tmp}/duplicate.jsonl", "duplicate dataset id"),
+    # registry rows that decode but break a rule, named by file (and line)
+    "stats_negative_count": (2, "stats --registry {tmp}/negative.jsonl",
+                             "config error: {tmp}/negative.jsonl:1: dataset 'synth-ner-en': "
+                             "split_counts['train'] must be >= 0, got -1\n"),
+    "stats_duplicate_id": (2, "stats --registry {tmp}/duplicate.jsonl",
+                           "config error: {tmp}/duplicate.jsonl: duplicate dataset id 'synth-ner-en' "
+                           "in registry\n"),
+    "plan_unknown_stage_override": (2, "plan --forged {tmp}/forged/forged.jsonl "
+                                    "--registry {tmp}/stage_override.jsonl",
+                                    "config error: {tmp}/stage_override.jsonl:1: dataset 'synth-ner-en': "
+                                    "stage_override must be 'Type1' or 'Type2', got 'type1'\n"),
     "stats_missing_corpus_root": (1, "stats --corpus-root {tmp}/nope",
                                   "missing input: {tmp}/nope/*/train.jsonl"),
     "forge_unregistered_dataset": (2, "forge --corpus-root {tmp}/corpus --registry {tmp}/ner_only.jsonl",
@@ -228,7 +238,8 @@ def bad_inputs(workspace):
     for name, change in {"split_count_string": {"split_counts": {"train": "5"}},
                          "vocab_number": {"label_vocab": ["A", 3]},
                          "vocab_string": {"label_vocab": "AB"},
-                         "dialogue_string": {"general_dialogue": "false"}}.items():
+                         "dialogue_string": {"general_dialogue": "false"},
+                         "stage_override": {"stage_override": "type1"}}.items():
         (tmp_path / f"{name}.jsonl").write_text(json.dumps({**row, **change}) + "\n" + qa_row)
     Registry([ner_descriptor("synth-ner-en")]).save(tmp_path / "ner_only.jsonl")
     for name, row in {"raw_text_number": {"instance_id": "x", "raw_text": 3},
@@ -320,6 +331,67 @@ def test_plan_command(workspace):
     manifest = json.loads((tmp_path / "out" / "plan" / "stage1.manifest.json").read_text())
     assert manifest["epochs"] == 5
     assert manifest["batch_size_per_gpu"] == 12
+
+
+def test_plan_lists_every_copy_of_a_duplicated_id_with_the_last_rows_content(workspace):
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(out)]) == 0
+    forged = out / "forged.jsonl"
+    lines = forged.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])  # a NER row, so it is in both stages
+    last = json.dumps({**first, "output": "changed"}, ensure_ascii=False, sort_keys=True)
+    forged.write_text("\n".join([*lines, last]) + "\n", encoding="utf-8")
+    assert main(["plan", "--registry", str(registry_path), "--forged", str(forged),
+                 "--out", str(out)]) == 0
+    for stage in (1, 2):
+        rows = (out / "plan" / f"stage{stage}.jsonl").read_text(encoding="utf-8").splitlines()
+        copies = [row for row in rows if json.loads(row)["instance_id"] == first["instance_id"]]
+        assert copies == [last, last]
+    assert len(rows) == len(lines) + 1
+
+
+def test_plan_copies_a_non_canonical_forged_line_verbatim(workspace):
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(out)]) == 0
+    forged = out / "forged.jsonl"
+    lines = forged.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[0])  # a NER row, so it is in both stages
+    odd = json.dumps({"extra": ["é", 2], **row}, separators=(" ,  ", " :  "))  # unknown key, \u escape
+    forged.write_text("\n".join([f"  {odd}\t ", *lines[1:]]) + "\n", encoding="utf-8")
+    assert main(["plan", "--registry", str(registry_path), "--forged", str(forged),
+                 "--out", str(out)]) == 0
+    for stage in (1, 2):
+        rows = (out / "plan" / f"stage{stage}.jsonl").read_text(encoding="utf-8").splitlines()
+        assert odd in rows
+        assert sorted(rows) == sorted(line for line in [odd, *lines[1:]]
+                                      if stage == 2 or json.loads(line)["dataset_id"] == row["dataset_id"])
+
+
+def test_plan_peak_memory_is_below_half_the_forged_file(workspace):
+    """Plan holds ids and byte spans, not decoded rows."""
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in (out / "forged.jsonl").read_text(encoding="utf-8").splitlines()]
+    forged = tmp_path / "big.jsonl"
+    forged.write_text("".join(
+        json.dumps({**rows[n % len(rows)], "instance_id": f"i{n}", "input": f"{n} " + "x" * 1024},
+                   sort_keys=True) + "\n"
+        for n in range(2000)), encoding="utf-8")
+    size = forged.stat().st_size
+    tracemalloc.start()
+    try:
+        assert main(["plan", "--registry", str(registry_path), "--forged", str(forged),
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2, (peak, size)
 
 
 def test_eval_missing_predictions_exits_1(workspace, capsys):

@@ -226,6 +226,14 @@ ANY_JSON = st.recursive(
 )
 
 
+# Fields whose record checks a rule beyond the field's type, drawn within
+# that rule: the record rejects a well-typed value outside it by design.
+WITHIN_RULES = {
+    DatasetDescriptor: {"split_counts": st.dictionaries(st.text(max_size=3), st.integers(0, 30), max_size=3),
+                        "stage_override": st.sampled_from([None, "Type1", "Type2"])},
+}
+
+
 def json_for(hint, noise: bool):
     """JSON values of the type ``hint``; with ``noise``, each record field may
     instead hold any JSON value, and a fixed-size tuple any number of items."""
@@ -241,7 +249,9 @@ def json_for(hint, noise: bool):
         return st.dictionaries(st.text(max_size=3), json_for(args[1], noise), max_size=3)
     if is_dataclass(hint):
         hints = get_type_hints(hint)
-        value = {f.name: json_for(hints[f.name], noise) for f in fields(hint)}
+        ruled = WITHIN_RULES.get(hint, {})
+        value = {f.name: ruled[f.name] if f.name in ruled else json_for(hints[f.name], noise)
+                 for f in fields(hint)}
         if noise:
             value = {name: typed | ANY_JSON for name, typed in value.items()}
         required = [f.name for f in fields(hint) if f.default is MISSING and f.default_factory is MISSING]

@@ -2,7 +2,7 @@ import pytest
 
 from bioforge.errors import UnknownDataset
 from bioforge.fixtures import reference_registry
-from bioforge.forge import build_corpus, read_instances
+from bioforge.forge import build_corpus, read_instances, write_instances
 from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType
 from bioforge.staging import (
     TYPE1,
@@ -44,49 +44,57 @@ class TestAssignStage:
         assert assign_stage(desc_for(TaskType.NER_NEN, stage_override="Type2")) == TYPE2
         assert assign_stage(desc_for(TaskType.QA_MC, stage_override="Type1")) == TYPE1
 
+    @pytest.mark.parametrize("override", ["type1", "Type3", ""])
+    def test_unknown_override_rejected(self, override):
+        with pytest.raises(ValueError, match="dataset 'x': stage_override must be 'Type1' or 'Type2'"):
+            desc_for(TaskType.NER_NEN, stage_override=override)
+
     def test_total_over_task_types(self):
         for task in TaskType:
             assert assign_stage(desc_for(task)) in (TYPE1, TYPE2)
 
 
-def small_forged_corpus():
+def small_forged_corpus(tmp_path):
+    """A forged file of 30 NER and 20 QA-mc instances, and their registry."""
     bank = default_template_bank()
     ner_desc, ner_docs = make_ner_docs(30, seed=1)
     qa_desc, qa_docs = make_qa_mc_docs(20, seed=2)
     registry = Registry([ner_desc, qa_desc])
-    instances = build_corpus([(ner_desc, ner_docs), (qa_desc, qa_docs)], bank, seed=7)
-    return instances, registry
+    forged = tmp_path / "forged.jsonl"
+    write_instances(forged, build_corpus([(ner_desc, ner_docs), (qa_desc, qa_docs)], bank, seed=7))
+    return forged, registry
 
 
 class TestBuildStagePlan:
-    def test_retrospective_subset_invariant(self):
-        instances, registry = small_forged_corpus()
-        plan = build_stage_plan(instances, registry, seed=3)
+    def test_retrospective_subset_invariant(self, tmp_path):
+        forged, registry = small_forged_corpus(tmp_path)
+        plan = build_stage_plan(forged, registry, seed=3)
         assert set(plan.stage1_instances) <= set(plan.stage2_instances)
         assert plan.stage1_count == 30
         assert plan.stage2_count == 50
 
-    def test_reproducible_per_seed(self):
-        instances, registry = small_forged_corpus()
-        assert build_stage_plan(instances, registry, seed=3) == build_stage_plan(
-            instances, registry, seed=3
+    def test_reproducible_per_seed(self, tmp_path):
+        forged, registry = small_forged_corpus(tmp_path)
+        assert build_stage_plan(forged, registry, seed=3) == build_stage_plan(
+            forged, registry, seed=3
         )
-        assert build_stage_plan(instances, registry, seed=3) != build_stage_plan(
-            instances, registry, seed=4
+        assert build_stage_plan(forged, registry, seed=3) != build_stage_plan(
+            forged, registry, seed=4
         )
 
-    def test_zero_type2_degenerate(self):
+    def test_zero_type2_degenerate(self, tmp_path):
         bank = default_template_bank()
         desc, docs = make_ner_docs(10, seed=1)
         registry = Registry([desc])
-        instances = build_corpus([(desc, docs)], bank, seed=7)
-        plan = build_stage_plan(instances, registry, seed=0)
+        forged = tmp_path / "forged.jsonl"
+        write_instances(forged, build_corpus([(desc, docs)], bank, seed=7))
+        plan = build_stage_plan(forged, registry, seed=0)
         assert set(plan.stage1_instances) == set(plan.stage2_instances)
 
-    def test_unregistered_dataset(self):
-        instances, _ = small_forged_corpus()
+    def test_unregistered_dataset(self, tmp_path):
+        forged, _ = small_forged_corpus(tmp_path)
         with pytest.raises(UnknownDataset):
-            build_stage_plan(instances, Registry(), seed=0)
+            build_stage_plan(forged, Registry(), seed=0)
 
     def test_reference_registry_counts(self):
         stage1, stage2 = registry_stage_counts(reference_registry())
@@ -107,34 +115,42 @@ EXPECTED_SHARED = {
 
 class TestManifests:
     def test_stage1_hyperparameters(self, tmp_path):
-        instances, registry = small_forged_corpus()
-        plan = build_stage_plan(instances, registry, seed=3)
-        manifest = emit_training_manifest(plan, 1, instances, tmp_path)
+        forged, registry = small_forged_corpus(tmp_path)
+        plan = build_stage_plan(forged, registry, seed=3)
+        manifest = emit_training_manifest(plan, 1, tmp_path)
         assert manifest.epochs == 5
         for name, value in EXPECTED_SHARED.items():
             assert getattr(manifest, name) == value
 
     def test_stage2_differs_only_in_epochs(self, tmp_path):
-        instances, registry = small_forged_corpus()
-        plan = build_stage_plan(instances, registry, seed=3)
-        m1 = emit_training_manifest(plan, 1, instances, tmp_path)
-        m2 = emit_training_manifest(plan, 2, instances, tmp_path)
+        forged, registry = small_forged_corpus(tmp_path)
+        plan = build_stage_plan(forged, registry, seed=3)
+        m1 = emit_training_manifest(plan, 1, tmp_path)
+        m2 = emit_training_manifest(plan, 2, tmp_path)
         assert m2.epochs == 3
         for name in EXPECTED_SHARED:
             assert getattr(m1, name) == getattr(m2, name)
 
     def test_manifest_file_round_trip(self, tmp_path):
-        instances, registry = small_forged_corpus()
-        plan = build_stage_plan(instances, registry, seed=3)
-        manifest = emit_training_manifest(plan, 2, instances, tmp_path)
+        forged, registry = small_forged_corpus(tmp_path)
+        plan = build_stage_plan(forged, registry, seed=3)
+        manifest = emit_training_manifest(plan, 2, tmp_path)
         assert load_manifest(tmp_path / "stage2.manifest.json") == manifest
 
     def test_stage_file_in_plan_order(self, tmp_path):
-        instances, registry = small_forged_corpus()
-        plan = build_stage_plan(instances, registry, seed=3)
-        emit_training_manifest(plan, 1, instances, tmp_path)
+        forged, registry = small_forged_corpus(tmp_path)
+        plan = build_stage_plan(forged, registry, seed=3)
+        emit_training_manifest(plan, 1, tmp_path)
         written = read_instances(tmp_path / "stage1.jsonl")
         assert tuple(i.instance_id for i in written) == plan.stage1_instances
+
+    def test_forged_file_cut_after_planning_writes_no_stage_file(self, tmp_path):
+        forged, registry = small_forged_corpus(tmp_path)
+        plan = build_stage_plan(forged, registry, seed=3)
+        forged.write_bytes(forged.read_bytes()[:100])
+        with pytest.raises(ValueError, match="file changed since it was planned"):
+            emit_training_manifest(plan, 2, tmp_path / "plan")
+        assert not (tmp_path / "plan" / "stage2.jsonl").exists()
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
