@@ -22,24 +22,43 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .curation import corpus_stats, dedup_and_filter_overlap
 from .errors import BioforgeError
-from .evaluation import evaluate_dataset, read_predictions, sample_subset
 from .fixtures import reference_registry
-from .forge import build_corpus, read_instances, write_instances
-from .ingest import IngestConfig, ingest_dataset
 from .schema import (
     Language,
     Registry,
     atomic_writer,
     read_documents,
+    read_instances,
     read_jsonl,
     write_documents,
+    write_instances,
     write_json,
     write_jsonl,
 )
-from .staging import build_stage_plan, emit_training_manifest
-from .templates import TemplateBank, default_template_bank
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``bioforge.<module>.<name>`` that imports the module
+    when called (after the first call, a ``sys.modules`` lookup), so that each
+    command loads only the layers it runs.  The name stays a callable
+    attribute of this module, which the benchmark's tracer can swap.
+    ``__import__``, unlike ``importlib.import_module``, shows in
+    ``python -X importtime``."""
+    def call(*args, **kwargs):
+        return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+ingest_dataset = _deferred("ingest", "ingest_dataset")
+dedup_and_filter_overlap = _deferred("curation", "dedup_and_filter_overlap")
+default_template_bank = _deferred("templates", "default_template_bank")
+build_corpus = _deferred("forge", "build_corpus")
+build_stage_plan = _deferred("staging", "build_stage_plan")
+emit_training_manifest = _deferred("staging", "emit_training_manifest")
+read_predictions = _deferred("evaluation", "read_predictions")
+evaluate_dataset = _deferred("evaluation", "evaluate_dataset")
 
 
 def _digest(path: Path) -> str:
@@ -56,10 +75,10 @@ def _load_registry(args) -> Registry:
     return Registry.load(args.registry)
 
 
-def _load_bank(args) -> TemplateBank:
-    if args.templates is None:
-        return default_template_bank()
-    return TemplateBank.load(args.templates)
+# The arguments that name a command's run log beside its command name, so
+# that each ingest of a split and each eval of a dataset into one ``--out``
+# keeps its own log.
+RUN_LOG_SCOPE = {"ingest": ("dataset", "split"), "eval": ("dataset",)}
 
 
 def _write_run_log(args, inputs: list[Path], counts: dict) -> None:
@@ -71,7 +90,8 @@ def _write_run_log(args, inputs: list[Path], counts: dict) -> None:
         "input_digests": {str(p): _digest(p) for p in inputs if p.is_file()},
         "counts": counts,
     }
-    write_json(Path(args.out) / f"run_log.{args.command}.json", log)
+    name = ".".join([args.command, *(getattr(args, k) for k in RUN_LOG_SCOPE.get(args.command, ()))])
+    write_json(Path(args.out) / f"run_log.{name}.json", log)
 
 
 def _corpus_files(corpus_root: str, split: str) -> list[Path]:
@@ -83,6 +103,7 @@ def _corpus_files(corpus_root: str, split: str) -> list[Path]:
 
 
 def cmd_ingest(args) -> tuple[list[Path], dict]:
+    from .ingest import IngestConfig
     registry = _load_registry(args)
     src = Path(args.input)
     cfg = IngestConfig(
@@ -120,8 +141,9 @@ def cmd_curate(args) -> tuple[list[Path], dict]:
 
 
 def cmd_forge(args) -> tuple[list[Path], dict]:
+    from .templates import TemplateBank
     registry = _load_registry(args)
-    bank = _load_bank(args)
+    bank = default_template_bank() if args.templates is None else TemplateBank.load(args.templates)
     files = _corpus_files(args.corpus_root, args.split)
     corpora = [(registry[path.parent.name], read_documents(path)) for path in files]
     instances = build_corpus(corpora, bank, args.seed)
@@ -152,6 +174,7 @@ def _prediction_id_counts(gold_ids: set, predictions) -> dict:
 
 
 def cmd_eval(args) -> tuple[list[Path], dict]:
+    from .evaluation import sample_subset
     registry = _load_registry(args)
     desc = registry[args.dataset]
     gold_path, pred_path = Path(args.gold), Path(args.predictions)
@@ -172,6 +195,7 @@ def cmd_eval(args) -> tuple[list[Path], dict]:
 
 
 def cmd_stats(args) -> tuple[list[Path], dict]:
+    from .curation import corpus_stats
     registry = _load_registry(args)
     corpus_counts = None
     if args.corpus_root:

@@ -498,9 +498,10 @@ def read_jsonl(path: Path | str, cls=None, *, spans: bool = False) -> Iterator:
     """Parse each non-blank line of a UTF-8 JSONL file, decoded as a ``cls``
     record when ``cls`` is given.  With ``spans``, each item is ``(record,
     start, length)``: the byte span of the record's line in the file, without
-    its edge ASCII whitespace.  Bytes that are not UTF-8 raise ``ValueError``
-    naming the path, and a line that is not JSON or does not fit ``cls`` one
-    naming the path and line: ``<path>:<line>: <message>``."""
+    its edge ASCII whitespace.  A line that is not UTF-8, not JSON or does
+    not fit ``cls`` raises ``ValueError`` naming the path and line:
+    ``<path>:<line>: <message>``.  So does a ``ValueError`` a caller throws
+    into the generator (``gen.throw``) about the record it was last given."""
     decode = None if cls is None else _decoder(cls)
     with Path(path).open("rb") as f:
         # counted by hand: enumerate's result tuple would keep each raw line
@@ -521,7 +522,7 @@ def read_jsonl(path: Path | str, cls=None, *, spans: bool = False) -> Iterator:
                         rec = (rec, start + lead, len(raw.rstrip()) - lead)
                     yield rec
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise ValueError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{line_no}: {exc.msg} (column {exc.colno})") from None
         except ValueError as exc:

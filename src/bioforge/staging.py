@@ -17,6 +17,7 @@ import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .errors import UnknownDataset
 from .schema import (
     TASKS,
     TYPE1,
@@ -71,8 +72,11 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
     stage1_ids = []
     stage2_ids = []
     spans = {}
-    for inst, start, length in read_jsonl(forged, InstructionInstance, spans=True):
-        desc = registry[inst.dataset_id]
+    rows = read_jsonl(forged, InstructionInstance, spans=True)
+    for inst, start, length in rows:
+        desc = registry.get(inst.dataset_id)
+        if desc is None:  # named by the forged file's path and line
+            rows.throw(ValueError(str(UnknownDataset(inst.dataset_id))))
         stage2_ids.append(inst.instance_id)
         if assign_stage(desc) == TYPE1:
             stage1_ids.append(inst.instance_id)

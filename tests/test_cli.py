@@ -55,6 +55,19 @@ def test_ingest_command(tmp_path, capsys):
     assert "loaded=1" in capsys.readouterr().out
 
 
+
+def test_each_ingest_into_one_out_keeps_its_own_run_log(tmp_path):
+    Registry([ner_descriptor("synth-ner-en")]).save(tmp_path / "registry.jsonl")
+    src = tmp_path / "raw.pubtator"
+    src.write_text("1|t|aspirin\n1|a|x\n1\t0\t7\taspirin\tChemical\n\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for split in ("train", "test"):
+        assert main(["ingest", "--registry", str(tmp_path / "registry.jsonl"), "--dataset", "synth-ner-en",
+                     "--format", "pubtator", "--input", str(src), "--split", split, "--out", str(out)]) == 0
+    logs = sorted(p.name for p in out.glob("run_log.*"))
+    assert logs == ["run_log.ingest.synth-ner-en.test.json", "run_log.ingest.synth-ner-en.train.json"]
+    assert json.loads((out / logs[0]).read_text())["config"]["split"] == "test"
+
 MRD_DESC = DatasetDescriptor(id="mrd-en", name="mrd-en", task=TaskType.MRD, language=Language.EN)
 
 
@@ -218,6 +231,11 @@ ERROR_CASES = {
     "plan_unknown_task": (2, "plan --forged {tmp}/unknown_task.jsonl",
                           "config error: {tmp}/unknown_task.jsonl:2: InstructionInstance.task: "
                           "expected TaskType, got 'XYZ'\n"),
+    # a forged row of a dataset the registry lacks, or bytes that are not UTF-8, named by file and line
+    "plan_unregistered_dataset": (2, "plan --forged {tmp}/unregistered.jsonl",
+                                  "config error: {tmp}/unregistered.jsonl:2: dataset id 'nope' not in registry\n"),
+    "plan_latin1_forged": (2, "plan --forged {tmp}/latin1_forged.jsonl",
+                           "config error: {tmp}/latin1_forged.jsonl:3: not UTF-8 text (invalid continuation byte)\n"),
     "stats_unregistered_corpus_dir": (2, "stats --corpus-root {tmp}/corpus --registry {tmp}/ner_only.jsonl",
                                       "config error: dataset id 'synth-qamc-en' not in registry\n"),
 }
@@ -253,6 +271,11 @@ def bad_inputs(workspace):
     (tmp_path / "number_dataset_id.jsonl").write_text(json.dumps({**gold[0], "dataset_id": 3}) + "\n")
     (tmp_path / "unknown_task.jsonl").write_text(
         "".join(json.dumps(row) + "\n" for row in (gold[0], {**gold[1], "task": "XYZ"})))
+    (tmp_path / "unregistered.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in (gold[0], {**gold[1], "dataset_id": "nope"})))
+    (tmp_path / "latin1_forged.jsonl").write_bytes("".join(
+        json.dumps(row, ensure_ascii=False) + "\n" for row in (gold[0], gold[1], {**gold[2], "output": "caf\xe9"})
+    ).encode("latin-1"))
     (tmp_path / "pattern_number.jsonl").write_text(json.dumps(
         {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": 3}) + "\n")
     Registry([tc_descriptor("tc-en"), MRD_DESC]).save(tmp_path / "tc_mrd.jsonl")
@@ -471,7 +494,7 @@ def test_eval_counts_duplicate_and_unknown_prediction_ids(workspace):
     preds.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     assert main(["eval", "--dataset", "synth-ner-en", "--gold", str(out / "forged.jsonl"),
                  "--predictions", str(preds), "--sample-n", "3", *common]) == 0
-    counts = json.loads((out / "run_log.eval.json").read_text())["counts"]
+    counts = json.loads((out / "run_log.eval.synth-ner-en.json").read_text())["counts"]
     assert counts["duplicate_prediction_ids"] == 1
     assert counts["unknown_prediction_ids"] == 2
     assert counts["instances"] == 3

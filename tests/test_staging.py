@@ -1,6 +1,7 @@
+import re
+
 import pytest
 
-from bioforge.errors import UnknownDataset
 from bioforge.fixtures import reference_registry
 from bioforge.forge import build_corpus, read_instances, write_instances
 from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType
@@ -93,7 +94,7 @@ class TestBuildStagePlan:
 
     def test_unregistered_dataset(self, tmp_path):
         forged, _ = small_forged_corpus(tmp_path)
-        with pytest.raises(UnknownDataset):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(forged))}:1: dataset id 'synth-ner-en' not in registry$"):
             build_stage_plan(forged, Registry(), seed=0)
 
     def test_reference_registry_counts(self):
