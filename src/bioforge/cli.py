@@ -19,6 +19,7 @@ import hashlib
 import os
 import sys
 from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +28,9 @@ from .fixtures import reference_registry
 from .schema import (
     Language,
     Registry,
+    UnifiedDocument,
     atomic_writer,
+    copy_lines,
     read_documents,
     read_instances,
     read_jsonl,
@@ -54,7 +57,10 @@ def _deferred(module: str, name: str):
 ingest_dataset = _deferred("ingest", "ingest_dataset")
 dedup_and_filter_overlap = _deferred("curation", "dedup_and_filter_overlap")
 default_template_bank = _deferred("templates", "default_template_bank")
+# No command calls ``read_documents`` or ``build_corpus`` (curate and forge
+# stream their rows); both stay bound because the benchmark's tracer swaps them.
 build_corpus = _deferred("forge", "build_corpus")
+forge_instances = _deferred("forge", "forge_instances")
 build_stage_plan = _deferred("staging", "build_stage_plan")
 emit_training_manifest = _deferred("staging", "emit_training_manifest")
 read_predictions = _deferred("evaluation", "read_predictions")
@@ -123,17 +129,18 @@ def cmd_ingest(args) -> tuple[list[Path], dict]:
 
 
 def cmd_curate(args) -> tuple[list[Path], dict]:
+    from .curation import keyed_lines
     train_files = _corpus_files(args.corpus_root, "train")
     test_files = sorted(Path(args.corpus_root).glob("*/test.jsonl"))
-    train = [doc for path in train_files for doc in read_documents(path)]
-    test = [doc for path in test_files for doc in read_documents(path)]
-    kept, report = dedup_and_filter_overlap(train, test)
+    # a key, dataset id and byte span per row, not documents; train rows are
+    # decoded before test rows, so a fault in each is reported from train
+    train = list(keyed_lines(train_files))
+    kept, report = dedup_and_filter_overlap(train, keyed_lines(test_files), key=attrgetter("key"))
+    del train  # the dropped rows are freed before the kept lines are copied
     out_root = Path(args.out)
-    for dataset_id in sorted({doc.dataset_id for doc in kept}):
-        write_documents(
-            out_root / "curated" / dataset_id / "train.jsonl",
-            [d for d in kept if d.dataset_id == dataset_id],
-        )
+    for dataset_id in sorted({line.dataset_id for line in kept}):
+        copy_lines(out_root / "curated" / dataset_id / "train.jsonl",
+                   ((line.source, line.start, line.length) for line in kept if line.dataset_id == dataset_id))
     write_json(out_root / "curation_report.json", report.to_dict())
     print(f"curate: input={report.input_count} dups={report.duplicates_removed} "
           f"overlap={report.overlap_removed} output={report.output_count}")
@@ -145,12 +152,12 @@ def cmd_forge(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     bank = default_template_bank() if args.templates is None else TemplateBank.load(args.templates)
     files = _corpus_files(args.corpus_root, args.split)
-    corpora = [(registry[path.parent.name], read_documents(path)) for path in files]
-    instances = build_corpus(corpora, bank, args.seed)
+    # each instance is rendered and written as its row is read
+    corpora = ((registry[path.parent.name], read_jsonl(path, UnifiedDocument)) for path in files)
     dest = Path(args.out) / "forged.jsonl"
-    write_instances(dest, instances)
-    print(f"forge: {len(instances)} instances (seed={args.seed}) -> {dest}")
-    return files, {"instances": len(instances), "output_digest": _digest(dest)}
+    n = write_instances(dest, forge_instances(corpora, bank, args.seed))
+    print(f"forge: {n} instances (seed={args.seed}) -> {dest}")
+    return files, {"instances": n, "output_digest": _digest(dest)}
 
 
 def cmd_plan(args) -> tuple[list[Path], dict]:

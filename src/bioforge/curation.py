@@ -3,19 +3,27 @@ decomposition, and corpus statistics.
 
 Dedup is exact-match over normalized text rather than near-duplicate
 similarity; the normalized form is NFKC, lowercased, with whitespace runs
-collapsed.  Overlap filtering compares whole-document text, not doc ids,
-because shared-task corpora reuse PMIDs across releases.
+collapsed, and a document is keyed by a 128-bit digest of it.  Overlap
+filtering compares whole-document text, not doc ids, because shared-task
+corpora reuse PMIDs across releases.
+
+``bioforge curate`` holds no documents: :func:`keyed_lines` decodes each
+row and keeps only its key, dataset id and byte span, and the kept rows are
+copied from the corpus files as written.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
+import sys
 import unicodedata
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import UnknownLabel
-from .schema import TASKS, DatasetDescriptor, Registry, TaskType, UnifiedDocument
+from .schema import TASKS, DatasetDescriptor, Registry, TaskType, UnifiedDocument, read_jsonl
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -38,22 +46,45 @@ class CurationReport:
         return asdict(self)
 
 
-def _doc_key(doc: UnifiedDocument) -> str:
-    return normalize_for_hash(doc.text)
+def doc_key(doc: UnifiedDocument) -> bytes:
+    """What dedup and overlap compare: a 128-bit BLAKE2b digest of the
+    document's :func:`normalize_for_hash` text, 16 bytes whatever its length."""
+    return hashlib.blake2b(normalize_for_hash(doc.text).encode("utf-8"), digest_size=16).digest()
+
+
+class KeyedLine(NamedTuple):
+    """One corpus row as ``bioforge curate`` holds it: its :func:`doc_key`,
+    its dataset id, and the byte span of its line in ``source``."""
+
+    key: bytes
+    dataset_id: str
+    source: str
+    start: int
+    length: int
+
+
+def keyed_lines(paths: Iterable[Path]) -> Iterator[KeyedLine]:
+    """Decode every row of the JSONL corpus files ``paths`` in order (a bad
+    row raises ``<path>:<line>: ...``) and give each as a :class:`KeyedLine`."""
+    for path in paths:
+        source = str(path)
+        for doc, start, length in read_jsonl(path, UnifiedDocument, spans=True):
+            yield KeyedLine(doc_key(doc), sys.intern(doc.dataset_id), source, start, length)
 
 
 def dedup_and_filter_overlap(
-    train: Iterable[UnifiedDocument], test: Iterable[UnifiedDocument]
-) -> tuple[list[UnifiedDocument], CurationReport]:
-    """Keep the first occurrence of each distinct normalized train text and
-    drop any train document whose normalized text appears in the test set.
+    train: Iterable, test: Iterable, key: Callable[..., Hashable] = doc_key
+) -> tuple[list, CurationReport]:
+    """Keep the first train row of each distinct ``key`` and drop any train
+    row whose key a test row has.  Rows are documents, or anything with a
+    ``dataset_id`` given its ``key`` (a :class:`KeyedLine`'s own ``key``).
 
     Idempotent; the report arithmetic ``output == input - dups - overlap``
     holds per dataset and globally.
     """
-    test_keys = {_doc_key(doc) for doc in test}
-    seen: set[str] = set()
-    kept: list[UnifiedDocument] = []
+    test_keys = {key(row) for row in test}
+    seen: set = set()
+    kept: list = []
     report = CurationReport()
 
     def bucket(dataset_id: str) -> dict:
@@ -62,21 +93,21 @@ def dedup_and_filter_overlap(
             {"input_count": 0, "duplicates_removed": 0, "overlap_removed": 0, "output_count": 0},
         )
 
-    for doc in train:
-        b = bucket(doc.dataset_id)
+    for row in train:
+        b = bucket(row.dataset_id)
         report.input_count += 1
         b["input_count"] += 1
-        key = _doc_key(doc)
-        if key in test_keys:
+        k = key(row)
+        if k in test_keys:
             report.overlap_removed += 1
             b["overlap_removed"] += 1
             continue
-        if key in seen:
+        if k in seen:
             report.duplicates_removed += 1
             b["duplicates_removed"] += 1
             continue
-        seen.add(key)
-        kept.append(doc)
+        seen.add(k)
+        kept.append(row)
         report.output_count += 1
         b["output_count"] += 1
     return kept, report

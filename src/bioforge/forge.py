@@ -8,7 +8,7 @@ exactly the scoring-relevant structure.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import MissingSlotData, NoTemplate, UnsupportedTask
 from .evaluation import GRAMMARS, option_line
@@ -144,24 +144,29 @@ def _pick_template(
     return candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
 
 
+def forge_instances(
+    corpora: Iterable[tuple[DatasetDescriptor, Iterable[UnifiedDocument]]],
+    template_bank: TemplateBank,
+    seed: int,
+) -> Iterator[InstructionInstance]:
+    """Forge one instruction instance per document, each as its document
+    is drawn from ``corpora`` (lazy inputs are read as they are rendered).
+
+    Identical inputs and seed produce a byte-identical corpus; output order
+    follows input order.
+    """
+    for desc, docs in corpora:
+        type2 = TASKS[desc.task].type2
+        for doc in docs:
+            template = None if type2 else _pick_template(
+                template_bank, desc.task, desc.language, seed, desc.id, doc.doc_id)
+            yield render_instance(doc, template, desc)
+
+
 def build_corpus(
     corpora: Iterable[tuple[DatasetDescriptor, Iterable[UnifiedDocument]]],
     template_bank: TemplateBank,
     seed: int,
 ) -> list[InstructionInstance]:
-    """Forge one instruction instance per document.
-
-    Identical inputs and seed produce a byte-identical corpus; output order
-    follows input order.
-    """
-    out: list[InstructionInstance] = []
-    for desc, docs in corpora:
-        for doc in docs:
-            if TASKS[desc.task].type2:
-                template = None
-            else:
-                template = _pick_template(
-                    template_bank, desc.task, desc.language, seed, desc.id, doc.doc_id
-                )
-            out.append(render_instance(doc, template, desc))
-    return out
+    """The instances of :func:`forge_instances`, as a list."""
+    return list(forge_instances(corpora, template_bank, seed))

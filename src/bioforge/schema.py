@@ -10,14 +10,20 @@ type in one table.
 On-disk encoding is UTF-8 JSONL, one record per line; the registry is a
 single JSONL file of descriptor rows.  One codec, :func:`to_dict` /
 :func:`from_dict`, maps every record dataclass to JSON and back, driven by
-its fields and their type hints: keys are the field names, tuples become
-lists, enums become their values, nested records become objects, and a key
-absent on input takes the field's default.  It is the one type check of
-JSON input: a field takes only a value of its exact type (``true`` is no
-int), ``null`` only if ``Optional``, and each tuple item and dict value is
-checked; a missing required key or a mistyped value raises ``ValueError``
-naming the class and field, which :func:`read_jsonl` prefixes with
-``<path>:<line>:``.  Every output file is written through
+its fields and their type hints: keys are the field names, in sorted order
+(a dict field's keys too), tuples become lists, enums become their values,
+nested records become objects, and a key absent on input takes the field's
+default.  It is the one type check of JSON input: a field takes only a
+value of its exact type (``true`` is no int), ``null`` only if
+``Optional``, and each tuple item and dict value is checked; a missing
+required key or a mistyped value raises ``ValueError`` naming the class and
+field, which :func:`read_jsonl` prefixes with ``<path>:<line>:``.
+
+The codec of a record class is one generated straight-line function each
+way, built from its fields on first use, never at import.  Because its keys
+come out sorted, :func:`write_records` writes each record line through one
+reused JSON encoder with no sort pass; :func:`read_jsonl` parses each line
+with one JSON scan.  Every output file is written through
 :func:`atomic_writer`, so it appears whole or not at all.
 """
 
@@ -26,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -354,26 +359,24 @@ def _checked(json_type: type, convert: Optional[Callable] = None) -> Callable:
     return decode
 
 
-def _codec(tp) -> tuple[Optional[Callable], Callable]:
-    """``(encode, decode)`` for a non-None value of type ``tp``.  ``encode`` is
-    None for a plain value (str, int, float, bool), written as it is;
-    ``decode`` raises ``ValueError`` for a JSON value that does not fit."""
+def _decode_fn(tp) -> Callable:
+    """The decoder of a non-None JSON value of type ``tp``: it raises
+    ``ValueError`` for a value that does not fit."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is tuple and args[-1] is Ellipsis:
-        enc, dec = _codec(args[0])
-        return ((list if enc is None else lambda v: list(map(enc, v))),
-                _checked(list, lambda v: tuple(map(dec, v))))
+        item = _decode_fn(args[0])
+        return _checked(list, lambda v: tuple(map(item, v)))
     if origin is tuple:  # fixed-size tuple of plain values, e.g. a (key, text) pair
-        decs = [_codec(a)[1] for a in args]
+        decs = [_decode_fn(a) for a in args]
 
         def decode_fixed(v):
             if type(v) is not list or len(v) != len(decs):
                 raise _mistyped(f"list of {len(decs)}", v)
             return tuple(dec(x) for dec, x in zip(decs, v))
-        return list, decode_fixed
+        return decode_fixed
     if origin is dict:  # JSON object keys are strings; each value is checked
-        dec = _codec(args[1])[1]
-        return dict, _checked(dict, lambda v: {k: dec(x) for k, x in v.items()})
+        value = _decode_fn(args[1])
+        return _checked(dict, lambda v: {k: value(x) for k, x in v.items()})
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = {m.value: m for m in tp}
 
@@ -381,10 +384,35 @@ def _codec(tp) -> tuple[Optional[Callable], Callable]:
             if type(v) is str and v in members:
                 return members[v]
             raise _mistyped(tp.__name__, v)
-        return operator.attrgetter("value"), decode_enum
+        return decode_enum
     if is_dataclass(tp):
-        return _encoder(tp), _decoder(tp)
-    return None, _checked(tp)
+        return _decoder(tp)
+    return _checked(tp)
+
+
+def _encode_expr(tp, var: str, ns: dict) -> str:
+    """Source of an expression that encodes the non-None value ``var`` of
+    type ``tp``; the helpers it calls are added to ``ns``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple and args[-1] is Ellipsis:
+        item = _encode_expr(args[0], "i", ns)
+        return f"list({var})" if item == "i" else f"[{item} for i in {var}]"
+    if origin is tuple:  # fixed-size tuple of plain values
+        return f"list({var})"
+    if origin is dict:  # sorted, as the keys of a record are
+        return f"dict(sorted({var}.items()))"
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return f"{var}.value"
+    if is_dataclass(tp):
+        name = f"_enc_{tp.__name__}"
+        ns[name] = _encoder(tp)
+        return f"{name}({var})"
+    return var
+
+
+def _compile(name: str, lines: list[str], ns: dict) -> Callable:
+    exec("\n".join(lines), ns)  # noqa: S102 (source built from field names and type hints only)
+    return ns[name]
 
 
 _ABSENT = object()  # what ``dict.get`` gives for a key the JSON object lacks
@@ -392,9 +420,9 @@ _ABSENT = object()  # what ``dict.get`` gives for a key the JSON object lacks
 
 @functools.cache
 def _plan(cls) -> list[tuple]:
-    """Per field of ``cls``, in order: name, encoder, decoder, its type if plain
-    (else None), whether it may be None, and a callable that gives an absent
-    key's value afresh for each record (MISSING if the key is required)."""
+    """Per field of ``cls``, in order: name, type (``X`` of ``Optional[X]``),
+    whether it may be None, and a callable that gives an absent key's value
+    afresh for each record (MISSING if the key is required)."""
     hints = get_type_hints(cls)
     plan = []
     for f in fields(cls):
@@ -403,52 +431,85 @@ def _plan(cls) -> list[tuple]:
         if nullable:
             hint = get_args(hint)[0]
         default = f.default_factory if f.default is MISSING else lambda v=f.default: v
-        enc, dec = _codec(hint)
-        plan.append((f.name, enc, dec, hint if enc is None else None, nullable, default))
+        plan.append((f.name, hint, nullable, default))
     return plan
 
 
 @functools.cache
 def _encoder(cls) -> Callable:
-    plan = [(name, enc) for name, enc, *_ in _plan(cls)]
+    """One generated function per record class: a dict display of its
+    fields in sorted key order, each encoded inline."""
+    ns: dict = {}
+    items = []
+    for name, hint, _, _ in sorted(_plan(cls)):
+        expr = _encode_expr(hint, "x", ns)
+        value = f"o.{name}" if expr == "x" else f"None if (x := o.{name}) is None else {expr}"
+        items.append(f"{name!r}: {value}")
+    return _compile("encode", ["def encode(o):", f"    return {{{', '.join(items)}}}"], ns)
 
-    def encode(obj) -> dict:
-        d = {}
-        for name, enc in plan:
-            value = getattr(obj, name)
-            d[name] = value if enc is None or value is None else enc(value)
-        return d
-    return encode
+
+def _decode_test(tp, var: str, ns: dict, i: int) -> tuple[str, str]:
+    """``(test, value)``: source of a test that ``var`` is a JSON value of
+    ``tp``'s common form, and of the decoded value when it is."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple and args[-1] is Ellipsis:
+        ns[f"_i{i}"] = _decode_fn(args[0])
+        return f"type({var}) is list", f"tuple(map(_i{i}, {var})) if {var} else ()"
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        ns[f"_m{i}"] = {m.value: m for m in tp}
+        return f"type({var}) is str and {var} in _m{i}", f"_m{i}[{var}]"
+    if origin in (tuple, dict) or is_dataclass(tp):
+        ns[f"_d{i}"] = _decode_fn(tp)
+        return f"type({var}) is {'list' if origin is tuple else 'dict'}", f"_d{i}({var})"
+    ns[f"_t{i}"] = tp
+    return f"type({var}) is _t{i}", var
+
+
+def _slow_path(dec: Callable, nullable: bool, default) -> Callable:
+    """A field's value when its JSON value is absent, null or mistyped."""
+    def decode(v):
+        if v is _ABSENT:
+            if default is MISSING:
+                raise ValueError("required key missing")
+            return default()
+        if v is None and nullable:
+            return None
+        return dec(v)
+    return decode
 
 
 @functools.cache
 def _decoder(cls) -> Callable:
-    plan = [(name, plain, dec, nullable, default) for name, _, dec, plain, nullable, default in _plan(cls)]
-
-    def decode(d):
-        if type(d) is not dict:
-            raise _mistyped(cls.__name__, d)
-        args = []
-        try:
-            for name, plain, dec, nullable, default in plan:
-                value = d.get(name, _ABSENT)
-                # a plain value of its exact type is checked inline: no call
-                if type(value) is not plain:
-                    if value is _ABSENT:
-                        if default is MISSING:
-                            raise ValueError("required key missing")
-                        value = default()
-                    elif value is not None or not nullable:
-                        value = dec(value)
-                args.append(value)
-        except ValueError as exc:
-            raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
-        return cls(*args)  # positional: faster than keywords, same field order
-    return decode
+    """One generated function per record class: per field, one ``dict.get``
+    and a type test; the common form is decoded inline, anything else by its
+    slow path, and a ``ValueError`` is prefixed ``<Class>.<field>: ``."""
+    ns: dict = {"_A": _ABSENT, "_cls": cls, "_mistyped": _mistyped,
+                "_new": object.__new__, "_setattr": object.__setattr__}
+    lines = ["def decode(d):",
+             "    if type(d) is not dict:",
+             f"        raise _mistyped({cls.__name__!r}, d)",
+             "    get = d.get"]
+    for i, (name, hint, nullable, default) in enumerate(_plan(cls)):
+        test, value = _decode_test(hint, "x", ns, i)
+        ns[f"_s{i}"] = _slow_path(_decode_fn(hint), nullable, default)
+        lines += ["    try:",
+                  f"        x = get({name!r}, _A)",
+                  f"        v{i} = ({value}) if {test} else _s{i}(x)",
+                  "    except ValueError as exc:",
+                  f"        raise ValueError(f'{cls.__name__}.{name}: {{exc}}') from None"]
+    # what the frozen __init__ does, without its call: each field set in
+    # order (so instances keep sharing one key table), then its rule check
+    lines.append("    o = _new(_cls)")
+    lines += [f"    _setattr(o, {name!r}, v{i})" for i, (name, *_) in enumerate(_plan(cls))]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    o.__post_init__()")
+    lines.append("    return o")
+    return _compile("decode", lines, ns)
 
 
 def to_dict(obj) -> dict:
-    """Encode a record dataclass as a JSON-ready dict (see the module docstring)."""
+    """Encode a record dataclass as a JSON-ready dict, keys sorted (see the
+    module docstring)."""
     return _encoder(type(obj))(obj)
 
 
@@ -461,20 +522,52 @@ def from_dict(cls, d):
 def atomic_writer(path: Path | str, binary: bool = False) -> Iterator[IO]:
     """Open ``path`` for UTF-8 text writing (bytes if ``binary``) so that it
     appears whole or not at all: the body writes ``<name>.tmp`` beside it,
-    which then replaces ``path``.  If the body raises, the temp file is
-    removed and an earlier ``path`` is left as it was.  A ``path`` that is a
-    directory raises ``ValueError`` before anything is written."""
+    which then replaces ``path``.  If the body raises, the temp file and the
+    directories made for it are removed, and an earlier ``path`` is left as
+    it was.  A ``path`` that is a directory raises ``ValueError`` before
+    anything is written."""
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"{path}: output path is a directory")
+    made = []  # the missing ancestors of ``path``, deepest first
+    for parent in path.parents:
+        if parent.exists():
+            break
+        made.append(parent)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with (tmp.open("wb") if binary else tmp.open("w", encoding="utf-8")) as f:
             yield f
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):  # another writer's file is in it
+                directory.rmdir()
+        raise
+
+
+def copy_lines(path: Path | str, lines: Iterable[tuple[str, int, int]], since: str = "read") -> int:
+    """Write each ``(source, start, length)`` byte span of a source file, plus
+    a newline, to ``path`` through a binary :func:`atomic_writer`: lines are
+    copied, not re-encoded.  A span past the end of its source raises
+    ``ValueError``: ``<source>: file changed since it was <since>``.
+    Returns the number of lines written."""
+    n = 0
+    with contextlib.ExitStack() as sources, atomic_writer(path, binary=True) as f:
+        fds = {}
+        for source, start, length in lines:
+            fd = fds.get(source)
+            if fd is None:
+                fd = fds[source] = sources.enter_context(open(source, "rb")).fileno()
+            row = os.pread(fd, length, start)
+            if len(row) != length:
+                raise ValueError(f"{source}: file changed since it was {since}")
+            f.write(row)
+            f.write(b"\n")
+            n += 1
+    return n
 
 
 def write_json(path: Path | str, obj) -> None:
@@ -484,14 +577,37 @@ def write_json(path: Path | str, obj) -> None:
 
 
 def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
-    """Write dicts as UTF-8 JSONL, through :func:`atomic_writer`; returns
-    the number of lines written."""
+    """Write dicts as UTF-8 JSONL, keys sorted, through :func:`atomic_writer`;
+    returns the number of lines written."""
     n = 0
     with atomic_writer(path) as f:
         for rec in records:
             f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
             n += 1
     return n
+
+
+# A record's dict already has its keys sorted (see :func:`to_dict`), so one
+# encoder, made once, writes its line without a sort.
+_dump_record = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+
+
+def write_records(path: Path | str, records: Iterable) -> int:
+    """Write record dataclasses as UTF-8 JSONL, through :func:`atomic_writer`:
+    the bytes ``write_jsonl(path, map(to_dict, records))`` would write.
+    Returns the number of lines written."""
+    n = 0
+    with atomic_writer(path) as f:
+        for rec in records:
+            f.write(_dump_record(to_dict(rec)) + "\n")
+            n += 1
+    return n
+
+
+# Parses a stripped line in one scan; ``json.loads`` runs only on a line that
+# is not one JSON value, to raise the error it always gave (a BOM, "Extra
+# data", the column).
+_scan = json.JSONDecoder().raw_decode
 
 
 def read_jsonl(path: Path | str, cls=None, *, spans: bool = False) -> Iterator:
@@ -514,7 +630,12 @@ def read_jsonl(path: Path | str, cls=None, *, spans: bool = False) -> Iterator:
                 start, end = end, end + len(raw)
                 line = raw.decode("utf-8").strip()
                 if line:
-                    rec = json.loads(line)
+                    try:
+                        rec, stop = _scan(line)
+                    except ValueError:
+                        stop = -1
+                    if stop != len(line):
+                        rec = json.loads(line)
                     if decode is not None:
                         rec = decode(rec)
                     if spans:
@@ -538,7 +659,7 @@ def read_json(path: Path | str, cls):
 
 
 def write_documents(path: Path | str, docs: Iterable[UnifiedDocument]) -> int:
-    return write_jsonl(path, map(to_dict, docs))
+    return write_records(path, docs)
 
 
 def read_documents(path: Path | str) -> list[UnifiedDocument]:
@@ -559,7 +680,7 @@ class InstructionInstance:
 
 
 def write_instances(path: Path | str, instances: Iterable[InstructionInstance]) -> int:
-    return write_jsonl(path, map(to_dict, instances))
+    return write_records(path, instances)
 
 
 def read_instances(path: Path | str) -> list[InstructionInstance]:
@@ -608,4 +729,4 @@ class Registry:
         return registry
 
     def save(self, path: Path | str) -> int:
-        return write_jsonl(path, map(to_dict, self))
+        return write_records(path, self)

@@ -12,7 +12,6 @@ line copied verbatim, without its edge whitespace, plus a newline.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from .schema import (
     DatasetDescriptor,
     InstructionInstance,
     Registry,
-    atomic_writer,
+    copy_lines,
     read_json,
     read_jsonl,
     write_json,
@@ -142,15 +141,7 @@ def emit_training_manifest(plan: StagePlan, stage: int, out_dir: Path | str) -> 
     out_dir = Path(out_dir)
     ordered_ids = plan.stage1_instances if stage == 1 else plan.stage2_instances
     data_path = out_dir / f"stage{stage}.jsonl"
-    with open(plan.source, "rb") as src, atomic_writer(data_path, binary=True) as f:
-        fd = src.fileno()
-        for instance_id in ordered_ids:
-            start, length = plan.spans[instance_id]
-            row = os.pread(fd, length, start)
-            if len(row) != length:
-                raise ValueError(f"{plan.source}: file changed since it was planned")
-            f.write(row)
-            f.write(b"\n")
+    copy_lines(data_path, ((plan.source, *plan.spans[i]) for i in ordered_ids), since="planned")
     manifest = TrainingManifest(
         stage=stage, epochs=STAGE_EPOCHS[stage], data_path=str(data_path)
     )

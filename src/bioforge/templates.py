@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .schema import Language, TaskType, read_jsonl, to_dict, write_jsonl
+from .schema import Language, TaskType, read_jsonl, write_records
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class TemplateBank:
         return cls(read_jsonl(path, InstructionTemplate))
 
     def save(self, path: Path | str) -> int:
-        return write_jsonl(path, (to_dict(t) for ts in self._by_pair.values() for t in ts))
+        return write_records(path, (t for ts in self._by_pair.values() for t in ts))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import bioforge.cli
 from bioforge.forge import build_corpus, write_instances
-from bioforge.schema import Registry
+from bioforge.schema import Registry, write_documents
 from bioforge.synth import make_ner_docs, make_qa_mc_docs
 from bioforge.templates import default_template_bank
 
@@ -94,3 +94,27 @@ def test_plan_records_the_staging_spans_the_benchmark_reads(tmp_path, monkeypatc
     assert {"staging.build_stage_plan", "staging.emit_training_manifest.stage1",
             "staging.emit_training_manifest.stage2"} <= set(spans)
     assert spans["staging.build_stage_plan"]["attrs"] == {"stage1": 30, "stage2": 50}
+
+
+def test_curate_and_forge_record_the_spans_the_benchmark_reads(tmp_path, monkeypatch):
+    """Curate still reports through the traced ``dedup_and_filter_overlap``
+    and forge writes through the traced ``write_instances``, with the result
+    shapes the tracer reads."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    ner_desc, ner_docs = make_ner_docs(30, seed=1)
+    qa_desc, qa_docs = make_qa_mc_docs(20, seed=2)
+    registry = tmp_path / "registry.jsonl"
+    Registry([ner_desc, qa_desc]).save(registry)
+    for desc, docs in ((ner_desc, ner_docs), (qa_desc, qa_docs)):
+        write_documents(tmp_path / "corpus" / desc.id / "train.jsonl", docs)
+    tracer = tracing.Tracer()
+    with tracer.layer_patches():
+        assert bioforge.cli.main(["curate", "--corpus-root", str(tmp_path / "corpus"),
+                                  "--out", str(tmp_path / "cur")]) == 0
+        assert bioforge.cli.main(["forge", "--registry", str(registry), "--corpus-root",
+                                  str(tmp_path / "cur" / "curated"), "--out", str(tmp_path / "forged")]) == 0
+    spans = {s["name"]: s for s in tracer.spans}
+    report = spans["curation.dedup_and_filter_overlap"]["attrs"]
+    assert report["rows"] == 50 and report["report"]["input_count"] == 50
+    assert spans["forge.write_instances"]["attrs"]["rows"] == report["report"]["output_count"]

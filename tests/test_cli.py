@@ -2,6 +2,8 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -534,6 +536,93 @@ def test_curate_command(workspace, capsys):
     assert report["output_count"] == (
         report["input_count"] - report["duplicates_removed"] - report["overlap_removed"]
     )
+
+
+def _curate_corpus(root: Path) -> Path:
+    """A corpus for ``curate``: exact and case- or space-variant duplicates
+    in train, a tc-en row inside ner-en's directory, and test rows that
+    overlap ner-en and tc-en."""
+    _, ner = make_ner_docs(20, seed=31, desc=ner_descriptor("ner-en"))
+    _, zh = make_ner_docs(12, seed=32, desc=ner_descriptor("ner-zh", Language.ZH))
+    _, tc = make_tc_docs(20, seed=33, desc=tc_descriptor("tc-en"))
+    corpus = root / "corpus"
+    write_documents(corpus / "ner-en" / "train.jsonl", [
+        *ner[:10], replace(ner[2], doc_id="dup"), replace(ner[4], doc_id="upper", text=ner[4].text.upper()),
+        replace(tc[15], doc_id="stray"), *ner[10:]])
+    write_documents(corpus / "ner-en" / "test.jsonl", [replace(ner[6], doc_id="t1", text=f" {ner[6].text}\t")])
+    write_documents(corpus / "ner-zh" / "train.jsonl", [*zh, replace(zh[0], doc_id="dup")])
+    write_documents(corpus / "tc-en" / "train.jsonl", [*tc, replace(tc[15], doc_id="dup")])
+    write_documents(corpus / "tc-en" / "test.jsonl", [replace(tc[3], doc_id="t1"), replace(ner[9], doc_id="t2")])
+    return corpus
+
+
+# SHA-256 of what ``curate`` writes from ``_curate_corpus``, computed before
+# curate copied kept lines instead of re-encoding them.
+PINNED_CURATE_DIGESTS = {
+    "curated/ner-en/train.jsonl": "e253ac48508d98fa60fd4fd1052845b04161a20f3a14f7f2795d800796704600",
+    "curated/ner-zh/train.jsonl": "1ee82a1d06adcf584cdac0af190b11f0c75f8e5dc070e4af9b2af1be21fbb42f",
+    "curated/tc-en/train.jsonl": "c244380a4686b890253ad80a3639cbd8f62b6be0a70b61ac578f9b274f31c3c9",
+    "curation_report.json": "be302f6943e7acd4b75f4be16218a8f4100e10b2d765f5e52c11e307205b1eb3",
+}
+
+
+def test_pinned_curate_digests(tmp_path):
+    corpus = _curate_corpus(tmp_path)
+    out = tmp_path / "cur"
+    assert main(["curate", "--corpus-root", str(corpus), "--out", str(out)]) == 0
+    written = [*sorted((out / "curated").glob("*/train.jsonl")), out / "curation_report.json"]
+    digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert digests == PINNED_CURATE_DIGESTS
+
+
+def test_curate_copies_a_non_canonical_train_line_verbatim(tmp_path):
+    _, docs = make_ner_docs(6, seed=3)
+    corpus = tmp_path / "corpus"
+    train = corpus / "synth-ner-en" / "train.jsonl"
+    write_documents(train, docs)
+    lines = train.read_text(encoding="utf-8").splitlines()
+    odd = json.dumps({"extra": ["é", 2], **json.loads(lines[2])}, separators=(" ,  ", " :  "))
+    train.write_text("\n".join([*lines[:2], f" {odd}\t", *lines[3:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "cur"
+    assert main(["curate", "--corpus-root", str(corpus), "--out", str(out)]) == 0
+    assert (out / "curated" / "synth-ner-en" / "train.jsonl").read_text(encoding="utf-8").splitlines() == \
+        [*lines[:2], odd, *lines[3:]]
+
+
+def _long_docs(n: int, dataset_id: str):
+    """``n`` distinct TC documents of about 1.2 KB each."""
+    _, docs = make_tc_docs(n, seed=5, desc=tc_descriptor(dataset_id))
+    return [replace(d, text=f"{i} {d.text} " + "x" * 1024) for i, d in enumerate(docs)]
+
+
+def _peak_bytes(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_curate_peak_memory_is_below_half_the_train_file(tmp_path):
+    """Curate holds a key, dataset id and byte span per row, not documents."""
+    docs = _long_docs(2000, "synth-tc-en")
+    train = tmp_path / "corpus" / "synth-tc-en" / "train.jsonl"
+    write_documents(train, [*docs, *docs[:100]])
+    write_documents(train.with_name("test.jsonl"), docs[100:110])
+    peak = _peak_bytes(["curate", "--corpus-root", str(tmp_path / "corpus"), "--out", str(tmp_path / "cur")])
+    assert peak < train.stat().st_size / 2, (peak, train.stat().st_size)
+
+
+def test_forge_peak_memory_is_below_half_the_corpus_file(tmp_path):
+    """Forge renders and writes each row as it reads it."""
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([tc_descriptor("synth-tc-en")]).save(registry_path)
+    train = tmp_path / "corpus" / "synth-tc-en" / "train.jsonl"
+    write_documents(train, _long_docs(2000, "synth-tc-en"))
+    peak = _peak_bytes(["forge", "--registry", str(registry_path), "--corpus-root", str(tmp_path / "corpus"),
+                        "--out", str(tmp_path / "out")])
+    assert peak < train.stat().st_size / 2, (peak, train.stat().st_size)
 
 
 def test_seed_env_var(workspace, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import json
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +23,13 @@ from bioforge.schema import (
     TextPairInstance,
     TranslationPair,
     UnifiedDocument,
+    atomic_writer,
     from_dict,
+    read_jsonl,
     to_dict,
     validate_document,
     write_jsonl,
+    write_records,
 )
 from bioforge.synth import (
     make_ner_docs,
@@ -196,6 +199,23 @@ def test_write_jsonl_failing_midway_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
+def test_atomic_writer_failing_removes_the_directories_it_made(tmp_path):
+    (tmp_path / "kept").mkdir()
+    with pytest.raises(RuntimeError):
+        with atomic_writer(tmp_path / "kept" / "a" / "b" / "out.jsonl") as f:
+            f.write("partial")
+            raise RuntimeError("interrupted")
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == ["kept"]
+
+
+def test_atomic_writer_failing_keeps_a_made_directory_another_file_is_in(tmp_path):
+    with pytest.raises(RuntimeError):
+        with atomic_writer(tmp_path / "a" / "b" / "out.jsonl"):
+            (tmp_path / "a" / "other.txt").write_text("x")
+            raise RuntimeError("interrupted")
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == ["a", "a/other.txt"]
+
+
 def conforms(value, hint) -> bool:
     """Whether ``value`` is exactly of the type ``hint`` describes, walked
     independently of the codec: a record's fields recursively, each tuple
@@ -275,6 +295,79 @@ def test_decoding_any_json_gives_a_well_typed_record_or_value_error(cls, data):
         return
     assert conforms(record, cls)
     assert from_dict(cls, json.loads(json.dumps(to_dict(record)))) == record
+
+
+def plain(value):
+    """A record as JSON-ready values, walked independently of the codec."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [plain(x) for x in value]
+    if isinstance(value, dict):
+        return {k: plain(x) for k, x in value.items()}
+    return value.value if isinstance(value, Enum) else value
+
+
+NON_ASCII = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5) | st.sampled_from(
+    ["阿司匹林", "é\u2028\u3000", "\x00\"\\", "😀"])
+UNSORTED_COUNTS = st.sampled_from([{"train": 3, "dev": 1, "test": 2}, {"zh": 0, "en": 5, "": 1}])
+
+
+@pytest.mark.parametrize("cls", DECODED, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_line_is_the_sorted_json_dump_of_the_record(tmp_path_factory, cls, data):
+    value = data.draw(json_for(cls, noise=False))
+    texts = [f.name for f in fields(cls) if get_type_hints(cls)[f.name] in (str, Optional[str])
+             and f.name not in WITHIN_RULES.get(cls, {})]
+    value.update({name: data.draw(NON_ASCII) for name in texts if data.draw(st.booleans())})
+    if cls is DatasetDescriptor and data.draw(st.booleans()):
+        value["split_counts"] = data.draw(UNSORTED_COUNTS)
+    record = from_dict(cls, value)
+    path = tmp_path_factory.getbasetemp() / "records.jsonl"
+    assert write_records(path, [record, record]) == 2
+    line = json.dumps(plain(record), ensure_ascii=False, sort_keys=True)
+    assert line == json.dumps(to_dict(record), ensure_ascii=False, sort_keys=True)
+    assert path.read_bytes() == 2 * (line + "\n").encode("utf-8")
+
+
+def loads_per_line(path: Path):
+    """What reading ``path`` gives with one ``json.loads`` per stripped
+    line: the values up to the first bad line, and that line's error."""
+    values = []
+    for n, raw in enumerate(path.read_bytes().split(b"\n"), 1):
+        line = raw.decode("utf-8").strip()
+        if line:
+            try:
+                values.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                return values, f"{path}:{n}: {exc.msg} (column {exc.colno})"
+    return values, None
+
+
+JSON_LINE = st.sampled_from([
+    '{"a": 1, "b": [true, null, "é"]}', "[1, 2]", '"x"', "NaN", '{"a": NaN, "b": -Infinity}',
+    "1 2", '{"a": 1}x', '{"a": 1} {"b": 2}', '{"a": 1}\r{"b": 2}', "{", '{"a": }', "",
+    "\ufeff{\"a\": 1}", '"\u3000"', '{"a": "\u0085"}', "tru", "[1,]",
+]) | st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+                  lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+                  max_leaves=6).map(lambda v: json.dumps(v, ensure_ascii=False))
+EDGE = st.sampled_from(["", " ", "\t", "\r", "\u3000", "\u0085", "\ufeff", " \u3000 "])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.tuples(EDGE, JSON_LINE, EDGE, st.sampled_from(["\n", "\r\n"])), max_size=6))
+def test_read_jsonl_gives_the_values_or_error_of_one_json_loads_per_line(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "in.jsonl"
+    path.write_bytes("".join("".join(parts) for parts in lines).encode("utf-8"))
+    values, error = [], None
+    try:
+        for value in read_jsonl(path):
+            values.append(value)
+    except ValueError as exc:
+        error = str(exc)
+    expected_values, expected_error = loads_per_line(path)
+    assert (json.dumps(values), error) == (json.dumps(expected_values), expected_error)
 
 
 @pytest.mark.parametrize("cls,value,message", [
