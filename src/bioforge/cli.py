@@ -122,6 +122,7 @@ def cmd_ingest(args) -> tuple[list[Path], dict]:
     dest = Path(args.out) / "corpus" / args.dataset / f"{args.split}.jsonl"
     write_documents(dest, docs)
     write_jsonl(dest.with_name(f"{args.split}.rejects.jsonl"), report.violation_details)
+    write_jsonl(dest.with_name(f"{args.split}.warnings.jsonl"), report.warning_details)
     print(f"ingest {args.dataset}/{args.split}: loaded={report.loaded} "
           f"violations={report.violations} -> {dest}")
     return [src], {"loaded": report.loaded, "violations": report.violations,

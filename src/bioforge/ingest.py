@@ -3,20 +3,20 @@
 Each format is a pair: a chunker that cuts a text stream into one chunk per
 document, and a parser that turns one chunk into a
 :class:`~bioforge.schema.UnifiedDocument` or raises.  :func:`ingest_dataset`
-runs every format through the same loop, so a malformed document costs that
-document only; :func:`parse_documents` is the strict form over in-memory
-text.  QA / dialogue / translation datasets enter through the generic JSONL
-path, already in canonical schema.
+runs every format through the same lazy loop, so a malformed document costs
+that document only and one document is in memory at a time;
+:func:`parse_documents` is the strict form over in-memory text.  QA /
+dialogue / translation datasets enter through the generic JSONL path, already
+in canonical schema.  ``xml.etree`` is imported only when a BioC file is read.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, TextIO
 
 from .errors import (
     BioforgeError,
@@ -36,6 +36,9 @@ from .schema import (
     validate_document,
 )
 
+if TYPE_CHECKING:
+    from xml.etree.ElementTree import Element
+
 
 @dataclass(frozen=True)
 class IngestConfig:
@@ -47,9 +50,12 @@ class IngestConfig:
 
 @dataclass
 class IngestReport:
-    """Counts of one ingest.  ``violation_details`` holds one row per dropped
-    document: its chunk ``index`` in the file, its ``doc_id`` when it parsed
-    (else None) and its ``violations``."""
+    """Counts of one ingest, filled in as its documents are drained.
+    ``violation_details`` holds one row per dropped document: its chunk
+    ``index`` in the file, its ``doc_id`` when it parsed (else None) and its
+    ``violations``.  ``warnings`` holds each repair's message, and
+    ``warning_details`` one row per repair: ``index``, ``doc_id`` (None when
+    its document did not parse) and ``warning``."""
 
     dataset_id: str
     split: str
@@ -57,6 +63,7 @@ class IngestReport:
     violations: int = 0
     warnings: list = field(default_factory=list)
     violation_details: list = field(default_factory=list)
+    warning_details: list = field(default_factory=list)
 
 
 def _blocks(stream: TextIO) -> Iterator[tuple[int, list[str]]]:
@@ -79,17 +86,44 @@ def _nonblank_lines(stream: TextIO) -> Iterator[str]:
     return (line for line in map(str.strip, stream) if line)
 
 
-def _bioc_documents(stream: TextIO) -> Iterator[ET.Element]:
-    """The ``<document>`` elements of a BioC collection.  The collection is
-    parsed whole first, so a syntax error fails the file with XmlSyntax."""
-    parser = ET.XMLParser()  # fed str like ET.fromstring: a declared encoding is not re-applied
+def _bioc_documents(stream: TextIO) -> Iterator[Element]:
+    """The ``<document>`` elements of a BioC collection, in document order,
+    read by a pull parser.  Each outermost document is yielded (with any
+    documents nested in it) when its end tag is read, then cleared and
+    dropped from the root.  The parser builds the tree of every document that
+    a fed block completes before the first is yielded, so the 16 KiB blocks
+    bound the trees in memory at once.  A syntax error raises XmlSyntax when
+    the parser reaches it, after the documents before it."""
+    import xml.etree.ElementTree as ET
+
+    # fed str like ET.fromstring: a declared encoding is not re-applied.  The
+    # start events give the root, from which each finished document is
+    # dropped: an emptied element left in it costs about 80 bytes a document.
+    parser = ET.XMLPullParser(events=("start", "end"))
+    root = None
+    depth = 0  # of open <document> elements
     try:
-        for block in iter(lambda: stream.read(1 << 16), ""):
-            parser.feed(block)
-        root = parser.close()
+        while True:
+            block = stream.read(1 << 14)
+            if block:
+                parser.feed(block)
+            else:
+                parser.close()
+            for event, elem in parser.read_events():
+                if event == "start":
+                    if root is None:
+                        root = elem
+                    depth += elem.tag == "document"
+                elif elem.tag == "document":
+                    depth -= 1
+                    if not depth:
+                        yield from elem.iter("document")
+                        elem.clear()
+                        del root[:]
+            if not block:
+                break
     except ET.ParseError as exc:
         raise XmlSyntax(str(exc.position)) from exc
-    return root.iter("document")
 
 
 def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
@@ -132,7 +166,7 @@ def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
                            text=text, entities=tuple(mentions))
 
 
-def _parse_bioc(dnode: ET.Element, index: int, cfg: IngestConfig,
+def _parse_bioc(dnode: Element, index: int, cfg: IngestConfig,
                 warnings: list) -> UnifiedDocument:
     """One BioC ``<document>``.
 
@@ -256,8 +290,10 @@ def parse_documents(stream: str, cfg: IngestConfig,
                     warnings: Optional[list] = None) -> list[UnifiedDocument]:
     """Parse ``stream`` in ``cfg.format``; output order equals input order.
 
-    Strict: the first malformed document raises.  Repair warnings (CoNLL)
-    are appended to ``warnings`` when given.
+    Strict: the first malformed document raises.  Documents are parsed as
+    they are read, so in a BioC collection with a syntax error, a malformed
+    document before the error raises its own error, not XmlSyntax.  Repair
+    warnings (CoNLL) are appended to ``warnings`` when given.
     """
     chunker, parser = _FORMATS[cfg.format]
     warnings = [] if warnings is None else warnings
@@ -267,34 +303,51 @@ def parse_documents(stream: str, cfg: IngestConfig,
 
 def ingest_dataset(
     path: Path | str, cfg: IngestConfig, registry: Registry
-) -> tuple[list[UnifiedDocument], IngestReport]:
-    """Parse one source file and validate every document against the registry.
+) -> tuple[Iterator[UnifiedDocument], IngestReport]:
+    """The documents of one source file that pass, as a lazy iterator, and
+    the report that they fill in as the iterator is drained.
 
-    Each document is parsed and validated on its own: one that fails either
-    is dropped and recorded in the report, and the rest still load.  Only a
-    BioC file that is not well-formed XML fails as a whole, with XmlSyntax,
-    and a file that is not UTF-8 text, with ``ValueError`` naming the path.
+    The registry row is looked up and the file opened here, so an unknown
+    dataset or a missing file raises before any document is read.  Each
+    document is then parsed and validated against the registry row as it is
+    drawn: one that fails either, or repeats the ``doc_id`` of a document
+    already kept from this file, is dropped and recorded in the report, and
+    the rest still load.  Only a BioC file that is not well-formed XML fails
+    as a whole, with XmlSyntax when the parser reaches the error, and a file
+    that is not UTF-8 text, with ``ValueError`` naming the path.  Beside the
+    document in hand, ingest holds only the ids kept so far and the report.
     """
     desc = registry[cfg.dataset_id]
     chunker, parser = _FORMATS[cfg.format]
     report = IngestReport(dataset_id=cfg.dataset_id, split=cfg.split)
-    kept: list[UnifiedDocument] = []
-    try:
-        with Path(path).open(encoding="utf-8") as stream:
-            for index, chunk in enumerate(chunker(stream)):
-                doc = None
-                try:
-                    doc = parser(chunk, index, cfg, report.warnings)
-                    reasons = list(validate_document(doc, desc).violations)
-                except (BioforgeError, ValueError) as exc:
-                    reasons = [str(exc)]
-                if reasons:
-                    report.violations += 1
-                    report.violation_details.append(
-                        {"index": index, "doc_id": doc.doc_id if doc else None, "violations": reasons})
-                else:
-                    kept.append(doc)
-                    report.loaded += 1
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return kept, report
+    stream = Path(path).open(encoding="utf-8")
+
+    def kept() -> Iterator[UnifiedDocument]:
+        kept_at: dict[str, int] = {}  # the index of the kept document with each id
+        with stream:
+            try:
+                for index, chunk in enumerate(chunker(stream)):
+                    doc = None
+                    repairs = len(report.warnings)
+                    try:
+                        doc = parser(chunk, index, cfg, report.warnings)
+                        reasons = list(validate_document(doc, desc).violations)
+                    except (BioforgeError, ValueError) as exc:
+                        reasons = [str(exc)]
+                    doc_id = doc.doc_id if doc else None
+                    report.warning_details.extend({"index": index, "doc_id": doc_id, "warning": w}
+                                                  for w in report.warnings[repairs:])
+                    if not reasons and doc_id in kept_at:
+                        reasons = [f"doc_id: {doc_id!r} repeats the id of document {kept_at[doc_id]}"]
+                    if reasons:
+                        report.violations += 1
+                        report.violation_details.append(
+                            {"index": index, "doc_id": doc_id, "violations": reasons})
+                    else:
+                        kept_at[doc_id] = index
+                        report.loaded += 1
+                        yield doc
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+    return kept(), report

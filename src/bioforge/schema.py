@@ -272,6 +272,8 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
     :func:`from_dict` decodes no value of the wrong type.
     """
     v: list[str] = []
+    if not doc.doc_id:
+        v.append("doc_id: must be non-empty")
     if doc.dataset_id != desc.id:
         v.append(f"dataset_id: {doc.dataset_id!r} does not match registry row {desc.id!r}")
     if doc.language != desc.language:

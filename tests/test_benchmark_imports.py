@@ -6,6 +6,7 @@ the slow ``perfbench/test_smoke.py``."""
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -118,3 +119,26 @@ def test_curate_and_forge_record_the_spans_the_benchmark_reads(tmp_path, monkeyp
     report = spans["curation.dedup_and_filter_overlap"]["attrs"]
     assert report["rows"] == 50 and report["report"]["input_count"] == 50
     assert spans["forge.write_instances"]["attrs"]["rows"] == report["report"]["output_count"]
+
+
+def test_ingest_records_the_spans_the_benchmark_reads(tmp_path, monkeypatch):
+    """Ingest still calls the traced ``ingest_dataset`` and ``write_documents``.
+    Its documents stream into the writer, so the ``schema.write_documents``
+    span counts every kept document, and the ingest span (which ends when the
+    lazy iterator is returned) counts none."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    ner_desc, _ = make_ner_docs(1, seed=1)
+    registry = tmp_path / "registry.jsonl"
+    Registry([ner_desc]).save(registry)
+    src = tmp_path / "raw.pubtator"
+    src.write_text("1|t|aspirin\n1\t0\t7\taspirin\tChemical\n\n2|t|gout\n\n2|t|again\n", encoding="utf-8")
+    tracer = tracing.Tracer()
+    with tracer.layer_patches():
+        assert bioforge.cli.main(["ingest", "--registry", str(registry), "--dataset", ner_desc.id,
+                                  "--format", "pubtator", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    spans = {s["name"]: s for s in tracer.spans}
+    assert spans["ingest.pubtator"]["attrs"] == {"rows": 0, "rejected": 0}
+    assert spans["schema.write_documents"]["attrs"] == {"rows": 2}
+    log = json.loads((tmp_path / "out" / f"run_log.ingest.{ner_desc.id}.train.json").read_text())
+    assert log["counts"]["loaded"] == spans["schema.write_documents"]["attrs"]["rows"]

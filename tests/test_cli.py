@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -54,6 +55,7 @@ def test_ingest_command(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "corpus" / "synth-ner-en" / "train.jsonl").exists()
     assert (tmp_path / "out" / "corpus" / "synth-ner-en" / "train.rejects.jsonl").read_text() == ""
+    assert (tmp_path / "out" / "corpus" / "synth-ner-en" / "train.warnings.jsonl").read_text() == ""
     assert "loaded=1" in capsys.readouterr().out
 
 
@@ -131,6 +133,70 @@ def test_ingest_writes_a_reject_row_per_dropped_document(tmp_path, fmt):
     rejects = [json.loads(line) for line in (corpus / "train.rejects.jsonl").read_text().splitlines()]
     assert [(r["index"], r["doc_id"]) for r in rejects] == [(1, doc_id)]
     assert reason in rejects[0]["violations"][0]
+
+
+def test_ingest_rejects_a_repeated_doc_id_naming_the_kept_document(tmp_path):
+    """Two PubTator documents with one PMID used to load both, and forge
+    then wrote two rows with one instance id."""
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([ner_descriptor("synth-ner-en")]).save(registry_path)
+    src = tmp_path / "raw.pubtator"
+    src.write_text("1|t|Aspirin treats pain.\n\n1|t|Ibuprofen cures fever.\n", encoding="utf-8")
+    assert main(["ingest", "--registry", str(registry_path), "--dataset", "synth-ner-en",
+                 "--format", "pubtator", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    corpus = tmp_path / "out" / "corpus" / "synth-ner-en"
+    assert [json.loads(line)["text"] for line in (corpus / "train.jsonl").read_text().splitlines()] == \
+        ["Aspirin treats pain."]
+    assert [json.loads(line) for line in (corpus / "train.rejects.jsonl").read_text().splitlines()] == [
+        {"index": 1, "doc_id": "1", "violations": ["doc_id: '1' repeats the id of document 0"]}]
+
+
+def test_ingest_writes_a_warning_row_per_conll_repair(tmp_path):
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([ner_descriptor("synth-ner-en")]).save(registry_path)
+    src = tmp_path / "raw.conll"
+    # the third block is repaired and then dropped: its warning row has no doc id
+    src.write_text("a\tI-Disease\nb\tI-Chemical\n\nc\tO\n\nd\tI-Disease\ne\tBAD\n", encoding="utf-8")
+    assert main(["ingest", "--registry", str(registry_path), "--dataset", "synth-ner-en",
+                 "--format", "conll", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    corpus = tmp_path / "out" / "corpus" / "synth-ner-en"
+    rows = [json.loads(line) for line in (corpus / "train.warnings.jsonl").read_text().splitlines()]
+    assert [(r["index"], r["doc_id"]) for r in rows] == [(0, "synth-ner-en-0"), (0, "synth-ner-en-0"), (2, None)]
+    assert rows[0]["warning"] == "doc 0: I-Disease without open Disease run, treated as B-Disease"
+    log = json.loads((tmp_path / "out" / "run_log.ingest.synth-ner-en.train.json").read_text())
+    assert log["counts"] == {"loaded": 2, "violations": 1, "warnings": 3}
+
+
+BIOC_GOOD_THEN_BROKEN = (
+    "<collection>"
+    + "".join(f"<document><id>d{k}</id><passage><text>text {k}</text></passage></document>" for k in range(3))
+    + "<document><id>d3</id><passage><text>cut</passage></document></collection>"
+)
+
+
+def test_bioc_syntax_error_after_good_documents_writes_nothing(tmp_path, capsys):
+    """The pull parser meets the error after three documents have been read:
+    the ingest still fails whole, and an earlier corpus is left as it was."""
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([ner_descriptor("synth-ner-en")]).save(registry_path)
+    good, bad = tmp_path / "good.xml", tmp_path / "bad.xml"
+    good.write_text(BIOC_GOOD_THEN_BROKEN.replace("<text>cut</passage>", "<text>cut</text></passage>"),
+                    encoding="utf-8")
+    bad.write_text(BIOC_GOOD_THEN_BROKEN, encoding="utf-8")
+
+    def ingest(src, out):
+        return main(["ingest", "--registry", str(registry_path), "--dataset", "synth-ner-en",
+                     "--format", "bioc_xml", "--input", str(src), "--out", str(out)])
+
+    assert ingest(bad, tmp_path / "fresh") == 2
+    assert capsys.readouterr().err == "config error: XML syntax error at (1, 263)\n"
+    assert not (tmp_path / "fresh").exists()
+    out = tmp_path / "out"
+    assert ingest(good, out) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(before) == 4 and b'"doc_id": "d3"' in (out / "corpus" / "synth-ner-en" / "train.jsonl").read_bytes()
+    assert ingest(bad, out) == 2
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_ingest_unknown_dataset_exits_2(tmp_path, capsys):
@@ -623,6 +689,44 @@ def test_forge_peak_memory_is_below_half_the_corpus_file(tmp_path):
     peak = _peak_bytes(["forge", "--registry", str(registry_path), "--corpus-root", str(tmp_path / "corpus"),
                         "--out", str(tmp_path / "out")])
     assert peak < train.stat().st_size / 2, (peak, train.stat().st_size)
+
+
+def _ner_source(fmt: str, docs) -> str:
+    """``docs`` in source format ``fmt`` (CoNLL tokens all tagged O)."""
+    if fmt == "pubtator":
+        return "".join(f"{k}|t|{d.text}\n" + "".join(f"{k}\t{e.start}\t{e.end}\t{e.surface}\t{e.etype}\n"
+                                                     for e in d.entities) + "\n"
+                       for k, d in enumerate(docs))
+    if fmt == "conll":
+        return "\n".join("".join(f"{token}\tO\n" for token in d.text.split()) for d in docs)
+    if fmt == "bioc_xml":
+        return "<collection>" + "".join(
+            f"<document><id>{d.doc_id}</id><passage><text>{escape(d.text)}</text>"
+            + "".join(f'<annotation><infon key="type">{e.etype}</infon>'
+                      f'<location offset="{e.start}" length="{e.end - e.start}"/>'
+                      f"<text>{escape(e.surface)}</text></annotation>" for e in d.entities)
+            + "</passage></document>\n" for d in docs) + "</collection>\n"
+    return "".join(json.dumps(to_dict(d)) + "\n" for d in docs)
+
+
+@pytest.mark.parametrize("fmt", ["pubtator", "conll", "bioc_xml", "generic_jsonl"])
+def test_ingest_peak_memory_is_below_half_the_source_file(tmp_path, fmt):
+    """Ingest parses, validates and writes each document before it reads the
+    next.  A first ingest of ten documents loads the modules the measured one
+    runs."""
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([ner_descriptor("synth-ner-en")]).save(registry_path)
+    _, docs = make_ner_docs(1000, seed=5)
+    docs = [replace(d, text=f"{d.text} " + "x" * 1024) for d in docs]
+    warm, src = tmp_path / "warm", tmp_path / "raw"
+    warm.write_text(_ner_source(fmt, docs[:10]), encoding="utf-8")
+    src.write_text(_ner_source(fmt, docs), encoding="utf-8")
+    argv = ["ingest", "--registry", str(registry_path), "--dataset", "synth-ner-en", "--format", fmt]
+    assert main([*argv, "--input", str(warm), "--out", str(tmp_path / "warm_out")]) == 0
+    peak = _peak_bytes([*argv, "--input", str(src), "--out", str(tmp_path / "out")])
+    corpus = tmp_path / "out" / "corpus" / "synth-ner-en" / "train.jsonl"
+    assert len(corpus.read_text(encoding="utf-8").splitlines()) == 1000
+    assert peak < src.stat().st_size / 2, (peak, src.stat().st_size)
 
 
 def test_seed_env_var(workspace, monkeypatch, capsys):

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(Path(bioforge.__file__).resolve().parent.parent)}
 
 # What every command loads (``bioforge.cli`` itself runs as ``__main__``),
-# and what each command loads beside it.
+# and what each command loads beside it.  No command here loads ``xml``:
+# ingest imports it only to read a BioC file, and the ingest run is PubTator.
 COMMON_MODULES = {"bioforge", "bioforge.errors", "bioforge.fixtures", "bioforge.schema"}
 COMMAND_MODULES = {
     "ingest": {"bioforge.ingest"},
@@ -43,10 +44,10 @@ PUBLIC_NAMES = """
 
 
 def loaded_modules(argv: list, cwd: Path) -> set:
-    """The ``bioforge`` modules one ``python -m bioforge.cli`` process holds
-    when it exits, which it prints last on stderr."""
+    """The ``bioforge`` and ``xml`` modules one ``python -m bioforge.cli``
+    process holds when it exits, which it prints last on stderr."""
     probe = ("import atexit, runpy, sys; atexit.register(lambda: print(*(m for m in sys.modules "
-             "if m.split('.')[0] == 'bioforge'), file=sys.stderr)); "
+             "if m.split('.')[0] in ('bioforge', 'xml')), file=sys.stderr)); "
              "runpy.run_module('bioforge.cli', run_name='__main__', alter_sys=True)")
     proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]

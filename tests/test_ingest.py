@@ -124,6 +124,23 @@ class TestBioC:
         assert (r.head, r.tail, r.rtype) == ("aspirin", "gout", "treats")
 
 
+    def test_error_in_a_document_before_a_syntax_error_raises_first(self):
+        """Documents are parsed as the pull parser yields them."""
+        xml = """<collection><document><id>d</id><relation id="r1"><node refid="gone"/></relation>
+        </document><document></collection>"""
+        with pytest.raises(DanglingRef):
+            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        with pytest.raises(XmlSyntax):
+            parse_documents(xml.replace('<node refid="gone"/>', ""), IngestConfig(dataset_id="ds", format="bioc_xml"))
+
+    def test_documents_are_read_in_document_order_nested_ones_after_their_parent(self):
+        xml = """<collection><document><id>a</id><passage><text>x</text></passage>
+          <document><id>b</id><passage><text>y</text></passage></document></document>
+          <group><document><id>c</id></document></group></collection>"""
+        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        assert [(d.doc_id, d.text) for d in docs] == [("a", "x\ny"), ("b", "y"), ("c", "")]
+
+
 class TestConll:
     def cfg(self):
         return IngestConfig(dataset_id="ds", format="conll")
@@ -177,6 +194,7 @@ class TestIngestDataset:
             encoding="utf-8",
         )
         docs, report = ingest_dataset(path, CFG, self.registry())
+        docs = list(docs)
         assert report.loaded == 3
         assert report.violations == 0
         assert len(docs) == 3
@@ -190,6 +208,7 @@ class TestIngestDataset:
             encoding="utf-8",
         )
         docs, report = ingest_dataset(path, CFG, self.registry())
+        docs = list(docs)
         assert report.loaded == 2
         assert report.violations == 1
         assert [d.doc_id for d in docs] == ["1", "3"]
@@ -204,6 +223,7 @@ class TestIngestDataset:
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         cfg = IngestConfig(dataset_id="ds", format="generic_jsonl")
         docs, report = ingest_dataset(path, cfg, self.registry())
+        docs = list(docs)
         assert report.loaded == 2
         assert report.violations == 1
         assert [d.doc_id for d in docs] == ["1", "3"]
@@ -236,6 +256,39 @@ class TestIngestDataset:
         assert report.violation_details == [
             {"index": 1, "doc_id": None, "violations": ["malformed line 3: 'b\\tBAD'"]}]
 
+    def test_repeated_doc_id_is_rejected_naming_the_kept_document(self, tmp_path):
+        rows = [{"doc_id": d, "dataset_id": "ds", "language": "en", "text": t}
+                for d, t in (("1", "a"), ("2", None), ("2", "b"), ("1", "c"), ("2", "d"))]
+        path = tmp_path / "f.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        docs, report = ingest_dataset(path, IngestConfig(dataset_id="ds", format="generic_jsonl"),
+                                      self.registry())
+        assert [(d.doc_id, d.text) for d in docs] == [("1", "a"), ("2", "b")]
+        assert [(r["index"], r["doc_id"], r["violations"]) for r in report.violation_details[1:]] == [
+            (3, "1", ["doc_id: '1' repeats the id of document 0"]),
+            (4, "2", ["doc_id: '2' repeats the id of document 2"])]
+
+    def test_empty_doc_id_is_rejected(self, tmp_path):
+        path = tmp_path / "f.xml"
+        path.write_text("<collection><document><passage><text>a</text></passage></document>"
+                        "<document><id>d</id></document></collection>", encoding="utf-8")
+        docs, report = ingest_dataset(path, IngestConfig(dataset_id="ds", format="bioc_xml"), self.registry())
+        assert [d.doc_id for d in docs] == ["d"]
+        assert report.violation_details == [{"index": 0, "doc_id": "", "violations": ["doc_id: must be non-empty"]}]
+
+    def test_nothing_is_read_before_the_documents_are_drawn(self, tmp_path):
+        path = tmp_path / "f.pubtator"
+        path.write_text("1|t|Abc\n\n1|t|Def\n", encoding="utf-8")
+        docs, report = ingest_dataset(path, CFG, self.registry())
+        assert (report.loaded, report.violations) == (0, 0)
+        assert next(docs).text == "Abc"
+        assert (report.loaded, report.violations) == (1, 0)
+        assert list(docs) == [] and (report.loaded, report.violations) == (1, 1)
+
+    def test_missing_file_raises_before_the_documents_are_drawn(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ingest_dataset(tmp_path / "nope", CFG, self.registry())
+
     def test_unknown_dataset(self, tmp_path):
         path = tmp_path / "f.pubtator"
         path.write_text("", encoding="utf-8")
@@ -260,6 +313,7 @@ def test_ingest_is_total(tmp_path, fmt, text):
     path.write_text(text, encoding="utf-8")
     try:
         docs, report = ingest_dataset(path, IngestConfig(dataset_id="ds", format=fmt), NER_REGISTRY)
+        docs = list(docs)
     except XmlSyntax:
         assert fmt == "bioc_xml"
     else:
@@ -288,4 +342,5 @@ def test_jsonl_ingest_is_total_over_json_rows(tmp_path, rows, task):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     registry = Registry([DatasetDescriptor(id="ds", name="ds", task=task, language=Language.EN)])
     docs, report = ingest_dataset(path, IngestConfig(dataset_id="ds", format="generic_jsonl"), registry)
+    docs = list(docs)
     assert report.loaded + report.violations == len(rows)

@@ -77,6 +77,11 @@ def test_validate_rejects_out_of_bounds_span(ner_desc):
     assert any("out of bounds" in v for v in result.violations)
 
 
+def test_validate_rejects_an_empty_doc_id(ner_desc):
+    doc = UnifiedDocument(doc_id="", dataset_id="ds", language=Language.EN, text="x")
+    assert validate_document(doc, ner_desc).violations == ("doc_id: must be non-empty",)
+
+
 def test_validate_rejects_surface_mismatch(ner_desc):
     doc = make_ner_doc("Title of doc", [EntityMention("Другой", "Disease", 0, 6)])
     result = validate_document(doc, ner_desc)
