@@ -186,7 +186,7 @@ def cmd_eval(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     desc = registry[args.dataset]
     gold_path, pred_path = Path(args.gold), Path(args.predictions)
-    gold = [i for i in read_instances(gold_path) if i.dataset_id == args.dataset]
+    gold = read_instances(gold_path, dataset_id=args.dataset)  # each other row checked, then dropped
     gold_ids = {i.instance_id for i in gold}
     if args.sample_n is not None:
         gold = sample_subset(gold, args.sample_n, args.seed)

@@ -29,9 +29,10 @@ class OffsetMismatch(BioforgeError):
 
 
 class XmlSyntax(BioforgeError):
-    def __init__(self, position: str):
-        self.position = position
-        super().__init__(f"XML syntax error at {position}")
+    def __init__(self, reason: str, path: str | None = None):
+        self.reason = reason
+        self.path = path
+        super().__init__(f"{path}: not well-formed XML: {reason}" if path else f"not well-formed XML: {reason}")
 
 
 class DanglingRef(BioforgeError):

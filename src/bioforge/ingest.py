@@ -93,7 +93,8 @@ def _bioc_documents(stream: TextIO) -> Iterator[Element]:
     dropped from the root.  The parser builds the tree of every document that
     a fed block completes before the first is yielded, so the 16 KiB blocks
     bound the trees in memory at once.  A syntax error raises XmlSyntax when
-    the parser reaches it, after the documents before it."""
+    the parser reaches it, after the documents before it; it names the
+    stream's file, if it has one, and the parser's reason."""
     import xml.etree.ElementTree as ET
 
     # fed str like ET.fromstring: a declared encoding is not re-applied.  The
@@ -123,7 +124,7 @@ def _bioc_documents(stream: TextIO) -> Iterator[Element]:
             if not block:
                 break
     except ET.ParseError as exc:
-        raise XmlSyntax(str(exc.position)) from exc
+        raise XmlSyntax(str(exc), getattr(stream, "name", None)) from exc
 
 
 def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,

@@ -23,8 +23,13 @@ The codec of a record class is one generated straight-line function each
 way, built from its fields on first use, never at import.  Because its keys
 come out sorted, :func:`write_records` writes each record line through one
 reused JSON encoder with no sort pass; :func:`read_jsonl` parses each line
-with one JSON scan.  Every output file is written through
-:func:`atomic_writer`, so it appears whole or not at all.
+with one JSON scan.  Given ``fields``, :func:`read_jsonl` reads a
+projection: each row is decoded and checked exactly as its record would be,
+but only those fields' values come out, as a tuple, and no record is built
+(a class whose ``__post_init__`` checks rules has none).  Every output file
+is written through :func:`atomic_writer`, so it appears whole or not at
+all; :func:`copy_lines` copies byte spans of lines into one in 64 KiB
+blocks.
 """
 
 from __future__ import annotations
@@ -481,10 +486,21 @@ def _slow_path(dec: Callable, nullable: bool, default) -> Callable:
 
 
 @functools.cache
-def _decoder(cls) -> Callable:
+def _decoder(cls, project: tuple[str, ...] = ()) -> Callable:
     """One generated function per record class: per field, one ``dict.get``
     and a type test; the common form is decoded inline, anything else by its
-    slow path, and a ``ValueError`` is prefixed ``<Class>.<field>: ``."""
+    slow path, and a ``ValueError`` is prefixed ``<Class>.<field>: ``.
+
+    With ``project``, a tuple of field names, it is a projection: every
+    field is decoded and checked the same way, but it returns the named
+    fields' values, in that order, and builds no record.  A class with rule
+    checks (``__post_init__``) has no projection, which would skip them."""
+    names = [name for name, *_ in _plan(cls)]
+    if project and hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} checks rules in __post_init__: it has no projection")
+    for name in project:
+        if name not in names:
+            raise TypeError(f"{cls.__name__} has no field {name!r}")
     ns: dict = {"_A": _ABSENT, "_cls": cls, "_mistyped": _mistyped,
                 "_new": object.__new__, "_setattr": object.__setattr__}
     lines = ["def decode(d):",
@@ -499,10 +515,13 @@ def _decoder(cls) -> Callable:
                   f"        v{i} = ({value}) if {test} else _s{i}(x)",
                   "    except ValueError as exc:",
                   f"        raise ValueError(f'{cls.__name__}.{name}: {{exc}}') from None"]
+    if project:
+        lines.append(f"    return ({''.join(f'v{names.index(name)}, ' for name in project)})")
+        return _compile("decode", lines, ns)
     # what the frozen __init__ does, without its call: each field set in
     # order (so instances keep sharing one key table), then its rule check
     lines.append("    o = _new(_cls)")
-    lines += [f"    _setattr(o, {name!r}, v{i})" for i, (name, *_) in enumerate(_plan(cls))]
+    lines += [f"    _setattr(o, {name!r}, v{i})" for i, name in enumerate(names)]
     if hasattr(cls, "__post_init__"):
         lines.append("    o.__post_init__()")
     lines.append("    return o")
@@ -550,15 +569,21 @@ def atomic_writer(path: Path | str, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+_COPY_BLOCK = 1 << 16  # bytes of rows that :func:`copy_lines` writes at once
+
+
 def copy_lines(path: Path | str, lines: Iterable[tuple[str, int, int]], since: str = "read") -> int:
     """Write each ``(source, start, length)`` byte span of a source file, plus
     a newline, to ``path`` through a binary :func:`atomic_writer`: lines are
-    copied, not re-encoded.  A span past the end of its source raises
-    ``ValueError``: ``<source>: file changed since it was <since>``.
-    Returns the number of lines written."""
+    copied, not re-encoded.  Each span is read by one ``os.pread``, and the
+    rows are written in blocks of about 64 KiB (a block ends with the row
+    that reaches it), so memory holds one block.  A span past the end of its
+    source raises ``ValueError``: ``<source>: file changed since it was
+    <since>``.  Returns the number of lines written."""
     n = 0
     with contextlib.ExitStack() as sources, atomic_writer(path, binary=True) as f:
         fds = {}
+        block, size = [], 0
         for source, start, length in lines:
             fd = fds.get(source)
             if fd is None:
@@ -566,9 +591,13 @@ def copy_lines(path: Path | str, lines: Iterable[tuple[str, int, int]], since: s
             row = os.pread(fd, length, start)
             if len(row) != length:
                 raise ValueError(f"{source}: file changed since it was {since}")
-            f.write(row)
-            f.write(b"\n")
+            block.append(row)
+            size += length + 1
             n += 1
+            if size >= _COPY_BLOCK:
+                f.write(b"\n".join([*block, b""]))
+                block, size = [], 0
+        f.write(b"\n".join([*block, b""]))
     return n
 
 
@@ -612,15 +641,19 @@ def write_records(path: Path | str, records: Iterable) -> int:
 _scan = json.JSONDecoder().raw_decode
 
 
-def read_jsonl(path: Path | str, cls=None, *, spans: bool = False) -> Iterator:
+def read_jsonl(path: Path | str, cls=None, *, spans: bool = False, fields: Iterable[str] = ()) -> Iterator:
     """Parse each non-blank line of a UTF-8 JSONL file, decoded as a ``cls``
-    record when ``cls`` is given.  With ``spans``, each item is ``(record,
-    start, length)``: the byte span of the record's line in the file, without
-    its edge ASCII whitespace.  A line that is not UTF-8, not JSON or does
-    not fit ``cls`` raises ``ValueError`` naming the path and line:
+    record when ``cls`` is given.  With ``fields`` (names of ``cls``
+    fields), each line is decoded and checked as a ``cls`` record would be,
+    but the item is the tuple of those fields' values, in that order, and no
+    record is built; a class with a ``__post_init__`` rule check raises
+    ``TypeError``.  With ``spans``, each item is ``(record, start,
+    length)``: the byte span of the record's line in the file, without its
+    edge ASCII whitespace.  A line that is not UTF-8, not JSON or does not
+    fit ``cls`` raises ``ValueError`` naming the path and line:
     ``<path>:<line>: <message>``.  So does a ``ValueError`` a caller throws
     into the generator (``gen.throw``) about the record it was last given."""
-    decode = None if cls is None else _decoder(cls)
+    decode = None if cls is None else _decoder(cls, tuple(fields))
     with Path(path).open("rb") as f:
         # counted by hand: enumerate's result tuple would keep each raw line
         # alive one line longer, which raised `bioforge plan`'s peak RSS by
@@ -685,8 +718,13 @@ def write_instances(path: Path | str, instances: Iterable[InstructionInstance]) 
     return write_records(path, instances)
 
 
-def read_instances(path: Path | str) -> list[InstructionInstance]:
-    return list(read_jsonl(path, InstructionInstance))
+def read_instances(path: Path | str, dataset_id: Optional[str] = None) -> list[InstructionInstance]:
+    """The instances in ``path``; with ``dataset_id``, only that dataset's,
+    each other row checked and dropped as it is read."""
+    rows = read_jsonl(path, InstructionInstance)
+    if dataset_id is None:
+        return list(rows)
+    return [inst for inst in rows if inst.dataset_id == dataset_id]
 
 
 class Registry:

@@ -7,7 +7,8 @@ incremental training.  The stage-2 order is one global seeded shuffle over
 retrospective plus Type2 instances; one fixed order per seed.
 
 A plan holds ids and byte spans, not records: each stage row is the forged
-line copied verbatim, without its edge whitespace, plus a newline.
+line copied verbatim, without its edge whitespace, plus a newline, and the
+rows are written in blocks of about 64 KiB (``schema.copy_lines``).
 """
 
 from __future__ import annotations
@@ -64,22 +65,25 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
 
     Stage 1 holds every Type1 instance; stage 2 holds everything (stage-1
     data re-included as retrospective data).  Ordering within each stage is a
-    deterministic shuffle of the seed.  Every row is decoded and its dataset
-    looked up, but only its id, and the byte span of the last row with that
-    id, are kept: an id given twice is listed twice, each copy the last row.
+    deterministic shuffle of the seed.  Every row is decoded and type-checked
+    as an ``InstructionInstance``, but none is built: only its id and dataset
+    id are read (a ``read_jsonl`` projection), and the id and the byte span
+    of the last row with that id are kept: an id given twice is listed twice,
+    each copy the last row.  Each dataset's stage is looked up once.
     """
+    type1 = {desc.id: assign_stage(desc) == TYPE1 for desc in registry}
     stage1_ids = []
     stage2_ids = []
     spans = {}
-    rows = read_jsonl(forged, InstructionInstance, spans=True)
-    for inst, start, length in rows:
-        desc = registry.get(inst.dataset_id)
-        if desc is None:  # named by the forged file's path and line
-            rows.throw(ValueError(str(UnknownDataset(inst.dataset_id))))
-        stage2_ids.append(inst.instance_id)
-        if assign_stage(desc) == TYPE1:
-            stage1_ids.append(inst.instance_id)
-        spans[inst.instance_id] = (start, length)
+    rows = read_jsonl(forged, InstructionInstance, spans=True, fields=("instance_id", "dataset_id"))
+    for (instance_id, dataset_id), start, length in rows:
+        in_stage1 = type1.get(dataset_id)
+        if in_stage1 is None:  # named by the forged file's path and line
+            rows.throw(ValueError(str(UnknownDataset(dataset_id))))
+        stage2_ids.append(instance_id)
+        if in_stage1:
+            stage1_ids.append(instance_id)
+        spans[instance_id] = (start, length)
     random.Random(f"stage1:{seed}").shuffle(stage1_ids)
     random.Random(f"stage2:{seed}").shuffle(stage2_ids)
     return StagePlan(

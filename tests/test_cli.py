@@ -189,7 +189,7 @@ def test_bioc_syntax_error_after_good_documents_writes_nothing(tmp_path, capsys)
                      "--format", "bioc_xml", "--input", str(src), "--out", str(out)])
 
     assert ingest(bad, tmp_path / "fresh") == 2
-    assert capsys.readouterr().err == "config error: XML syntax error at (1, 263)\n"
+    assert capsys.readouterr().err == f"config error: {bad}: not well-formed XML: mismatched tag: line 1, column 263\n"
     assert not (tmp_path / "fresh").exists()
     out = tmp_path / "out"
     assert ingest(good, out) == 0
@@ -299,6 +299,21 @@ ERROR_CASES = {
     "plan_unknown_task": (2, "plan --forged {tmp}/unknown_task.jsonl",
                           "config error: {tmp}/unknown_task.jsonl:2: InstructionInstance.task: "
                           "expected TaskType, got 'XYZ'\n"),
+    # plan keeps two fields of a forged row, and still checks the others
+    "plan_input_number": (2, "plan --forged {tmp}/input_number.jsonl",
+                          "config error: {tmp}/input_number.jsonl:2: InstructionInstance.input: "
+                          "expected str, got 3\n"),
+    "plan_template_id_null": (2, "plan --forged {tmp}/template_id_null.jsonl",
+                              "config error: {tmp}/template_id_null.jsonl:2: InstructionInstance.template_id: "
+                              "expected str, got None\n"),
+    "plan_output_missing": (2, "plan --forged {tmp}/output_missing.jsonl",
+                            "config error: {tmp}/output_missing.jsonl:2: InstructionInstance.output: "
+                            "required key missing\n"),
+    # eval drops the rows of other datasets, and still checks them
+    "eval_other_dataset_input_number": (2, "eval --dataset synth-ner-en --gold {tmp}/other_input_number.jsonl "
+                                        "--predictions {tmp}/no_raw_text.jsonl",
+                                        "config error: {tmp}/other_input_number.jsonl:2: InstructionInstance.input: "
+                                        "expected str, got 3\n"),
     # a forged row of a dataset the registry lacks, or bytes that are not UTF-8, named by file and line
     "plan_unregistered_dataset": (2, "plan --forged {tmp}/unregistered.jsonl",
                                   "config error: {tmp}/unregistered.jsonl:2: dataset id 'nope' not in registry\n"),
@@ -339,6 +354,12 @@ def bad_inputs(workspace):
     (tmp_path / "number_dataset_id.jsonl").write_text(json.dumps({**gold[0], "dataset_id": 3}) + "\n")
     (tmp_path / "unknown_task.jsonl").write_text(
         "".join(json.dumps(row) + "\n" for row in (gold[0], {**gold[1], "task": "XYZ"})))
+    qa_gold = next(row for row in gold if row["dataset_id"] == "synth-qamc-en")
+    for name, row in {"input_number": {**gold[1], "input": 3},
+                      "template_id_null": {**gold[1], "template_id": None},
+                      "output_missing": {k: v for k, v in gold[1].items() if k != "output"},
+                      "other_input_number": {**qa_gold, "input": 3}}.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in (gold[0], row)))
     (tmp_path / "unregistered.jsonl").write_text(
         "".join(json.dumps(row) + "\n" for row in (gold[0], {**gold[1], "dataset_id": "nope"})))
     (tmp_path / "latin1_forged.jsonl").write_bytes("".join(

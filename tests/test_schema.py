@@ -24,6 +24,7 @@ from bioforge.schema import (
     TranslationPair,
     UnifiedDocument,
     atomic_writer,
+    copy_lines,
     from_dict,
     read_jsonl,
     to_dict,
@@ -300,6 +301,79 @@ def test_decoding_any_json_gives_a_well_typed_record_or_value_error(cls, data):
         return
     assert conforms(record, cls)
     assert from_dict(cls, json.loads(json.dumps(to_dict(record)))) == record
+
+
+# every decoded class without a rule check, so with a projection
+PROJECTABLE = tuple(cls for cls in DECODED if not hasattr(cls, "__post_init__"))
+
+
+@pytest.mark.parametrize("cls", PROJECTABLE, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_projection_checks_every_field_and_gives_the_named_values(tmp_path_factory, cls, data):
+    """A projection raises the error the record's decode raises, whichever
+    field it names; otherwise it gives the named fields of that record."""
+    value = data.draw(json_for(cls, noise=data.draw(st.booleans())))
+    keep = tuple(data.draw(st.lists(st.sampled_from([f.name for f in fields(cls)]), min_size=1, unique=True)))
+    path = tmp_path_factory.getbasetemp() / "projection.jsonl"
+    path.write_text(json.dumps(value) + "\n", encoding="utf-8")
+    try:
+        record = from_dict(cls, value)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as projected:
+            list(read_jsonl(path, cls, fields=keep))
+        assert str(projected.value) == f"{path}:1: {exc}"
+        return
+    assert list(read_jsonl(path, cls, fields=keep)) == [tuple(getattr(record, name) for name in keep)]
+
+
+def test_projection_tuple_follows_the_order_of_fields(tmp_path):
+    inst = InstructionInstance(instance_id="i", dataset_id="ds", task=TaskType.TC, language=Language.ZH,
+                               template_id="t", instruction="q", input="x", output="o", source_doc_id="d")
+    path = tmp_path / "forged.jsonl"
+    write_records(path, [inst])
+    assert list(read_jsonl(path, InstructionInstance, fields=("output", "instance_id", "task"))) == \
+        [("o", "i", TaskType.TC)]
+    assert list(read_jsonl(path, InstructionInstance, spans=True, fields=["dataset_id"])) == \
+        [(("ds",), 0, path.stat().st_size - 1)]
+
+
+@pytest.mark.parametrize("cls,keep,message", [
+    (DatasetDescriptor, ("id",), "DatasetDescriptor checks rules in __post_init__: it has no projection"),
+    (InstructionInstance, ("instance_id", "id"), "InstructionInstance has no field 'id'"),
+])
+def test_projection_that_cannot_keep_every_check_raises_type_error(tmp_path, cls, keep, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("")
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        list(read_jsonl(path, cls, fields=keep))
+
+
+def copy_per_row(source: Path, spans) -> bytes:
+    """What ``copy_lines`` writes, copied one row at a time."""
+    data = source.read_bytes()
+    return b"".join(data[start:start + length] + b"\n" for start, length in spans)
+
+
+@pytest.mark.parametrize("first", [65_536, 65_537])
+def test_copy_lines_writes_the_bytes_of_a_per_row_copy(tmp_path, first):
+    """The first rows' copies sum to ``first`` bytes: one 64 KiB block, or
+    one byte past it; more rows follow, then all of them again in reverse.
+    The source has a line with edge blanks, a CRLF line and a last line
+    without a newline."""
+    head = ['  {"a": 1}\t \n', '{"b": "é"}\r\n']
+    rest = first - sum(len(line.strip().encode("utf-8")) + 1 for line in head)
+    fill = [1001] * (rest // 1002 - 1)  # rows of 1,001 bytes, each copied with a newline
+    fill.append(rest - 1002 * len(fill) - 1)  # the last takes the remainder
+    source = tmp_path / "source.jsonl"
+    source.write_text("".join([*head, *(json.dumps("x" * (n - 2)) + "\n" for n in fill), "[1]\n", "[2]"]),
+                      encoding="utf-8")
+    spans = [(start, length) for _, start, length in read_jsonl(source, spans=True)]
+    assert sum(length + 1 for _, length in spans[:-2]) == first
+    spans += spans[::-1]
+    out = tmp_path / "out.jsonl"
+    assert copy_lines(out, ((str(source), *span) for span in spans)) == len(spans)
+    assert out.read_bytes() == copy_per_row(source, spans)
 
 
 def plain(value):

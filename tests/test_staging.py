@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -152,6 +153,36 @@ class TestManifests:
         with pytest.raises(ValueError, match="file changed since it was planned"):
             emit_training_manifest(plan, 2, tmp_path / "plan")
         assert not (tmp_path / "plan" / "stage2.jsonl").exists()
+
+    def test_forged_file_cut_after_a_block_was_written_writes_no_stage_file(self, tmp_path):
+        """The forged file is cut once the rows copied so far fill a 64 KiB
+        block, which is then on disk in the temp file."""
+        bank = default_template_bank()
+        ner_desc, ner_docs = make_ner_docs(400, seed=1)
+        forged = tmp_path / "forged.jsonl"
+        write_instances(forged, build_corpus([(ner_desc, ner_docs)], bank, seed=7))
+        plan = build_stage_plan(forged, Registry([ner_desc]), seed=3)
+        out = tmp_path / "plan"
+
+        class CutOnceABlockIsWritten(dict):
+            given = 0  # bytes of the rows given so far, each with its newline
+            cut = False
+
+            def __getitem__(self, instance_id):
+                if self.given >= 1 << 16 and not self.cut:
+                    assert (out / "stage2.jsonl.tmp").stat().st_size == self.given
+                    forged.write_bytes(forged.read_bytes()[:100])
+                    self.cut = True
+                start, length = super().__getitem__(instance_id)
+                self.given += length + 1
+                return start, length
+
+        spans = CutOnceABlockIsWritten(plan.spans)
+        with pytest.raises(ValueError, match="file changed since it was planned"):
+            emit_training_manifest(replace(plan, spans=spans), 2, out)
+        assert spans.cut
+        assert not (out / "stage2.jsonl").exists()
+        assert not (out / "stage2.jsonl.tmp").exists()
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
