@@ -26,13 +26,14 @@ from . import __version__
 from .errors import BioforgeError
 from .fixtures import reference_registry
 from .schema import (
+    InstructionInstance,
     Language,
     Registry,
     UnifiedDocument,
     atomic_writer,
     copy_lines,
     read_documents,
-    read_instances,
+    read_instances,  # noqa: F401 (bound for the benchmark's tracer, see below)
     read_jsonl,
     write_documents,
     write_instances,
@@ -57,8 +58,10 @@ def _deferred(module: str, name: str):
 ingest_dataset = _deferred("ingest", "ingest_dataset")
 dedup_and_filter_overlap = _deferred("curation", "dedup_and_filter_overlap")
 default_template_bank = _deferred("templates", "default_template_bank")
-# No command calls ``read_documents`` or ``build_corpus`` (curate and forge
-# stream their rows); both stay bound because the benchmark's tracer swaps them.
+# No command calls ``read_documents``, ``build_corpus`` or ``read_instances``
+# (curate, forge and eval stream their rows); all three stay bound because the
+# benchmark's tracer swaps them, which tests/test_benchmark_imports.py
+# (TRACED_CLI_NAMES) checks.
 build_corpus = _deferred("forge", "build_corpus")
 forge_instances = _deferred("forge", "forge_instances")
 build_stage_plan = _deferred("staging", "build_stage_plan")
@@ -186,20 +189,30 @@ def cmd_eval(args) -> tuple[list[Path], dict]:
     registry = _load_registry(args)
     desc = registry[args.dataset]
     gold_path, pred_path = Path(args.gold), Path(args.predictions)
-    gold = read_instances(gold_path, dataset_id=args.dataset)  # each other row checked, then dropped
-    gold_ids = {i.instance_id for i in gold}
-    if args.sample_n is not None:
-        gold = sample_subset(gold, args.sample_n, args.seed)
-    predictions = read_predictions(pred_path)
+    gold_ids: set[str] = set()
+
+    def gold_rows():  # each other dataset's row checked, then dropped
+        for inst in read_jsonl(gold_path, InstructionInstance):
+            if inst.dataset_id == args.dataset:
+                gold_ids.add(inst.instance_id)
+                yield inst
+    gold = gold_rows()  # scored as it is read
+    if args.sample_n is not None:  # a sample needs the row count
+        gold = sample_subset(list(gold), args.sample_n, args.seed)
+    try:
+        predictions = read_predictions(pred_path)
+        report = evaluate_dataset(gold, predictions, desc)
+    except (BioforgeError, ValueError, OSError):
+        for _ in gold:  # a fault of the gold file is reported first
+            pass
+        raise
     id_counts = _prediction_id_counts(gold_ids, predictions)
-    del gold_ids  # freed before scoring, which sets the command's peak memory
-    report = evaluate_dataset(gold, predictions, desc)
     out_root = Path(args.out)
     write_json(out_root / f"eval.{args.dataset}.json", report.to_dict())
     with atomic_writer(out_root / f"eval.{args.dataset}.txt") as f:
         f.write(report.to_text() + "\n")
     print(report.to_text())
-    return [gold_path, pred_path], {"instances": len(gold), "metric": report.metric_name, **id_counts}
+    return [gold_path, pred_path], {"instances": report.total, "metric": report.metric_name, **id_counts}
 
 
 def cmd_stats(args) -> tuple[list[Path], dict]:

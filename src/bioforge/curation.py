@@ -7,9 +7,10 @@ collapsed, and a document is keyed by a 128-bit digest of it.  Overlap
 filtering compares whole-document text, not doc ids, because shared-task
 corpora reuse PMIDs across releases.
 
-``bioforge curate`` holds no documents: :func:`keyed_lines` decodes each
-row and keeps only its key, dataset id and byte span, and the kept rows are
-copied from the corpus files as written.
+``bioforge curate`` holds no documents: :func:`keyed_lines` decodes and
+checks each row but builds no document, keeping only the key of its text,
+its dataset id and its byte span, and the kept rows are copied from the
+corpus files as written.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ class CurationReport:
 def doc_key(doc: UnifiedDocument) -> bytes:
     """What dedup and overlap compare: a 128-bit BLAKE2b digest of the
     document's :func:`normalize_for_hash` text, 16 bytes whatever its length."""
-    return hashlib.blake2b(normalize_for_hash(doc.text).encode("utf-8"), digest_size=16).digest()
+    return _text_key(doc.text)
+
+
+def _text_key(text: str) -> bytes:
+    return hashlib.blake2b(normalize_for_hash(text).encode("utf-8"), digest_size=16).digest()
 
 
 class KeyedLine(NamedTuple):
@@ -64,12 +69,14 @@ class KeyedLine(NamedTuple):
 
 
 def keyed_lines(paths: Iterable[Path]) -> Iterator[KeyedLine]:
-    """Decode every row of the JSONL corpus files ``paths`` in order (a bad
-    row raises ``<path>:<line>: ...``) and give each as a :class:`KeyedLine`."""
+    """Decode and check every row of the JSONL corpus files ``paths`` in
+    order as a document (a bad row raises ``<path>:<line>: ...``), without
+    building it, and give each as a :class:`KeyedLine`."""
     for path in paths:
         source = str(path)
-        for doc, start, length in read_jsonl(path, UnifiedDocument, spans=True):
-            yield KeyedLine(doc_key(doc), sys.intern(doc.dataset_id), source, start, length)
+        for (text, dataset_id), start, length in read_jsonl(
+                path, UnifiedDocument, spans=True, fields=("text", "dataset_id")):
+            yield KeyedLine(_text_key(text), sys.intern(dataset_id), source, start, length)
 
 
 def dedup_and_filter_overlap(

@@ -472,15 +472,14 @@ def _decode_test(tp, var: str, ns: dict, i: int) -> tuple[str, str]:
     return f"type({var}) is _t{i}", var
 
 
-def _slow_path(dec: Callable, nullable: bool, default) -> Callable:
-    """A field's value when its JSON value is absent, null or mistyped."""
+def _slow_path(dec: Callable, default) -> Callable:
+    """A field's value when its JSON value is absent or mistyped (a
+    nullable field's ``null`` is decoded inline)."""
     def decode(v):
         if v is _ABSENT:
             if default is MISSING:
                 raise ValueError("required key missing")
             return default()
-        if v is None and nullable:
-            return None
         return dec(v)
     return decode
 
@@ -488,8 +487,9 @@ def _slow_path(dec: Callable, nullable: bool, default) -> Callable:
 @functools.cache
 def _decoder(cls, project: tuple[str, ...] = ()) -> Callable:
     """One generated function per record class: per field, one ``dict.get``
-    and a type test; the common form is decoded inline, anything else by its
-    slow path, and a ``ValueError`` is prefixed ``<Class>.<field>: ``.
+    and a type test; the common form and a nullable field's ``null`` are
+    decoded inline, anything else by its slow path, and a ``ValueError`` is
+    prefixed ``<Class>.<field>: ``.
 
     With ``project``, a tuple of field names, it is a projection: every
     field is decoded and checked the same way, but it returns the named
@@ -509,10 +509,11 @@ def _decoder(cls, project: tuple[str, ...] = ()) -> Callable:
              "    get = d.get"]
     for i, (name, hint, nullable, default) in enumerate(_plan(cls)):
         test, value = _decode_test(hint, "x", ns, i)
-        ns[f"_s{i}"] = _slow_path(_decode_fn(hint), nullable, default)
+        ns[f"_s{i}"] = _slow_path(_decode_fn(hint), default)
+        slow = f"None if x is None else _s{i}(x)" if nullable else f"_s{i}(x)"
         lines += ["    try:",
                   f"        x = get({name!r}, _A)",
-                  f"        v{i} = ({value}) if {test} else _s{i}(x)",
+                  f"        v{i} = ({value}) if {test} else {slow}",
                   "    except ValueError as exc:",
                   f"        raise ValueError(f'{cls.__name__}.{name}: {{exc}}') from None"]
     if project:
@@ -718,13 +719,8 @@ def write_instances(path: Path | str, instances: Iterable[InstructionInstance]) 
     return write_records(path, instances)
 
 
-def read_instances(path: Path | str, dataset_id: Optional[str] = None) -> list[InstructionInstance]:
-    """The instances in ``path``; with ``dataset_id``, only that dataset's,
-    each other row checked and dropped as it is read."""
-    rows = read_jsonl(path, InstructionInstance)
-    if dataset_id is None:
-        return list(rows)
-    return [inst for inst in rows if inst.dataset_id == dataset_id]
+def read_instances(path: Path | str) -> list[InstructionInstance]:
+    return list(read_jsonl(path, InstructionInstance))
 
 
 class Registry:

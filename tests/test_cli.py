@@ -314,6 +314,14 @@ ERROR_CASES = {
                                         "--predictions {tmp}/no_raw_text.jsonl",
                                         "config error: {tmp}/other_input_number.jsonl:2: InstructionInstance.input: "
                                         "expected str, got 3\n"),
+    # eval streams the gold file but still reports its fault before one of the predictions file
+    "eval_bad_gold_missing_predictions": (2, "eval --dataset synth-ner-en --gold {tmp}/bad.jsonl "
+                                          "--predictions {tmp}/nope.jsonl", "config error: {tmp}/bad.jsonl:2: "),
+    "eval_missing_gold_bad_predictions": (1, "eval --dataset synth-ner-en --gold {tmp}/nope.jsonl "
+                                          "--predictions {tmp}/bad.jsonl", "missing input: {tmp}/nope.jsonl\n"),
+    "eval_missing_gold_unscored_task": (1, "eval --dataset mrd-en --registry {tmp}/tc_mrd.jsonl "
+                                        "--gold {tmp}/nope.jsonl --predictions {tmp}/one_prediction.jsonl",
+                                        "missing input: {tmp}/nope.jsonl\n"),
     # a forged row of a dataset the registry lacks, or bytes that are not UTF-8, named by file and line
     "plan_unregistered_dataset": (2, "plan --forged {tmp}/unregistered.jsonl",
                                   "config error: {tmp}/unregistered.jsonl:2: dataset id 'nope' not in registry\n"),
@@ -504,6 +512,29 @@ def test_plan_peak_memory_is_below_half_the_forged_file(workspace):
     finally:
         tracemalloc.stop()
     assert peak < size / 2, (peak, size)
+
+
+def test_eval_peak_memory_is_below_a_quarter_of_the_gold_file(workspace):
+    """Eval scores each gold row as it reads it: it holds the predictions, the
+    gold ids and running counts, not gold rows."""
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(out)]) == 0
+    rows = [row for row in map(json.loads, (out / "forged.jsonl").read_text(encoding="utf-8").splitlines())
+            if row["dataset_id"] == "synth-ner-en"]
+    gold, predictions = tmp_path / "gold.jsonl", tmp_path / "predictions.jsonl"
+    gold.write_text("".join(
+        json.dumps({**rows[n % len(rows)], "instance_id": f"i{n}", "input": f"{n} " + "x" * 1024},
+                   sort_keys=True) + "\n"
+        for n in range(2000)), encoding="utf-8")
+    predictions.write_text("".join(
+        json.dumps({"instance_id": f"i{n}", "raw_text": rows[n % len(rows)]["output"]}) + "\n"
+        for n in range(0, 2000, 4)), encoding="utf-8")
+    peak = _peak_bytes(["eval", "--registry", str(registry_path), "--dataset", "synth-ner-en",
+                        "--gold", str(gold), "--predictions", str(predictions), "--out", str(out)])
+    assert json.loads((out / "eval.synth-ner-en.json").read_text())["total"] == 2000
+    assert peak < gold.stat().st_size / 4, (peak, gold.stat().st_size)
 
 
 def test_eval_missing_predictions_exits_1(workspace, capsys):

@@ -223,6 +223,15 @@ class TestScoreMicroF1:
             assert abs(report.precision - p) <= 1e-12
             assert abs(report.recall - r) <= 1e-12
             assert abs(report.f1 - f1) <= 1e-12
+            for etype in ("X", "Y"):  # the breakdown is the same score over one type's items
+                gold_t, pred_t = ([frozenset(i for i in s if i[1] == etype) for s in sets] for sets in (gold, pred))
+                if not any(gold_t) and not any(pred_t):
+                    assert etype not in report.per_type
+                    continue
+                stats = report.per_type[etype]
+                for got, want in zip((stats["precision"], stats["recall"], stats["f1"]),
+                                     brute_force_micro_f1(gold_t, pred_t)):
+                    assert abs(got - want) <= 1e-12
 
     def test_per_type_breakdown(self):
         gold = [frozenset({("a", "X"), ("b", "Y")})]
@@ -422,6 +431,17 @@ def test_evaluate_dataset_equals_one_parse_per_instance(data):
     rows += data.draw(st.lists(st.builds(PredictionRecord, ids, text("")), max_size=4))
     predictions = data.draw(st.permutations(rows))
     assert evaluate_dataset(gold, predictions, desc) == reference_evaluation(gold, predictions, desc)
+
+
+@pytest.mark.parametrize("case", [FORGED[0], FORGED[-1]], ids=["ner-f1", "qa-mc-accuracy"])
+def test_evaluate_dataset_reads_gold_once_from_a_generator(case):
+    desc, gold = case
+    predictions = [PredictionRecord(i.instance_id, i.output if n % 3 else "x") for n, i in enumerate(gold) if n % 4]
+    rows = (inst for inst in gold)
+    report = evaluate_dataset(rows, predictions, desc)
+    assert next(rows, None) is None
+    assert report == evaluate_dataset(gold, predictions, desc) == reference_evaluation(gold, predictions, desc)
+    assert report.total == len(gold) and 0 < report.unparseable_count < report.total
 
 
 def test_ner_vocabularies_evaluated_alternately_keep_their_own_results():
