@@ -27,7 +27,6 @@ from .errors import BioforgeError
 from .fixtures import reference_registry
 from .schema import (
     InstructionInstance,
-    Language,
     Registry,
     UnifiedDocument,
     atomic_writer,
@@ -115,12 +114,11 @@ def cmd_ingest(args) -> tuple[list[Path], dict]:
     from .ingest import IngestConfig
     registry = _load_registry(args)
     src = Path(args.input)
-    cfg = IngestConfig(
-        dataset_id=args.dataset,
-        format=args.format,
-        split=args.split,
-        language=Language(args.language),
-    )
+    language = registry[args.dataset].language
+    if args.language not in (None, language.value):
+        raise ValueError(f"--language {args.language} contradicts dataset {args.dataset!r}, "
+                         f"whose registry row says {language.value}")
+    cfg = IngestConfig(dataset_id=args.dataset, format=args.format, language=language)
     docs, report = ingest_dataset(src, cfg, registry)
     dest = Path(args.out) / "corpus" / args.dataset / f"{args.split}.jsonl"
     write_documents(dest, docs)
@@ -250,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["pubtator", "bioc_xml", "conll", "generic_jsonl"])
     p.add_argument("--input", required=True)
     p.add_argument("--split", default="train")
-    p.add_argument("--language", default="en", choices=["en", "zh"])
+    p.add_argument("--language", choices=["en", "zh"], help="the registry row's language (any other exits 2)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("curate", help="dedup and filter train/test overlap")

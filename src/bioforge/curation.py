@@ -233,21 +233,19 @@ class StatsTable:
         return "\n".join(lines)
 
 
-def corpus_stats(
-    registry: Registry, corpus_counts: Optional[dict] = None, split: str = "train"
-) -> StatsTable:
+def corpus_stats(registry: Registry, corpus_counts: Optional[dict] = None) -> StatsTable:
     """Instance counts per task group and language.
 
     ``corpus_counts`` maps dataset_id to a materialized instance count; for
-    datasets not listed there the registry's split_counts for ``split`` are
-    used, so the table can be produced from metadata alone.
+    datasets not listed there the registry's train split count is used, so
+    the table can be produced from metadata alone.
     """
     table = StatsTable()
     for desc in registry:
         if corpus_counts is not None and desc.id in corpus_counts:
             n = corpus_counts[desc.id]
         else:
-            n = desc.split_counts.get(split, 0)
+            n = desc.split_counts.get("train", 0)
         if n == 0:
             continue
         key = (task_group(desc), desc.language.value)

@@ -63,13 +63,20 @@ class UnknownLabel(BioforgeError):
 class UnsupportedTask(BioforgeError):
     def __init__(self, task: str):
         self.task = task
-        super().__init__(f"no output grammar for task {task!r}")
+        super().__init__(f"document has no gold output for task {task!r}")
 
 
 class MissingSlotData(BioforgeError):
     def __init__(self, slot: str):
         self.slot = slot
         super().__init__(f"no data available to fill template slot {{{slot}}}")
+
+
+class UnsupportedField(BioforgeError):
+    def __init__(self, template_id: str, field: str):
+        self.template_id = template_id
+        self.field = field
+        super().__init__(f"template {template_id!r}: unsupported field {field!r}")
 
 
 class NoTemplate(BioforgeError):

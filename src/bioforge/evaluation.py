@@ -29,8 +29,8 @@ from pathlib import Path
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import LengthMismatch, UnknownTaskMetric
-from .schema import (TASKS, DatasetDescriptor, InstructionInstance, Language, RelationTriple, TaskType,
+from .errors import LengthMismatch, MissingSlotData, UnknownTaskMetric
+from .schema import (DatasetDescriptor, InstructionInstance, Language, RelationTriple, TaskType,
                      UnifiedDocument, read_jsonl)
 
 PARSED = "parsed"
@@ -55,9 +55,6 @@ class ParseOutcome:
     re_triples: frozenset[RelationTriple] = frozenset()
     tc: frozenset[str] = frozenset()
     qa_choice: Optional[str] = None
-
-
-_EMPTY_MARKER_STRINGS = frozenset(m for spec in TASKS.values() for m in spec.empty.values())
 
 
 def _is_empty_marker(raw: str) -> bool:
@@ -130,7 +127,39 @@ def _render_tc(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Op
 
 def _render_qa_mc(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
     texts = dict(doc.qa.options or ())
-    return _ITEM[Language.EN].join(option_line(k, texts[k]) for k in doc.qa.answer_keys) if texts else None
+    keys = doc.qa.answer_keys
+    if not texts or not texts.keys() >= set(keys):  # an answer key that names no option has no text
+        return None
+    return _ITEM[Language.EN].join(option_line(k, texts[k]) for k in keys)
+
+
+# Prompts (see Grammar.prompt) of the tasks whose prompt shows more, or other,
+# than the document's text.
+
+_PAIR_TEXTS = {Language.EN: "Text 1: {}\nText 2: {}", Language.ZH: "文本一：{}\n文本二：{}"}
+_SPEAKERS = {Language.EN: {"user": "User", "assistant": "Assistant"},
+             Language.ZH: {"user": "用户", "assistant": "助手"}}
+
+
+def _prompt_qa(doc: UnifiedDocument, language: Language) -> str:
+    return f"{doc.qa.context}\n{doc.qa.question}" if doc.qa.context else doc.qa.question
+
+
+def _prompt_qa_mc(doc: UnifiedDocument, language: Language) -> str:
+    """The question and its option list, which the QA-mc parser reads back."""
+    if not doc.qa.options:
+        raise MissingSlotData("options")
+    return "\n".join([_prompt_qa(doc, language), *(option_line(k, t) for k, t in doc.qa.options)])
+
+
+def _prompt_mrd(doc: UnifiedDocument, language: Language) -> str:
+    """The turns before the last assistant turn, whose text is the gold output."""
+    turns = doc.dialogue
+    history = turns[:max((i for i, t in enumerate(turns) if t.speaker == "assistant"), default=len(turns))]
+    names = _SPEAKERS[language]
+    if any(t.speaker not in names for t in history):
+        raise MissingSlotData("dialogue")
+    return "\n".join(f"{names[t.speaker]}: {t.text}" for t in history)
 
 
 @functools.lru_cache(maxsize=256)
@@ -413,51 +442,62 @@ def sample_subset(instances: Sequence, n: int, seed: int) -> list:
 
 @dataclass(frozen=True)
 class Grammar:
-    """How one task's gold output is written, read back and scored:
-    ``render(doc, language, re_untyped)`` writes it (None: nothing to render),
-    ``parse(raw, desc, instruction)`` inverts it (``instruction`` is read for
-    accuracy only), and ``metric`` is ``"micro_f1"`` or ``"accuracy"`` over the
-    ParseOutcome field ``items``, or None (not scored)."""
+    """How one task's text is written, read back and scored.
+
+    ``prompt(doc, language)`` writes what the prompt shows of the document:
+    the template's ``{text}`` slot, or a Type2 task's whole instruction.
+    ``render(doc, language, re_untyped)`` writes the gold output (None:
+    nothing to render; ``empty`` maps a language to the output then, if the
+    task has one).  Both may assume the task's required payload
+    (``schema.TASKS``); ``prompt`` may raise :class:`MissingSlotData`.
+    ``parse(raw, desc, instruction)`` inverts the output (``instruction`` is
+    read for accuracy only); ``metric`` is ``"micro_f1"`` or ``"accuracy"``
+    over the ParseOutcome field ``items``, or None (not scored)."""
 
     render: Callable[[UnifiedDocument, Language, bool], Optional[str]]
     parse: Optional[Callable[[str, DatasetDescriptor, Optional[str]], ParseOutcome]] = None
     metric: Optional[str] = None
     items: str = ""
+    prompt: Callable[[UnifiedDocument, Language], str] = lambda doc, _: doc.text
+    empty: dict[Language, str] = field(default_factory=dict)
 
 
 _RELATIONS = Grammar(
     _render_relations,
     lambda raw, desc, _: parse_re_output(raw, desc.language, desc.label_vocab, desc.prompted_relation),
-    "micro_f1", "re_triples")
-_ANSWER_KEYS = Grammar(lambda doc, *_: "\n".join(doc.qa.answer_keys))
-_LABEL = Grammar(lambda doc, *_: doc.pair.label)
-_TEXT_B = Grammar(lambda doc, *_: doc.pair.text_b)
+    "micro_f1", "re_triples", empty={Language.EN: "No relations found.", Language.ZH: "未识别出关系。"})
+_ANSWER_KEYS = Grammar(lambda doc, *_: "\n".join(doc.qa.answer_keys), prompt=_prompt_qa)
+_LABEL = Grammar(lambda doc, *_: doc.pair.label,
+                 prompt=lambda doc, language: _PAIR_TEXTS[language].format(doc.pair.text_a, doc.pair.text_b))
+_TEXT_B = Grammar(lambda doc, *_: doc.pair.text_b, prompt=lambda doc, _: doc.pair.text_a)
 
 GRAMMARS: dict[TaskType, Grammar] = {
     TaskType.NER_NEN: Grammar(
         _render_ner, lambda raw, desc, _: parse_ner_output(raw, desc.language, desc.label_vocab),
-        "micro_f1", "ner"),
+        "micro_f1", "ner", empty={Language.EN: "No entities found.", Language.ZH: "未识别出实体。"}),
     TaskType.RE: _RELATIONS,  # CRE and COREF share RE's grammar
     TaskType.CRE: _RELATIONS,
     TaskType.COREF: _RELATIONS,
-    TaskType.EE: Grammar(_render_ee),
+    TaskType.EE: Grammar(_render_ee, empty={Language.EN: "No events found.", Language.ZH: "未识别出事件。"}),
     TaskType.TC: Grammar(
         _render_tc, lambda raw, desc, _: parse_tc_output(raw, desc.language, desc.label_vocab),
-        "micro_f1", "tc"),
+        "micro_f1", "tc", empty={Language.EN: "No label.", Language.ZH: "无类别。"}),
     TaskType.QA_MC: Grammar(
         _render_qa_mc,
         lambda raw, _, instruction: parse_qa_choice(raw, _options_from_instruction(instruction)),
-        "accuracy", "qa_choice"),
+        "accuracy", "qa_choice", prompt=_prompt_qa_mc),
     TaskType.QA_SQA: _ANSWER_KEYS,
     TaskType.QA_CQA: _ANSWER_KEYS,
     TaskType.MRD: Grammar(  # the last assistant turn
-        lambda doc, *_: next((t.text for t in reversed(doc.dialogue) if t.speaker == "assistant"), None)),
-    TaskType.MT: Grammar(lambda doc, *_: doc.translation.text_b),
+        lambda doc, *_: next((t.text for t in reversed(doc.dialogue) if t.speaker == "assistant"), None),
+        prompt=_prompt_mrd),
+    TaskType.MT: Grammar(lambda doc, *_: doc.translation.text_b, prompt=lambda doc, _: doc.translation.text_a),
     TaskType.TP_SS: _LABEL,
     TaskType.TP_TE: _LABEL,
     TaskType.TT_DS: _TEXT_B,
     TaskType.TT_TS: _TEXT_B,
 }
+_EMPTY_MARKER_STRINGS = frozenset(m for grammar in GRAMMARS.values() for m in grammar.empty.values())
 
 
 def evaluate_dataset(

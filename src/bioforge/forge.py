@@ -1,8 +1,10 @@
-"""Instruction-record forging: template rendering and gold outputs.
+"""Instruction-record forging: one instruction instance per document.
 
-Each task's gold output is written by its row of ``evaluation.GRAMMARS``,
-beside the parser that inverts it; ``parse(serialize_gold(doc))`` recovers
-exactly the scoring-relevant structure.
+Forge knows no task type.  Each task's row of ``evaluation.GRAMMARS`` writes
+its prompt and its gold output (or empty marker) beside the parser that reads
+the output back, so ``parse(serialize_gold(doc))`` recovers exactly the
+scoring-relevant structure; ``schema.TASKS`` says which payload a task
+requires and whether its instruction is its prompt (a Type2 task).
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Iterator, Optional
 
-from .errors import MissingSlotData, NoTemplate, UnsupportedTask
-from .evaluation import GRAMMARS, option_line
+from .errors import MissingSlotData, NoTemplate, UnsupportedField, UnsupportedTask
+from .evaluation import GRAMMARS
 from .schema import TASKS, DatasetDescriptor, InstructionInstance, Language, TaskType, UnifiedDocument
 from .schema import read_instances, write_instances  # noqa: F401 (re-exported)
 from .templates import InstructionTemplate, TemplateBank
@@ -29,93 +31,75 @@ def serialize_gold(
 
     ``re_untyped`` selects the binary ``[head, tail]`` relation grammar, in
     which the prompt implies the relation type.  A document with nothing to
-    render gets its task's empty marker (``TASKS[task].empty``); without the
-    required payload, or without a marker, it raises :class:`UnsupportedTask`.
+    render gets its grammar's empty marker; without the required payload, or
+    without a marker, it raises :class:`UnsupportedTask`.
     """
-    spec = TASKS[task]
-    if spec.required is not None and getattr(doc, spec.required) is None:
+    required = TASKS[task].required
+    if required is not None and getattr(doc, required) is None:
         raise UnsupportedTask(task.value)
-    output = GRAMMARS[task].render(doc, language, re_untyped)
+    grammar = GRAMMARS[task]
+    output = grammar.render(doc, language, re_untyped)
     if output is None:
-        output = spec.empty.get(language)
+        output = grammar.empty.get(language)
     if output is None:
         raise UnsupportedTask(task.value)
     return output
 
 
-def _input_text(doc: UnifiedDocument, task: TaskType, language: Language) -> str:
-    if task is TaskType.MT:
-        assert doc.translation is not None
-        return doc.translation.text_a
-    if task in (TaskType.TP_SS, TaskType.TP_TE):
-        assert doc.pair is not None
-        if language is Language.ZH:
-            return f"文本一：{doc.pair.text_a}\n文本二：{doc.pair.text_b}"
-        return f"Text 1: {doc.pair.text_a}\nText 2: {doc.pair.text_b}"
-    if task in (TaskType.TT_DS, TaskType.TT_TS):
-        assert doc.pair is not None
-        return doc.pair.text_a
-    return doc.text
+def _unfilled_field(pattern: str, slots: dict) -> str:
+    """The first replacement field of ``pattern`` that ``slots`` cannot fill."""
+    import string  # only on this error path
+    for _, name, spec, conversion in string.Formatter().parse(pattern):
+        if name is not None:
+            field = "{" + name + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "") + "}"
+            try:
+                field.format(**slots)
+            except (LookupError, AttributeError, TypeError):
+                return field
+    return pattern
 
 
 def render_instance(
     doc: UnifiedDocument, template: Optional[InstructionTemplate], desc: DatasetDescriptor
 ) -> InstructionInstance:
-    """Fill the template's slots from the document and its registry row.
+    """Render one document the same way for every task.
 
-    For QA and dialogue tasks the instruction is the question itself (plus
-    rendered options / dialogue history); ``template`` is ignored there.  The
-    fully rendered prompt lives in ``instruction``; ``input`` is kept empty,
-    mirroring a single-field prompt layout.
+    Without its task's required payload it raises :class:`MissingSlotData`.
+    ``GRAMMARS[task].prompt`` writes what the prompt shows of the document: a
+    Type2 (QA or dialogue) task takes it as its instruction and ignores
+    ``template``; any other task fills the template from ``{text}`` (the
+    prompt), ``{entity_types}`` and ``{labels}`` (the registry row's
+    vocabulary, if any) and ``{source_lang}``/``{target_lang}`` (if the
+    document has a translation).  A slot with no data raises
+    :class:`MissingSlotData`; a positional field, or a slot's index or
+    attribute that its value lacks, :class:`UnsupportedField`.  The rendered
+    prompt is ``instruction``; ``input`` is kept empty.
     """
     task = desc.task
     language = desc.language
-    zh = language is Language.ZH
-    if TASKS[task].type2:
-        if task is TaskType.MRD:
-            if not doc.dialogue:
-                raise MissingSlotData("question")
-            answers = [i for i, t in enumerate(doc.dialogue) if t.speaker == "assistant"]
-            cut = answers[-1] if answers else len(doc.dialogue)
-            history = doc.dialogue[:cut]
-            speaker_names = {"user": "用户" if zh else "User", "assistant": "助手" if zh else "Assistant"}
-            instruction = "\n".join(f"{speaker_names[t.speaker]}: {t.text}" for t in history)
-        else:
-            if doc.qa is None:
-                raise MissingSlotData("question")
-            parts = []
-            if doc.qa.context:
-                parts.append(doc.qa.context)
-            parts.append(doc.qa.question)
-            if task is TaskType.QA_MC:
-                if not doc.qa.options:
-                    raise MissingSlotData("options")
-                parts.append("\n".join(option_line(k, t) for k, t in doc.qa.options))
-            instruction = "\n".join(parts)
-        template_id = ""
-    else:
+    spec = TASKS[task]
+    if spec.required is not None and getattr(doc, spec.required) is None:
+        raise MissingSlotData(spec.required)
+    instruction = GRAMMARS[task].prompt(doc, language)
+    template_id = ""
+    if not spec.type2:
         if template is None:
             raise NoTemplate(task.value, language.value)
-        vocab_sep = "，" if zh else ", "
-        values = {}
-        pattern = template.instruction_pattern
-        if "{text}" in pattern:
-            values["text"] = _input_text(doc, task, language)
-        for slot in ("entity_types", "labels"):
-            if "{" + slot + "}" in pattern:
-                if not desc.label_vocab:
-                    raise MissingSlotData(slot)
-                values[slot] = vocab_sep.join(desc.label_vocab)
-        if "{source_lang}" in pattern or "{target_lang}" in pattern:
-            if doc.translation is None:
-                raise MissingSlotData("source_lang")
+        slots = {"text": instruction}
+        if desc.label_vocab:
+            vocab = ("，" if language is Language.ZH else ", ").join(desc.label_vocab)
+            slots["entity_types"] = slots["labels"] = vocab
+        if doc.translation is not None:
             names = _LANG_NAMES[language]
-            values["source_lang"] = names[doc.translation.source_lang.value]
-            values["target_lang"] = names[doc.translation.target_lang.value]
+            slots["source_lang"] = names[doc.translation.source_lang.value]
+            slots["target_lang"] = names[doc.translation.target_lang.value]
+        pattern = template.instruction_pattern
         try:
-            instruction = pattern.format(**values)
+            instruction = pattern.format(**slots)
         except KeyError as exc:
-            raise MissingSlotData(str(exc)) from None
+            raise MissingSlotData(exc.args[0]) from None
+        except (IndexError, AttributeError, TypeError):  # a positional field, or a slot's index or attribute
+            raise UnsupportedField(template.template_id, _unfilled_field(pattern, slots)) from None
         template_id = template.template_id
     output = serialize_gold(doc, task, language, re_untyped=desc.re_untyped)
     return InstructionInstance(

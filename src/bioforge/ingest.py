@@ -44,7 +44,6 @@ if TYPE_CHECKING:
 class IngestConfig:
     dataset_id: str
     format: str  # pubtator | bioc_xml | conll | generic_jsonl
-    split: str = "train"
     language: Language = Language.EN
 
 
@@ -57,8 +56,6 @@ class IngestReport:
     ``warning_details`` one row per repair: ``index``, ``doc_id`` (None when
     its document did not parse) and ``warning``."""
 
-    dataset_id: str
-    split: str
     loaded: int = 0
     violations: int = 0
     warnings: list = field(default_factory=list)
@@ -320,7 +317,7 @@ def ingest_dataset(
     """
     desc = registry[cfg.dataset_id]
     chunker, parser = _FORMATS[cfg.format]
-    report = IngestReport(dataset_id=cfg.dataset_id, split=cfg.split)
+    report = IngestReport()
     stream = Path(path).open(encoding="utf-8")
 
     def kept() -> Iterator[UnifiedDocument]:

@@ -203,43 +203,28 @@ class TaskSpec:
     ``payloads`` are the document fields the task may populate and
     ``required`` the one that must be non-None, if any; ``group`` is the task
     group of the statistics table; ``type2`` marks QA and dialogue tasks,
-    whose instruction is the question itself and which train in stage 2 only;
-    ``empty`` maps a language to the gold output of a document with no
-    annotations, for tasks that have one.  How each task's output is written,
-    read back and scored is its row of ``evaluation.GRAMMARS``.
+    whose instruction is the question itself and which train in stage 2 only.
+    What a task's text looks like is its row of ``evaluation.GRAMMARS``.
     """
 
     payloads: frozenset[str]
     group: str
     required: Optional[str] = None
     type2: bool = False
-    empty: dict[Language, str] = field(default_factory=dict)
 
 
-_RELATIONS = TaskSpec(
-    frozenset({"entities", "relations"}), "Relation Extraction",
-    empty={Language.EN: "No relations found.", Language.ZH: "未识别出关系。"},
-)
+_RELATIONS = TaskSpec(frozenset({"entities", "relations"}), "Relation Extraction")
 _QA = TaskSpec(frozenset({"qa"}), "Biomedical Question Answering", required="qa", type2=True)
 _PAIR = TaskSpec(frozenset({"pair"}), "Text Pair Task", required="pair")
 _TEXT_TO_TEXT = TaskSpec(frozenset({"pair"}), "Other Additional Tasks", required="pair")
 
 TASKS: dict[TaskType, TaskSpec] = {
-    TaskType.NER_NEN: TaskSpec(
-        frozenset({"entities"}), "Named Entity Recognition",
-        empty={Language.EN: "No entities found.", Language.ZH: "未识别出实体。"},
-    ),
+    TaskType.NER_NEN: TaskSpec(frozenset({"entities"}), "Named Entity Recognition"),
     TaskType.RE: _RELATIONS,
     TaskType.CRE: _RELATIONS,
     TaskType.COREF: _RELATIONS,
-    TaskType.EE: TaskSpec(
-        frozenset({"entities", "events"}), "Event Extraction",
-        empty={Language.EN: "No events found.", Language.ZH: "未识别出事件。"},
-    ),
-    TaskType.TC: TaskSpec(
-        frozenset({"labels"}), "Text Classification",
-        empty={Language.EN: "No label.", Language.ZH: "无类别。"},
-    ),
+    TaskType.EE: TaskSpec(frozenset({"entities", "events"}), "Event Extraction"),
+    TaskType.TC: TaskSpec(frozenset({"labels"}), "Text Classification"),
     TaskType.QA_MC: _QA,
     TaskType.QA_SQA: _QA,
     TaskType.QA_CQA: _QA,

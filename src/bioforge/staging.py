@@ -96,11 +96,11 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
     )
 
 
-def registry_stage_counts(registry: Registry, split: str = "train") -> tuple[int, int]:
-    """(stage1, stage2) instance counts from registry metadata alone."""
+def registry_stage_counts(registry: Registry) -> tuple[int, int]:
+    """(stage1, stage2) train instance counts from registry metadata alone."""
     stage1 = stage2 = 0
     for desc in registry:
-        n = desc.split_counts.get(split, 0)
+        n = desc.split_counts.get("train", 0)
         stage2 += n
         if assign_stage(desc) == TYPE1:
             stage1 += n

@@ -199,6 +199,21 @@ def test_bioc_syntax_error_after_good_documents_writes_nothing(tmp_path, capsys)
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+def test_ingest_language_defaults_to_the_registry_rows(tmp_path):
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([ner_descriptor("ner-zh", Language.ZH)]).save(registry_path)
+    src = tmp_path / "raw.conll"
+    src.write_bytes(INGEST_INPUTS[("conll", "ner-zh", "zh")].encode("utf-8"))
+    written = []
+    for flag in ([], ["--language", "zh"]):
+        out = tmp_path / f"out{len(flag)}"
+        assert main(["ingest", "--registry", str(registry_path), "--dataset", "ner-zh", "--format", "conll",
+                     "--input", str(src), *flag, "--out", str(out)]) == 0
+        assert (out / "corpus" / "ner-zh" / "train.rejects.jsonl").read_text() == ""
+        written.append((out / "corpus" / "ner-zh" / "train.jsonl").read_text())
+    assert written[0] == written[1] and len(written[0].splitlines()) == 2
+
+
 def test_ingest_unknown_dataset_exits_2(tmp_path, capsys):
     src = tmp_path / "raw.pubtator"
     src.write_text("", encoding="utf-8")
@@ -223,6 +238,10 @@ def test_eval_task_without_metric_exits_2(tmp_path, capsys):
 ERROR_CASES = {
     "ingest_latin1": (2, "ingest --dataset synth-ner-en --format pubtator --input {tmp}/latin1.txt",
                       "config error: {tmp}/latin1.txt: not UTF-8 text ("),
+    "ingest_language_contradicts_registry": (2, "ingest --dataset synth-ner-en --format pubtator "
+                                             "--input {tmp}/latin1.txt --language zh",
+                                             "config error: --language zh contradicts dataset 'synth-ner-en', "
+                                             "whose registry row says en\n"),
     "ingest_directory": (1, "ingest --dataset synth-ner-en --format pubtator --input {tmp}/corpus",
                          "missing input: {tmp}/corpus"),
     "eval_row_without_raw_text": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
@@ -329,6 +348,28 @@ ERROR_CASES = {
                            "config error: {tmp}/latin1_forged.jsonl:3: not UTF-8 text (invalid continuation byte)\n"),
     "stats_unregistered_corpus_dir": (2, "stats --corpus-root {tmp}/corpus --registry {tmp}/ner_only.jsonl",
                                       "config error: dataset id 'synth-qamc-en' not in registry\n"),
+    # a row that decodes but lacks what its task renders, or a pattern slot that names no data
+    "forge_mt_without_translation": (2, "forge --corpus-root {tmp}/MT_corpus --registry {tmp}/tasks.jsonl",
+                                     "config error: no data available to fill template slot {{translation}}\n"),
+    "forge_tp_without_pair": (2, "forge --corpus-root {tmp}/TP-ss_corpus --registry {tmp}/tasks.jsonl",
+                              "config error: no data available to fill template slot {{pair}}\n"),
+    "forge_qa_mc_answer_not_an_option": (2, "forge --corpus-root {tmp}/QA-mc_corpus --registry {tmp}/tasks.jsonl",
+                                         "config error: document has no gold output for task 'QA-mc'\n"),
+    "forge_mrd_unknown_speaker": (2, "forge --corpus-root {tmp}/MRD_corpus --registry {tmp}/tasks.jsonl",
+                                  "config error: no data available to fill template slot {{dialogue}}\n"),
+    "forge_positional_pattern_slot": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/positional.jsonl",
+                                      "config error: template 't': unsupported field '{{0}}'\n"),
+}
+
+# Per task, a good payload and one that forge cannot render, for the
+# ``forge_*`` cases above.
+UNFORGEABLE = {
+    "MT": ({"translation": {"text_a": "a", "text_b": "b"}}, {}),
+    "TP-ss": ({"pair": {"text_a": "a", "text_b": "b", "label": "1"}}, {}),
+    "QA-mc": ({"qa": {"question": "q", "options": [["A", "a"], ["B", "b"]], "answer_keys": ["A"]}},
+              {"qa": {"question": "q", "options": [["A", "a"], ["B", "b"]], "answer_keys": ["C"]}}),
+    "MRD": ({"dialogue": [{"speaker": "user", "text": "hi"}, {"speaker": "assistant", "text": "ok"}]},
+            {"dialogue": [{"speaker": "doctor", "text": "hi"}, {"speaker": "assistant", "text": "ok"}]}),
 }
 
 
@@ -379,6 +420,13 @@ def bad_inputs(workspace):
     for corpus, dataset_id in (("tc_corpus", "tc-en"), ("mrd_corpus", "mrd-en")):
         (tmp_path / corpus / dataset_id).mkdir(parents=True)
         (tmp_path / corpus / dataset_id / "train.jsonl").write_text(REJECT_CASES[f"generic_jsonl/{dataset_id}"][0])
+    Registry([DatasetDescriptor(id=task, name=task, task=TaskType(task), language=Language.EN)
+              for task in UNFORGEABLE]).save(tmp_path / "tasks.jsonl")
+    for task, (good, bad) in UNFORGEABLE.items():
+        (tmp_path / f"{task}_corpus" / task).mkdir(parents=True)
+        (tmp_path / f"{task}_corpus" / task / "train.jsonl").write_text(_jsonl_docs(task, good, bad))
+    (tmp_path / "positional.jsonl").write_text(json.dumps(
+        {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": "{0}"}) + "\n")
     return tmp_path, registry_path
 
 

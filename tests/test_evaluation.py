@@ -6,7 +6,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bioforge.errors import LengthMismatch, UnknownTaskMetric, UnsupportedTask
+from bioforge.errors import BioforgeError, LengthMismatch, UnknownTaskMetric, UnsupportedTask
 from bioforge.evaluation import (
     GRAMMARS,
     PARSED,
@@ -24,7 +24,6 @@ from bioforge.evaluation import (
 )
 from bioforge.forge import build_corpus, render_instance, serialize_gold
 from bioforge.schema import (
-    TASKS,
     DatasetDescriptor,
     DialogueTurn,
     EntityMention,
@@ -46,7 +45,7 @@ from bioforge.synth import (
     re_descriptor,
     tc_descriptor,
 )
-from bioforge.templates import default_template_bank
+from bioforge.templates import InstructionTemplate, default_template_bank
 
 
 class TestParseNer:
@@ -396,7 +395,7 @@ FORGED = [
     _forged(make_tc_docs, tc_descriptor("tc-en")),
     _forged(make_qa_mc_docs, None),
 ]
-EMPTY_MARKERS = sorted({m for spec in TASKS.values() for m in spec.empty.values()})
+EMPTY_MARKERS = sorted({m for grammar in GRAMMARS.values() for m in grammar.empty.values()})
 _WIDTH = str.maketrans(":;,()：；，（）", "：；，（）:;,()")
 MUTATIONS = [
     str.swapcase,
@@ -572,18 +571,32 @@ ANY_DOC = st.builds(
                     max_size=3).map(tuple),
     qa=st.none() | st.builds(QAInstance, TEXT, st.none() | st.lists(st.tuples(TEXT, TEXT)).map(tuple),
                              st.lists(TEXT, max_size=2).map(tuple)),
-    dialogue=st.none() | st.lists(st.builds(DialogueTurn, st.sampled_from(["user", "assistant"]), TEXT),
+    dialogue=st.none() | st.lists(st.builds(DialogueTurn, st.sampled_from(["user", "assistant", "doctor"]), TEXT),
                                   max_size=4).map(tuple),
     pair=st.none() | st.builds(TextPairInstance, TEXT, TEXT, st.none() | TEXT),
-    translation=st.none() | st.builds(TranslationPair, TEXT, TEXT),
+    translation=st.none() | st.builds(TranslationPair, TEXT, TEXT, st.sampled_from(Language),
+                                      st.sampled_from(Language)),
 )
+# Template patterns built from every slot forge fills, a slot it never fills,
+# positional slots, which name no data, and a slot's index and attribute.
+PATTERN = st.lists(st.sampled_from(["{text}", "{entity_types}", "{labels}", "{source_lang}", "{target_lang}",
+                                    "{nope}", "{0}", "{}", "{text[3]}", "{labels[x]}", "{text.x}", " x "]),
+                   max_size=4).map("".join)
 
 
-@settings(max_examples=300, deadline=None)
-@given(task=st.sampled_from(UNSCORED), doc=ANY_DOC)
-def test_every_unscored_row_renders_or_raises_unsupported_task(task, doc):
+@settings(max_examples=600, deadline=None)
+@given(task=st.sampled_from(TaskType), doc=ANY_DOC, vocab=st.lists(TEXT, max_size=2).map(tuple), pattern=PATTERN)
+def test_every_row_renders_or_raises_a_bioforge_error(task, doc, vocab, pattern):
+    """Gold output raises only UnsupportedTask, and a whole instance only a
+    BioforgeError; an instance carries the gold output."""
     try:
         output = serialize_gold(doc, task, doc.language)
+        assert isinstance(output, str)
     except UnsupportedTask:
+        output = None
+    desc = DatasetDescriptor(id="ds", name="ds", task=task, language=doc.language, label_vocab=vocab)
+    try:
+        inst = render_instance(doc, InstructionTemplate("t", task, doc.language, pattern), desc)
+    except BioforgeError:
         return
-    assert isinstance(output, str)
+    assert isinstance(inst.instruction, str) and inst.output == output

@@ -1,28 +1,34 @@
+import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from bioforge.errors import MissingSlotData, NoTemplate
 from bioforge.forge import (
     build_corpus,
+    forge_instances,
     render_instance,
     serialize_gold,
     read_instances,
     write_instances,
 )
 from bioforge.schema import (
-    TASKS,
     DatasetDescriptor,
+    DialogueTurn,
     EntityMention,
+    EventFrame,
     Language,
     QAInstance,
     RelationTriple,
     TaskType,
+    TextPairInstance,
+    TranslationPair,
     UnifiedDocument,
 )
 from bioforge.synth import make_ner_docs, make_qa_mc_docs, make_tc_docs, tc_descriptor
 from bioforge.templates import InstructionTemplate, TemplateBank, default_template_bank
-from bioforge.evaluation import parse_ner_output
+from bioforge.evaluation import GRAMMARS, parse_ner_output
 
 
 def ner_doc_from_surfaces(pairs):
@@ -76,7 +82,7 @@ class TestSerializeGold:
         doc = UnifiedDocument(doc_id="d", dataset_id="ds", language=Language.EN, text="x")
         for lang in (Language.EN, Language.ZH):
             marker = serialize_gold(doc, TaskType.NER_NEN, lang)
-            assert marker == TASKS[TaskType.NER_NEN].empty[lang]
+            assert marker == GRAMMARS[TaskType.NER_NEN].empty[lang]
             outcome = parse_ner_output(marker, lang, ["Chemical"])
             assert outcome.status == "parsed"
             assert outcome.ner == frozenset()
@@ -223,3 +229,61 @@ def test_template_bank_file_round_trip(tmp_path):
     for task in TaskType:
         for lang in Language:
             assert loaded.for_pair(task, lang) == bank.for_pair(task, lang)
+
+
+def _task_docs(task: TaskType, language: Language) -> tuple[UnifiedDocument, UnifiedDocument]:
+    """One document of ``task`` with its payload and one without annotations
+    (where the task needs a payload, the least the payload can carry)."""
+    zh = language is Language.ZH
+    text = "阿司匹林缓解头痛" if zh else "aspirin relieves headache"
+    drug, pain = ("阿司匹林", "头痛") if zh else ("aspirin", "headache")
+    doc = UnifiedDocument(doc_id="full", dataset_id="ds", language=language, text=text)
+    bare = replace(doc, doc_id="bare")
+    entities = (EntityMention(drug, "Chemical", 0, len(drug)),
+                EntityMention(pain, "Disease", text.index(pain), len(text)))
+    relations = (RelationTriple(drug, pain, "treats"), RelationTriple(pain, drug, "caused_by"))
+    if task is TaskType.NER_NEN:
+        return replace(doc, entities=entities), bare
+    if task in (TaskType.RE, TaskType.CRE, TaskType.COREF):
+        return replace(doc, entities=entities, relations=relations), bare
+    if task is TaskType.EE:
+        event = EventFrame("Treatment", drug, (("Theme", pain), ("Agent", drug)))
+        return replace(doc, entities=entities, events=(event,)), bare
+    if task is TaskType.TC:
+        return replace(doc, labels=("Treatment", "Prevention")), bare
+    if task in (TaskType.QA_MC, TaskType.QA_SQA, TaskType.QA_CQA):
+        options = (("A", drug), ("B", pain)) if task is TaskType.QA_MC else None
+        answer = ("A",) if options else (drug,)
+        qa = QAInstance(f"{pain}?", options, answer, context=text)
+        return replace(doc, qa=qa), replace(bare, qa=replace(qa, context=None, options=options and options[:1]))
+    if task is TaskType.MRD:
+        turns = (DialogueTurn("user", pain), DialogueTurn("assistant", drug),
+                 DialogueTurn("user", text), DialogueTurn("assistant", text))
+        return replace(doc, dialogue=turns), replace(bare, dialogue=turns[1:2])
+    if task is TaskType.MT:
+        pair = TranslationPair(text, "aspirin relieves headache", Language.ZH, Language.EN)
+        return replace(doc, translation=pair), replace(bare, translation=TranslationPair(drug, pain))
+    if task in (TaskType.TP_SS, TaskType.TP_TE):
+        return replace(doc, pair=TextPairInstance(text, drug, "entailment")), replace(
+            bare, pair=TextPairInstance(pain, pain, "0"))
+    return replace(doc, pair=TextPairInstance(text, drug)), replace(bare, pair=TextPairInstance(pain, pain))
+
+
+# SHA-256 of the forged file of every task in both languages, typed and
+# untyped, each with one annotated and one bare document: the prompt and gold
+# output of every task, pinned to the byte.
+PINNED_ALL_TASKS_DIGEST = "cfde0b9db5776eba6541c29963f5de8dc5464e905ab42d6630dc002c56ad7425"
+
+
+def test_pinned_forge_digest_of_every_task(tmp_path):
+    corpora = []
+    for task in TaskType:
+        for language in Language:
+            for untyped in (False, True):
+                desc = DatasetDescriptor(id=f"{task.value}-{language.value}-{untyped:d}", name="ds", task=task,
+                                         language=language, label_vocab=("Chemical", "Disease", "treats"),
+                                         re_untyped=untyped, prompted_relation="treats" if untyped else None)
+                corpora.append((desc, [replace(d, dataset_id=desc.id) for d in _task_docs(task, language)]))
+    path = tmp_path / "forged.jsonl"
+    assert write_instances(path, forge_instances(corpora, default_template_bank(), seed=3)) == 120
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ALL_TASKS_DIGEST
