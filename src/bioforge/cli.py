@@ -127,7 +127,7 @@ def cmd_ingest(args) -> tuple[list[Path], dict]:
     print(f"ingest {args.dataset}/{args.split}: loaded={report.loaded} "
           f"violations={report.violations} -> {dest}")
     return [src], {"loaded": report.loaded, "violations": report.violations,
-                   "warnings": len(report.warnings)}
+                   "warnings": len(report.warning_details)}
 
 
 def cmd_curate(args) -> tuple[list[Path], dict]:

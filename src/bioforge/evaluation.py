@@ -153,12 +153,13 @@ def _prompt_qa_mc(doc: UnifiedDocument, language: Language) -> str:
 
 
 def _prompt_mrd(doc: UnifiedDocument, language: Language) -> str:
-    """The turns before the last assistant turn, whose text is the gold output."""
+    """The turns before the last assistant turn, whose text is the gold
+    output; any turn of another speaker raises :class:`MissingSlotData`."""
     turns = doc.dialogue
-    history = turns[:max((i for i, t in enumerate(turns) if t.speaker == "assistant"), default=len(turns))]
     names = _SPEAKERS[language]
-    if any(t.speaker not in names for t in history):
+    if any(t.speaker not in names for t in turns):
         raise MissingSlotData("dialogue")
+    history = turns[:max((i for i, t in enumerate(turns) if t.speaker == "assistant"), default=len(turns))]
     return "\n".join(f"{names[t.speaker]}: {t.text}" for t in history)
 
 

@@ -10,9 +10,10 @@ requires and whether its instruction is its prompt (a Type2 task).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Generator
 from typing import Iterable, Iterator, Optional
 
-from .errors import MissingSlotData, NoTemplate, UnsupportedField, UnsupportedTask
+from .errors import BioforgeError, MissingSlotData, NoTemplate, UnsupportedField, UnsupportedTask
 from .evaluation import GRAMMARS
 from .schema import TASKS, DatasetDescriptor, InstructionInstance, Language, TaskType, UnifiedDocument
 from .schema import read_instances, write_instances  # noqa: F401 (re-exported)
@@ -137,14 +138,22 @@ def forge_instances(
     is drawn from ``corpora`` (lazy inputs are read as they are rendered).
 
     Identical inputs and seed produce a byte-identical corpus; output order
-    follows input order.
+    follows input order.  A document that cannot be rendered raises its
+    ``BioforgeError``, first thrown as a ``ValueError`` into ``docs`` if that
+    is a generator, so that ``read_jsonl`` names the row: ``<path>:<line>:``.
     """
     for desc, docs in corpora:
         type2 = TASKS[desc.task].type2
         for doc in docs:
-            template = None if type2 else _pick_template(
-                template_bank, desc.task, desc.language, seed, desc.id, doc.doc_id)
-            yield render_instance(doc, template, desc)
+            try:
+                template = None if type2 else _pick_template(
+                    template_bank, desc.task, desc.language, seed, desc.id, doc.doc_id)
+                instance = render_instance(doc, template, desc)
+            except BioforgeError as exc:
+                if isinstance(docs, Generator):
+                    docs.throw(ValueError(str(exc)))
+                raise
+            yield instance
 
 
 def build_corpus(

@@ -52,13 +52,12 @@ class IngestReport:
     """Counts of one ingest, filled in as its documents are drained.
     ``violation_details`` holds one row per dropped document: its chunk
     ``index`` in the file, its ``doc_id`` when it parsed (else None) and its
-    ``violations``.  ``warnings`` holds each repair's message, and
-    ``warning_details`` one row per repair: ``index``, ``doc_id`` (None when
-    its document did not parse) and ``warning``."""
+    ``violations``.  ``warning_details`` holds one row per repair:
+    ``index``, ``doc_id`` (None when its document did not parse) and
+    ``warning``, the repair's message."""
 
     loaded: int = 0
     violations: int = 0
-    warnings: list = field(default_factory=list)
     violation_details: list = field(default_factory=list)
     warning_details: list = field(default_factory=list)
 
@@ -325,16 +324,15 @@ def ingest_dataset(
         with stream:
             try:
                 for index, chunk in enumerate(chunker(stream)):
-                    doc = None
-                    repairs = len(report.warnings)
+                    doc, warnings = None, []
                     try:
-                        doc = parser(chunk, index, cfg, report.warnings)
+                        doc = parser(chunk, index, cfg, warnings)
                         reasons = list(validate_document(doc, desc).violations)
                     except (BioforgeError, ValueError) as exc:
                         reasons = [str(exc)]
                     doc_id = doc.doc_id if doc else None
                     report.warning_details.extend({"index": index, "doc_id": doc_id, "warning": w}
-                                                  for w in report.warnings[repairs:])
+                                                  for w in warnings)
                     if not reasons and doc_id in kept_at:
                         reasons = [f"doc_id: {doc_id!r} repeats the id of document {kept_at[doc_id]}"]
                     if reasons:

@@ -20,16 +20,19 @@ required key or a mistyped value raises ``ValueError`` naming the class and
 field, which :func:`read_jsonl` prefixes with ``<path>:<line>:``.
 
 The codec of a record class is one generated straight-line function each
-way, built from its fields on first use, never at import.  Because its keys
-come out sorted, :func:`write_records` writes each record line through one
-reused JSON encoder with no sort pass; :func:`read_jsonl` parses each line
-with one JSON scan.  Given ``fields``, :func:`read_jsonl` reads a
-projection: each row is decoded and checked exactly as its record would be,
-but only those fields' values come out, as a tuple, and no record is built
-(a class whose ``__post_init__`` checks rules has none).  Every output file
-is written through :func:`atomic_writer`, so it appears whole or not at
-all; :func:`copy_lines` copies byte spans of lines into one in 64 KiB
-blocks.
+way, built from its fields on first use, never at import.  Decoding has one
+type dispatch, :func:`_decode_expr`: each value, container items included,
+gets one inline test of its common form, and only a value that fails it
+reaches a fallback, which gives an absent key's default or raises the
+error.  Because its keys come out sorted, :func:`write_records` writes each
+record line through one reused JSON encoder with no sort pass;
+:func:`read_jsonl` parses each line with one JSON scan.  Given ``fields``,
+:func:`read_jsonl` reads a projection: each row is decoded and checked
+exactly as its record would be, but only those fields' values come out, as
+a tuple, and no record is built (a class whose ``__post_init__`` checks
+rules has none).  Every output file is written through
+:func:`atomic_writer`, so it appears whole or not at all; :func:`copy_lines`
+copies byte spans of lines into one in 64 KiB blocks.
 """
 
 from __future__ import annotations
@@ -338,48 +341,9 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
 # ---------------------------------------------------------------------------
 
 
-def _mistyped(expected: str, value) -> ValueError:
-    return ValueError(f"expected {expected}, got {value!r:.40}")
-
-
-def _checked(json_type: type, convert: Optional[Callable] = None) -> Callable:
-    """A decoder that takes only a value of exactly ``json_type``."""
-    def decode(v):
-        if type(v) is not json_type:
-            raise _mistyped(json_type.__name__, v)
-        return v if convert is None else convert(v)
-    return decode
-
-
-def _decode_fn(tp) -> Callable:
-    """The decoder of a non-None JSON value of type ``tp``: it raises
-    ``ValueError`` for a value that does not fit."""
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is tuple and args[-1] is Ellipsis:
-        item = _decode_fn(args[0])
-        return _checked(list, lambda v: tuple(map(item, v)))
-    if origin is tuple:  # fixed-size tuple of plain values, e.g. a (key, text) pair
-        decs = [_decode_fn(a) for a in args]
-
-        def decode_fixed(v):
-            if type(v) is not list or len(v) != len(decs):
-                raise _mistyped(f"list of {len(decs)}", v)
-            return tuple(dec(x) for dec, x in zip(decs, v))
-        return decode_fixed
-    if origin is dict:  # JSON object keys are strings; each value is checked
-        value = _decode_fn(args[1])
-        return _checked(dict, lambda v: {k: value(x) for k, x in v.items()})
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        members = {m.value: m for m in tp}
-
-        def decode_enum(v):
-            if type(v) is str and v in members:
-                return members[v]
-            raise _mistyped(tp.__name__, v)
-        return decode_enum
-    if is_dataclass(tp):
-        return _decoder(tp)
-    return _checked(tp)
+def _mistyped(expected: str, value):
+    """Raise the error of a ``value`` that is not a JSON value of ``expected``."""
+    raise ValueError(f"expected {expected}, got {value!r:.40}")
 
 
 def _encode_expr(tp, var: str, ns: dict) -> str:
@@ -440,41 +404,57 @@ def _encoder(cls) -> Callable:
     return _compile("encode", ["def encode(o):", f"    return {{{', '.join(items)}}}"], ns)
 
 
-def _decode_test(tp, var: str, ns: dict, i: int) -> tuple[str, str]:
-    """``(test, value)``: source of a test that ``var`` is a JSON value of
-    ``tp``'s common form, and of the decoded value when it is."""
+def _decode_expr(tp, var: str, ns: dict, otherwise: str) -> str:
+    """Source of an expression that decodes the JSON value ``var`` of type
+    ``tp``: one inline test that ``var`` has the type's common form, then
+    its decoded value, or else ``otherwise(expected, var)``, the named
+    fallback; the helpers it calls are added to ``ns``.  Container items are
+    decoded inline, each with ``_mistyped`` as its fallback, and a nested
+    record by its own :func:`_decoder`."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is tuple and args[-1] is Ellipsis:
-        ns[f"_i{i}"] = _decode_fn(args[0])
-        return f"type({var}) is list", f"tuple(map(_i{i}, {var})) if {var} else ()"
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        ns[f"_m{i}"] = {m.value: m for m in tp}
-        return f"type({var}) is str and {var} in _m{i}", f"_m{i}[{var}]"
-    if origin in (tuple, dict) or is_dataclass(tp):
-        ns[f"_d{i}"] = _decode_fn(tp)
-        return f"type({var}) is {'list' if origin is tuple else 'dict'}", f"_d{i}({var})"
-    ns[f"_t{i}"] = tp
-    return f"type({var}) is _t{i}", var
+        item = _decode_expr(args[0], "i", ns, "_mistyped")
+        expected, test = "list", f"type({var}) is list"
+        value = f"tuple([{item} for i in {var}]) if {var} else ()"
+    elif origin is tuple:  # fixed-size tuple of plain values, e.g. a (key, text) pair
+        expected, test = f"list of {len(args)}", f"type({var}) is list and len({var}) == {len(args)}"
+        value = "".join(f"{_decode_expr(a, f'{var}[{k}]', ns, '_mistyped')}, " for k, a in enumerate(args))
+    elif origin is dict:  # JSON object keys are strings; each value is checked
+        expected, test = "dict", f"type({var}) is dict"
+        value = f"{{k: {_decode_expr(args[1], 'v', ns, '_mistyped')} for k, v in {var}.items()}}"
+    elif isinstance(tp, type) and issubclass(tp, Enum):
+        expected = tp.__name__
+        ns[f"_{expected}"] = {m.value: m for m in tp}
+        test, value = f"type({var}) is str and {var} in _{expected}", f"_{expected}[{var}]"
+    elif is_dataclass(tp):
+        expected = tp.__name__
+        ns[f"_dec_{expected}"] = _decoder(tp)
+        test, value = f"type({var}) is dict", f"_dec_{expected}({var})"
+    else:
+        expected = tp.__name__
+        ns[f"_{expected}"] = tp
+        test, value = f"type({var}) is _{expected}", var
+    return f"({value}) if {test} else {otherwise}({expected!r}, {var})"
 
 
-def _slow_path(dec: Callable, default) -> Callable:
-    """A field's value when its JSON value is absent or mistyped (a
-    nullable field's ``null`` is decoded inline)."""
-    def decode(v):
-        if v is _ABSENT:
-            if default is MISSING:
-                raise ValueError("required key missing")
-            return default()
-        return dec(v)
-    return decode
+def _absent_or_mistyped(default) -> Callable:
+    """A record field's fallback: an absent key's default, made afresh, or
+    ``required key missing``; any other value is mistyped."""
+    def otherwise(expected: str, value):
+        if value is not _ABSENT:
+            _mistyped(expected, value)
+        if default is MISSING:
+            raise ValueError("required key missing")
+        return default()
+    return otherwise
 
 
 @functools.cache
 def _decoder(cls, project: tuple[str, ...] = ()) -> Callable:
     """One generated function per record class: per field, one ``dict.get``
-    and a type test; the common form and a nullable field's ``null`` are
-    decoded inline, anything else by its slow path, and a ``ValueError`` is
-    prefixed ``<Class>.<field>: ``.
+    and the :func:`_decode_expr` of its type, whose fallback gives an absent
+    key's default (a nullable field's ``null`` is None, tested first); a
+    ``ValueError`` is prefixed ``<Class>.<field>: ``.
 
     With ``project``, a tuple of field names, it is a projection: every
     field is decoded and checked the same way, but it returns the named
@@ -490,15 +470,14 @@ def _decoder(cls, project: tuple[str, ...] = ()) -> Callable:
                 "_new": object.__new__, "_setattr": object.__setattr__}
     lines = ["def decode(d):",
              "    if type(d) is not dict:",
-             f"        raise _mistyped({cls.__name__!r}, d)",
+             f"        _mistyped({cls.__name__!r}, d)",
              "    get = d.get"]
     for i, (name, hint, nullable, default) in enumerate(_plan(cls)):
-        test, value = _decode_test(hint, "x", ns, i)
-        ns[f"_s{i}"] = _slow_path(_decode_fn(hint), default)
-        slow = f"None if x is None else _s{i}(x)" if nullable else f"_s{i}(x)"
+        ns[f"_or{i}"] = _absent_or_mistyped(default)
+        value = _decode_expr(hint, "x", ns, f"_or{i}")
         lines += ["    try:",
                   f"        x = get({name!r}, _A)",
-                  f"        v{i} = ({value}) if {test} else {slow}",
+                  f"        v{i} = {'None if x is None else ' if nullable else ''}{value}",
                   "    except ValueError as exc:",
                   f"        raise ValueError(f'{cls.__name__}.{name}: {{exc}}') from None"]
     if project:

@@ -53,10 +53,16 @@ def assign_stage(desc: DatasetDescriptor) -> str:
 class StagePlan:
     stage1_instances: tuple[str, ...]  # ordered instance ids
     stage2_instances: tuple[str, ...]
-    stage1_count: int
-    stage2_count: int
     source: str  # the forged file that stage rows are copied from
     spans: dict[str, tuple[int, int]]  # instance id -> (start, length) of its last row
+
+    @property
+    def stage1_count(self) -> int:
+        return len(self.stage1_instances)
+
+    @property
+    def stage2_count(self) -> int:
+        return len(self.stage2_instances)
 
 
 def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> StagePlan:
@@ -89,8 +95,6 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
     return StagePlan(
         stage1_instances=tuple(stage1_ids),
         stage2_instances=tuple(stage2_ids),
-        stage1_count=len(stage1_ids),
-        stage2_count=len(stage2_ids),
         source=str(forged),
         spans=spans,
     )

@@ -349,16 +349,26 @@ ERROR_CASES = {
     "stats_unregistered_corpus_dir": (2, "stats --corpus-root {tmp}/corpus --registry {tmp}/ner_only.jsonl",
                                       "config error: dataset id 'synth-qamc-en' not in registry\n"),
     # a row that decodes but lacks what its task renders, or a pattern slot that names no data
+    # named by the corpus file and line of the row
     "forge_mt_without_translation": (2, "forge --corpus-root {tmp}/MT_corpus --registry {tmp}/tasks.jsonl",
-                                     "config error: no data available to fill template slot {{translation}}\n"),
+                                     "config error: {tmp}/MT_corpus/MT/train.jsonl:2: "
+                                     "no data available to fill template slot {{translation}}\n"),
     "forge_tp_without_pair": (2, "forge --corpus-root {tmp}/TP-ss_corpus --registry {tmp}/tasks.jsonl",
-                              "config error: no data available to fill template slot {{pair}}\n"),
+                              "config error: {tmp}/TP-ss_corpus/TP-ss/train.jsonl:2: "
+                              "no data available to fill template slot {{pair}}\n"),
     "forge_qa_mc_answer_not_an_option": (2, "forge --corpus-root {tmp}/QA-mc_corpus --registry {tmp}/tasks.jsonl",
-                                         "config error: document has no gold output for task 'QA-mc'\n"),
+                                         "config error: {tmp}/QA-mc_corpus/QA-mc/train.jsonl:2: "
+                                         "document has no gold output for task 'QA-mc'\n"),
     "forge_mrd_unknown_speaker": (2, "forge --corpus-root {tmp}/MRD_corpus --registry {tmp}/tasks.jsonl",
-                                  "config error: no data available to fill template slot {{dialogue}}\n"),
+                                  "config error: {tmp}/MRD_corpus/MRD/train.jsonl:2: "
+                                  "no data available to fill template slot {{dialogue}}\n"),
+    "forge_mrd_trailing_unknown_speaker": (2, "forge --corpus-root {tmp}/MRD_trailing_corpus "
+                                           "--registry {tmp}/tasks.jsonl",
+                                           "config error: {tmp}/MRD_trailing_corpus/MRD/train.jsonl:2: "
+                                           "no data available to fill template slot {{dialogue}}\n"),
     "forge_positional_pattern_slot": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/positional.jsonl",
-                                      "config error: template 't': unsupported field '{{0}}'\n"),
+                                      "config error: {tmp}/corpus/synth-ner-en/train.jsonl:1: "
+                                      "template 't': unsupported field '{{0}}'\n"),
 }
 
 # Per task, a good payload and one that forge cannot render, for the
@@ -371,6 +381,9 @@ UNFORGEABLE = {
     "MRD": ({"dialogue": [{"speaker": "user", "text": "hi"}, {"speaker": "assistant", "text": "ok"}]},
             {"dialogue": [{"speaker": "doctor", "text": "hi"}, {"speaker": "assistant", "text": "ok"}]}),
 }
+# a speaker after the last assistant turn, which the prompt does not show
+TRAILING_SPEAKER = {"dialogue": [{"speaker": "user", "text": "hi"}, {"speaker": "assistant", "text": "ok"},
+                                 {"speaker": "doctor", "text": "bye"}]}
 
 
 @pytest.fixture
@@ -425,6 +438,9 @@ def bad_inputs(workspace):
     for task, (good, bad) in UNFORGEABLE.items():
         (tmp_path / f"{task}_corpus" / task).mkdir(parents=True)
         (tmp_path / f"{task}_corpus" / task / "train.jsonl").write_text(_jsonl_docs(task, good, bad))
+    (tmp_path / "MRD_trailing_corpus" / "MRD").mkdir(parents=True)
+    (tmp_path / "MRD_trailing_corpus" / "MRD" / "train.jsonl").write_text(
+        _jsonl_docs("MRD", UNFORGEABLE["MRD"][0], TRAILING_SPEAKER))
     (tmp_path / "positional.jsonl").write_text(json.dumps(
         {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": "{0}"}) + "\n")
     return tmp_path, registry_path

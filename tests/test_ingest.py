@@ -252,7 +252,8 @@ class TestIngestDataset:
         cfg = IngestConfig(dataset_id="ds", format="conll")
         docs, report = ingest_dataset(path, cfg, self.registry())
         assert [d.doc_id for d in docs] == ["ds-0", "ds-2"]
-        assert report.warnings == ["doc 2: I-Disease without open Disease run, treated as B-Disease"]
+        assert [w["warning"] for w in report.warning_details] == [
+            "doc 2: I-Disease without open Disease run, treated as B-Disease"]
         assert report.violation_details == [
             {"index": 1, "doc_id": None, "violations": ["malformed line 3: 'b\\tBAD'"]}]
 

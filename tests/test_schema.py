@@ -461,6 +461,19 @@ def test_read_jsonl_gives_the_values_or_error_of_one_json_loads_per_line(tmp_pat
      "TranslationPair.source_lang: expected Language, got 'fr'"),
     (EventFrame, {"event_type": "E", "trigger": "t", "arguments": [["r", 1]]},
      "EventFrame.arguments: expected str, got 1"),
+    (DatasetDescriptor, {"id": "x", "name": "X", "task": "TC", "language": "en", "split_counts": {"train": "3"}},
+     "DatasetDescriptor.split_counts: expected int, got '3'"),
+    (DialogueTurn, {"speaker": "user", "text": None}, "DialogueTurn.text: expected str, got None"),
+    (UnifiedDocument, {"doc_id": "d", "dataset_id": "ds", "language": "en", "text": "t", "qa": 3},
+     "UnifiedDocument.qa: expected QAInstance, got 3"),
+    (UnifiedDocument, {"doc_id": "d", "dataset_id": "ds", "language": "en", "text": "t",
+                       "entities": [{"surface": "a", "etype": "X", "start": "0", "end": 1}]},
+     "UnifiedDocument.entities: EntityMention.start: expected int, got '0'"),
+    (QAInstance, {"question": "q", "options": [["A", 1]]}, "QAInstance.options: expected str, got 1"),
+    (UnifiedDocument, {"doc_id": "d", "dataset_id": "ds", "language": "en", "text": "t", "dialogue": [["user", "hi"]]},
+     "UnifiedDocument.dialogue: expected DialogueTurn, got ['user', 'hi']"),
+    (DatasetDescriptor, {"id": "x", "name": "X", "task": "TC", "language": "en", "label_vocab": None},
+     "DatasetDescriptor.label_vocab: expected list, got None"),
 ])
 def test_mistyped_value_is_named_by_class_and_field(cls, value, message):
     with pytest.raises(ValueError) as exc:
