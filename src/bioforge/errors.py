@@ -1,7 +1,8 @@
 """Exception types shared across the pipeline.
 
 Parse *outcomes* (unparseable model output, schema violations) are data, not
-exceptions; only genuinely broken inputs or misconfiguration raise.
+exceptions; only genuinely broken inputs or misconfiguration raise.  Forge
+raises a document's first schema violation as :class:`InvalidDocument`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ class UnsupportedTask(BioforgeError):
     def __init__(self, task: str):
         self.task = task
         super().__init__(f"document has no gold output for task {task!r}")
+
+
+class InvalidDocument(BioforgeError):
+    """A document that breaks a schema rule; the message is the violation."""
 
 
 class MissingSlotData(BioforgeError):

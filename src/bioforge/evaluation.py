@@ -29,7 +29,7 @@ from pathlib import Path
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import LengthMismatch, MissingSlotData, UnknownTaskMetric
+from .errors import LengthMismatch, UnknownTaskMetric
 from .schema import (DatasetDescriptor, InstructionInstance, Language, RelationTriple, TaskType,
                      UnifiedDocument, read_jsonl)
 
@@ -147,18 +147,15 @@ def _prompt_qa(doc: UnifiedDocument, language: Language) -> str:
 
 def _prompt_qa_mc(doc: UnifiedDocument, language: Language) -> str:
     """The question and its option list, which the QA-mc parser reads back."""
-    if not doc.qa.options:
-        raise MissingSlotData("options")
     return "\n".join([_prompt_qa(doc, language), *(option_line(k, t) for k, t in doc.qa.options)])
 
 
 def _prompt_mrd(doc: UnifiedDocument, language: Language) -> str:
     """The turns before the last assistant turn, whose text is the gold
-    output; any turn of another speaker raises :class:`MissingSlotData`."""
+    output; each turn's speaker is ``user`` or ``assistant``, as
+    ``validate_document`` requires."""
     turns = doc.dialogue
     names = _SPEAKERS[language]
-    if any(t.speaker not in names for t in turns):
-        raise MissingSlotData("dialogue")
     history = turns[:max((i for i, t in enumerate(turns) if t.speaker == "assistant"), default=len(turns))]
     return "\n".join(f"{names[t.speaker]}: {t.text}" for t in history)
 
@@ -450,7 +447,8 @@ class Grammar:
     ``render(doc, language, re_untyped)`` writes the gold output (None:
     nothing to render; ``empty`` maps a language to the output then, if the
     task has one).  Both may assume the task's required payload
-    (``schema.TASKS``); ``prompt`` may raise :class:`MissingSlotData`.
+    (``schema.TASKS``), and ``prompt`` a document that
+    ``schema.validate_document`` accepts.
     ``parse(raw, desc, instruction)`` inverts the output (``instruction`` is
     read for accuracy only); ``metric`` is ``"micro_f1"`` or ``"accuracy"``
     over the ParseOutcome field ``items``, or None (not scored)."""

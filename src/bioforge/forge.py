@@ -4,7 +4,8 @@ Forge knows no task type.  Each task's row of ``evaluation.GRAMMARS`` writes
 its prompt and its gold output (or empty marker) beside the parser that reads
 the output back, so ``parse(serialize_gold(doc))`` recovers exactly the
 scoring-relevant structure; ``schema.TASKS`` says which payload a task
-requires and whether its instruction is its prompt (a Type2 task).
+requires and whether its instruction is its prompt (a Type2 task).  Each
+document is first checked by ``schema.validate_document``, the one rule set.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import hashlib
 from collections.abc import Generator
 from typing import Iterable, Iterator, Optional
 
-from .errors import BioforgeError, MissingSlotData, NoTemplate, UnsupportedField, UnsupportedTask
-from .evaluation import GRAMMARS
-from .schema import TASKS, DatasetDescriptor, InstructionInstance, Language, TaskType, UnifiedDocument
+from .errors import BioforgeError, InvalidDocument, MissingSlotData, NoTemplate, UnsupportedField, UnsupportedTask
+from .evaluation import _FIELD, GRAMMARS
+from .schema import (TASKS, DatasetDescriptor, InstructionInstance, Language, TaskType, UnifiedDocument,
+                     validate_document)
 from .schema import read_instances, write_instances  # noqa: F401 (re-exported)
 from .templates import InstructionTemplate, TemplateBank
 
@@ -65,31 +67,31 @@ def render_instance(
 ) -> InstructionInstance:
     """Render one document the same way for every task.
 
-    Without its task's required payload it raises :class:`MissingSlotData`.
-    ``GRAMMARS[task].prompt`` writes what the prompt shows of the document: a
-    Type2 (QA or dialogue) task takes it as its instruction and ignores
-    ``template``; any other task fills the template from ``{text}`` (the
-    prompt), ``{entity_types}`` and ``{labels}`` (the registry row's
+    The document is first checked with ``validate_document(doc, desc)``; its
+    first violation raises :class:`InvalidDocument` with that violation's
+    text.  ``GRAMMARS[task].prompt`` then writes what the prompt shows of the
+    document: a Type2 (QA or dialogue) task takes it as its instruction and
+    ignores ``template``; any other task fills the template from ``{text}``
+    (the prompt), ``{entity_types}`` and ``{labels}`` (the registry row's
     vocabulary, if any) and ``{source_lang}``/``{target_lang}`` (if the
     document has a translation).  A slot with no data raises
     :class:`MissingSlotData`; a positional field, or a slot's index or
     attribute that its value lacks, :class:`UnsupportedField`.  The rendered
     prompt is ``instruction``; ``input`` is kept empty.
     """
+    violations = validate_document(doc, desc).violations
+    if violations:
+        raise InvalidDocument(violations[0])
     task = desc.task
     language = desc.language
-    spec = TASKS[task]
-    if spec.required is not None and getattr(doc, spec.required) is None:
-        raise MissingSlotData(spec.required)
     instruction = GRAMMARS[task].prompt(doc, language)
     template_id = ""
-    if not spec.type2:
+    if not TASKS[task].type2:
         if template is None:
             raise NoTemplate(task.value, language.value)
         slots = {"text": instruction}
         if desc.label_vocab:
-            vocab = ("，" if language is Language.ZH else ", ").join(desc.label_vocab)
-            slots["entity_types"] = slots["labels"] = vocab
+            slots["entity_types"] = slots["labels"] = _FIELD[language].join(desc.label_vocab)
         if doc.translation is not None:
             names = _LANG_NAMES[language]
             slots["source_lang"] = names[doc.translation.source_lang.value]

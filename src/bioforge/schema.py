@@ -311,7 +311,9 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
             if filler not in surfaces and filler not in doc.text:
                 v.append(f"events: argument filler {filler!r} not among entity surfaces or in text")
 
-    if doc.qa is not None:
+    if doc.qa is not None and required == "qa":
+        if not doc.qa.answer_keys:
+            v.append("qa: answer_keys must be non-empty")
         if desc.task is TaskType.QA_MC:
             if not doc.qa.options:
                 v.append("qa: options must be non-empty for multiple-choice QA")

@@ -348,24 +348,30 @@ ERROR_CASES = {
                            "config error: {tmp}/latin1_forged.jsonl:3: not UTF-8 text (invalid continuation byte)\n"),
     "stats_unregistered_corpus_dir": (2, "stats --corpus-root {tmp}/corpus --registry {tmp}/ner_only.jsonl",
                                       "config error: dataset id 'synth-qamc-en' not in registry\n"),
-    # a row that decodes but lacks what its task renders, or a pattern slot that names no data
+    # a row that decodes but breaks a rule of validate_document, or a pattern slot that names no data,
     # named by the corpus file and line of the row
     "forge_mt_without_translation": (2, "forge --corpus-root {tmp}/MT_corpus --registry {tmp}/tasks.jsonl",
                                      "config error: {tmp}/MT_corpus/MT/train.jsonl:2: "
-                                     "no data available to fill template slot {{translation}}\n"),
+                                     "translation: required payload missing for task MT\n"),
     "forge_tp_without_pair": (2, "forge --corpus-root {tmp}/TP-ss_corpus --registry {tmp}/tasks.jsonl",
                               "config error: {tmp}/TP-ss_corpus/TP-ss/train.jsonl:2: "
-                              "no data available to fill template slot {{pair}}\n"),
+                              "pair: required payload missing for task TP-ss\n"),
     "forge_qa_mc_answer_not_an_option": (2, "forge --corpus-root {tmp}/QA-mc_corpus --registry {tmp}/tasks.jsonl",
                                          "config error: {tmp}/QA-mc_corpus/QA-mc/train.jsonl:2: "
-                                         "document has no gold output for task 'QA-mc'\n"),
+                                         "qa: answer key 'C' not among option keys\n"),
     "forge_mrd_unknown_speaker": (2, "forge --corpus-root {tmp}/MRD_corpus --registry {tmp}/tasks.jsonl",
                                   "config error: {tmp}/MRD_corpus/MRD/train.jsonl:2: "
-                                  "no data available to fill template slot {{dialogue}}\n"),
+                                  "dialogue: turn 0 has unknown speaker 'doctor'\n"),
     "forge_mrd_trailing_unknown_speaker": (2, "forge --corpus-root {tmp}/MRD_trailing_corpus "
                                            "--registry {tmp}/tasks.jsonl",
                                            "config error: {tmp}/MRD_trailing_corpus/MRD/train.jsonl:2: "
-                                           "no data available to fill template slot {{dialogue}}\n"),
+                                           "dialogue: turn 2 has unknown speaker 'doctor'\n"),
+    "forge_mrd_empty_turn_text": (2, "forge --corpus-root {tmp}/MRD_empty_turn_corpus --registry {tmp}/tasks.jsonl",
+                                  "config error: {tmp}/MRD_empty_turn_corpus/MRD/train.jsonl:2: "
+                                  "dialogue: turn 0 has empty text\n"),
+    "forge_mt_empty_texts": (2, "forge --corpus-root {tmp}/MT_empty_corpus --registry {tmp}/tasks.jsonl",
+                             "config error: {tmp}/MT_empty_corpus/MT/train.jsonl:2: "
+                             "translation: both texts must be non-empty\n"),
     "forge_positional_pattern_slot": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/positional.jsonl",
                                       "config error: {tmp}/corpus/synth-ner-en/train.jsonl:1: "
                                       "template 't': unsupported field '{{0}}'\n"),
@@ -381,9 +387,14 @@ UNFORGEABLE = {
     "MRD": ({"dialogue": [{"speaker": "user", "text": "hi"}, {"speaker": "assistant", "text": "ok"}]},
             {"dialogue": [{"speaker": "doctor", "text": "hi"}, {"speaker": "assistant", "text": "ok"}]}),
 }
-# a speaker after the last assistant turn, which the prompt does not show
-TRAILING_SPEAKER = {"dialogue": [{"speaker": "user", "text": "hi"}, {"speaker": "assistant", "text": "ok"},
-                                 {"speaker": "doctor", "text": "bye"}]}
+# More corpora of one faulty row, keyed by corpus name: the row's task and payload.
+MORE_UNFORGEABLE = {
+    # a speaker after the last assistant turn, which the prompt does not show
+    "MRD_trailing": ("MRD", {"dialogue": [{"speaker": "user", "text": "hi"}, {"speaker": "assistant", "text": "ok"},
+                                          {"speaker": "doctor", "text": "bye"}]}),
+    "MRD_empty_turn": ("MRD", {"dialogue": [{"speaker": "user", "text": ""}, {"speaker": "assistant", "text": "ok"}]}),
+    "MT_empty": ("MT", {"translation": {"text_a": "", "text_b": ""}}),
+}
 
 
 @pytest.fixture
@@ -438,9 +449,10 @@ def bad_inputs(workspace):
     for task, (good, bad) in UNFORGEABLE.items():
         (tmp_path / f"{task}_corpus" / task).mkdir(parents=True)
         (tmp_path / f"{task}_corpus" / task / "train.jsonl").write_text(_jsonl_docs(task, good, bad))
-    (tmp_path / "MRD_trailing_corpus" / "MRD").mkdir(parents=True)
-    (tmp_path / "MRD_trailing_corpus" / "MRD" / "train.jsonl").write_text(
-        _jsonl_docs("MRD", UNFORGEABLE["MRD"][0], TRAILING_SPEAKER))
+    for corpus, (task, bad) in MORE_UNFORGEABLE.items():
+        (tmp_path / f"{corpus}_corpus" / task).mkdir(parents=True)
+        (tmp_path / f"{corpus}_corpus" / task / "train.jsonl").write_text(
+            _jsonl_docs(task, UNFORGEABLE[task][0], bad))
     (tmp_path / "positional.jsonl").write_text(json.dumps(
         {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": "{0}"}) + "\n")
     return tmp_path, registry_path

@@ -6,7 +6,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bioforge.errors import BioforgeError, LengthMismatch, UnknownTaskMetric, UnsupportedTask
+from bioforge.errors import BioforgeError, InvalidDocument, LengthMismatch, UnknownTaskMetric, UnsupportedTask
 from bioforge.evaluation import (
     GRAMMARS,
     PARSED,
@@ -24,6 +24,8 @@ from bioforge.evaluation import (
 )
 from bioforge.forge import build_corpus, render_instance, serialize_gold
 from bioforge.schema import (
+    PAYLOAD_FIELDS,
+    TASKS,
     DatasetDescriptor,
     DialogueTurn,
     EntityMention,
@@ -35,6 +37,7 @@ from bioforge.schema import (
     TextPairInstance,
     TranslationPair,
     UnifiedDocument,
+    validate_document,
 )
 from bioforge.synth import (
     make_ner_docs,
@@ -584,19 +587,35 @@ PATTERN = st.lists(st.sampled_from(["{text}", "{entity_types}", "{labels}", "{so
                    max_size=4).map("".join)
 
 
+# The empty value of each payload field, which no task's payload rule objects to.
+EMPTY_PAYLOADS = {f.name: f.default for f in dataclasses.fields(UnifiedDocument) if f.name in PAYLOAD_FIELDS}
+
+
 @settings(max_examples=600, deadline=None)
-@given(task=st.sampled_from(TaskType), doc=ANY_DOC, vocab=st.lists(TEXT, max_size=2).map(tuple), pattern=PATTERN)
-def test_every_row_renders_or_raises_a_bioforge_error(task, doc, vocab, pattern):
+@given(task=st.sampled_from(TaskType), doc=ANY_DOC, vocab=st.lists(TEXT, max_size=2).map(tuple), pattern=PATTERN,
+       fit=st.booleans())
+def test_every_row_renders_or_raises_a_bioforge_error(task, doc, vocab, pattern, fit):
     """Gold output raises only UnsupportedTask, and a whole instance only a
-    BioforgeError; an instance carries the gold output."""
+    BioforgeError; an instance carries the gold output.  validate_document is
+    forge's one rule set: an invalid document raises InvalidDocument with its
+    first violation, and a valid one never does."""
+    if fit:  # empty the payloads the task may not populate, so that the other rules decide
+        doc = dataclasses.replace(doc, **{name: empty for name, empty in EMPTY_PAYLOADS.items()
+                                           if name not in TASKS[task].payloads})
     try:
         output = serialize_gold(doc, task, doc.language)
         assert isinstance(output, str)
     except UnsupportedTask:
         output = None
     desc = DatasetDescriptor(id="ds", name="ds", task=task, language=doc.language, label_vocab=vocab)
+    violations = validate_document(doc, desc).violations
     try:
         inst = render_instance(doc, InstructionTemplate("t", task, doc.language, pattern), desc)
-    except BioforgeError:
+    except InvalidDocument as exc:
+        assert violations and str(exc) == violations[0]
         return
+    except BioforgeError:
+        assert not violations
+        return
+    assert not violations
     assert isinstance(inst.instruction, str) and inst.output == output

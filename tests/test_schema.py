@@ -98,14 +98,20 @@ def test_validate_rejects_payload_task_mismatch(ner_desc):
     assert any("payload/task mismatch" in v for v in result.violations)
 
 
-def test_validate_qa_mc_answer_keys_must_be_option_keys():
-    desc = DatasetDescriptor(id="qa", name="qa", task=TaskType.QA_MC, language=Language.EN)
+@pytest.mark.parametrize("task, options, answer_keys, violation", [
+    (TaskType.QA_MC, (("A", "x"), ("B", "y")), ("C",), "qa: answer key 'C' not among option keys"),
+    # no answer key: the gold output would be empty, and every prediction would score incorrect
+    (TaskType.QA_MC, (("A", "x"), ("B", "y")), (), "qa: answer_keys must be non-empty"),
+    (TaskType.QA_SQA, None, (), "qa: answer_keys must be non-empty"),
+    (TaskType.QA_CQA, None, (), "qa: answer_keys must be non-empty"),
+])
+def test_validate_qa_mc_answer_keys_must_be_option_keys(task, options, answer_keys, violation):
+    desc = DatasetDescriptor(id="qa", name="qa", task=task, language=Language.EN)
     doc = UnifiedDocument(
         doc_id="d1", dataset_id="qa", language=Language.EN, text="",
-        qa=QAInstance(question="q", options=(("A", "x"), ("B", "y")), answer_keys=("C",)),
+        qa=QAInstance(question="q", options=options, answer_keys=answer_keys),
     )
-    result = validate_document(doc, desc)
-    assert any("answer key" in v for v in result.violations)
+    assert validate_document(doc, desc).violations == (violation,)
 
 
 def test_validate_is_deterministic(ner_desc):
