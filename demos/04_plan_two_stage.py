@@ -41,7 +41,7 @@ def main():
         plan = build_stage_plan(forged, registry, seed=0)
         print(f"synthetic corpus: stage1={plan.stage1_count} stage2={plan.stage2_count}")
         print("stage1 subset of stage2:",
-              set(plan.stage1_instances) <= set(plan.stage2_instances))
+              set(plan.stage1_rows) <= set(plan.stage2_rows))
         for stage in (1, 2):
             manifest = emit_training_manifest(plan, stage, Path(tmp))
             print(f"stage {stage} manifest: epochs={manifest.epochs} "

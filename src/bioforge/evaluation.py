@@ -152,11 +152,11 @@ def _prompt_qa_mc(doc: UnifiedDocument, language: Language) -> str:
 
 def _prompt_mrd(doc: UnifiedDocument, language: Language) -> str:
     """The turns before the last assistant turn, whose text is the gold
-    output; each turn's speaker is ``user`` or ``assistant``, as
-    ``validate_document`` requires."""
+    output; each turn's speaker is ``user`` or ``assistant``, and one at
+    least is ``assistant``, as ``validate_document`` requires."""
     turns = doc.dialogue
     names = _SPEAKERS[language]
-    history = turns[:max((i for i, t in enumerate(turns) if t.speaker == "assistant"), default=len(turns))]
+    history = turns[:max(i for i, t in enumerate(turns) if t.speaker == "assistant")]
     return "\n".join(f"{names[t.speaker]}: {t.text}" for t in history)
 
 

@@ -312,8 +312,13 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
                 v.append(f"events: argument filler {filler!r} not among entity surfaces or in text")
 
     if doc.qa is not None and required == "qa":
+        if not doc.qa.question.strip() and not (doc.qa.context or "").strip():
+            v.append("qa: question must be non-blank unless a context is given")
         if not doc.qa.answer_keys:
             v.append("qa: answer_keys must be non-empty")
+        for a in doc.qa.answer_keys:
+            if not a.strip():
+                v.append(f"qa: answer key {a!r} is blank")
         if desc.task is TaskType.QA_MC:
             if not doc.qa.options:
                 v.append("qa: options must be non-empty for multiple-choice QA")
@@ -329,9 +334,14 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
                 v.append(f"dialogue: turn {i} has unknown speaker {turn.speaker!r}")
             if not turn.text:
                 v.append(f"dialogue: turn {i} has empty text")
+        if not any(turn.speaker == "assistant" for turn in doc.dialogue):
+            v.append("dialogue: needs at least one assistant turn")  # the last one is the gold output
 
-    if doc.pair is not None and (not doc.pair.text_a or not doc.pair.text_b):
-        v.append("pair: both texts must be non-empty")
+    if doc.pair is not None:
+        if not doc.pair.text_a or not doc.pair.text_b:
+            v.append("pair: both texts must be non-empty")
+        if desc.task in (TaskType.TP_SS, TaskType.TP_TE) and not (doc.pair.label or "").strip():
+            v.append(f"pair: label must be non-blank for task {desc.task.value}")  # the gold output
     if doc.translation is not None and (not doc.translation.text_a or not doc.translation.text_b):
         v.append("translation: both texts must be non-empty")
 

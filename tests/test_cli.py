@@ -568,7 +568,7 @@ def test_plan_copies_a_non_canonical_forged_line_verbatim(workspace):
 
 
 def test_plan_peak_memory_is_below_half_the_forged_file(workspace):
-    """Plan holds ids and byte spans, not decoded rows."""
+    """Plan holds byte offsets and row numbers, not decoded rows."""
     tmp_path, registry_path, corpus_root = workspace
     out = tmp_path / "out"
     assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),

@@ -104,6 +104,8 @@ def test_validate_rejects_payload_task_mismatch(ner_desc):
     (TaskType.QA_MC, (("A", "x"), ("B", "y")), (), "qa: answer_keys must be non-empty"),
     (TaskType.QA_SQA, None, (), "qa: answer_keys must be non-empty"),
     (TaskType.QA_CQA, None, (), "qa: answer_keys must be non-empty"),
+    (TaskType.QA_SQA, None, ("yes", ""), "qa: answer key '' is blank"),
+    (TaskType.QA_CQA, None, (" \t",), "qa: answer key ' \\t' is blank"),
 ])
 def test_validate_qa_mc_answer_keys_must_be_option_keys(task, options, answer_keys, violation):
     desc = DatasetDescriptor(id="qa", name="qa", task=task, language=Language.EN)
@@ -112,6 +114,38 @@ def test_validate_qa_mc_answer_keys_must_be_option_keys(task, options, answer_ke
         qa=QAInstance(question="q", options=options, answer_keys=answer_keys),
     )
     assert validate_document(doc, desc).violations == (violation,)
+
+
+USER_ONLY = (DialogueTurn("user", "hi"),)
+
+
+@pytest.mark.parametrize("task, payload, violation", [
+    # a task's gold output: the last assistant turn, the pair's label
+    (TaskType.MRD, dict(dialogue=USER_ONLY), "dialogue: needs at least one assistant turn"),
+    (TaskType.MRD, dict(dialogue=()), "dialogue: needs at least one assistant turn"),
+    (TaskType.TP_SS, dict(pair=TextPairInstance("a", "b")), "pair: label must be non-blank for task TP-ss"),
+    (TaskType.TP_TE, dict(pair=TextPairInstance("a", "b", label=" ")), "pair: label must be non-blank for task TP-te"),
+    # the prompt: the question, after the context if one is given
+    (TaskType.QA_SQA, dict(qa=QAInstance(question="", answer_keys=("yes",))),
+     "qa: question must be non-blank unless a context is given"),
+    (TaskType.QA_MC, dict(qa=QAInstance(question=" ", options=(("A", "a"),), answer_keys=("A",), context="")),
+     "qa: question must be non-blank unless a context is given"),
+])
+def test_validate_rejects_a_document_without_gold_output_or_prompt(task, payload, violation):
+    desc = DatasetDescriptor(id="ds", name="ds", task=task, language=Language.EN)
+    doc = UnifiedDocument(doc_id="d1", dataset_id="ds", language=Language.EN, text="", **payload)
+    assert validate_document(doc, desc).violations == (violation,)
+
+
+@pytest.mark.parametrize("task, payload", [
+    (TaskType.MRD, dict(dialogue=(*USER_ONLY, DialogueTurn("assistant", "hello"), *USER_ONLY))),
+    (TaskType.TT_DS, dict(pair=TextPairInstance("a", "b"))),  # a text-to-text pair has no label
+    (TaskType.QA_CQA, dict(qa=QAInstance(question="", answer_keys=("yes",), context="c"))),
+])
+def test_validate_accepts_a_document_with_gold_output_and_prompt(task, payload):
+    desc = DatasetDescriptor(id="ds", name="ds", task=task, language=Language.EN)
+    doc = UnifiedDocument(doc_id="d1", dataset_id="ds", language=Language.EN, text="", **payload)
+    assert validate_document(doc, desc).violations == ()
 
 
 def test_validate_is_deterministic(ner_desc):

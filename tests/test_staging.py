@@ -1,8 +1,11 @@
+import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from bioforge import staging
 from bioforge.fixtures import reference_registry
 from bioforge.forge import build_corpus, read_instances, write_instances
 from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType
@@ -71,7 +74,7 @@ class TestBuildStagePlan:
     def test_retrospective_subset_invariant(self, tmp_path):
         forged, registry = small_forged_corpus(tmp_path)
         plan = build_stage_plan(forged, registry, seed=3)
-        assert set(plan.stage1_instances) <= set(plan.stage2_instances)
+        assert set(plan.stage1_rows) <= set(plan.stage2_rows)
         assert plan.stage1_count == 30
         assert plan.stage2_count == 50
 
@@ -91,12 +94,62 @@ class TestBuildStagePlan:
         forged = tmp_path / "forged.jsonl"
         write_instances(forged, build_corpus([(desc, docs)], bank, seed=7))
         plan = build_stage_plan(forged, registry, seed=0)
-        assert set(plan.stage1_instances) == set(plan.stage2_instances)
+        assert set(plan.stage1_rows) == set(plan.stage2_rows)
 
     def test_unregistered_dataset(self, tmp_path):
         forged, _ = small_forged_corpus(tmp_path)
         with pytest.raises(ValueError, match=f"^{re.escape(str(forged))}:1: dataset id 'synth-ner-en' not in registry$"):
             build_stage_plan(forged, Registry(), seed=0)
+
+    def test_every_id_hash_equal_writes_the_same_stage_files(self, tmp_path, monkeypatch):
+        """With one hash for every id, each new row probes every earlier id,
+        and only the re-read of that row's id tells two ids apart."""
+        forged, registry = small_forged_corpus(tmp_path)
+        lines = forged.read_text(encoding="utf-8").splitlines()
+        repeats = [json.dumps({**json.loads(lines[n]), "output": f"changed {k}"},
+                              ensure_ascii=False, sort_keys=True)
+                   for k, n in enumerate((0, 31, 0, 7))]  # row 0's id three times in all
+        forged.write_text("\n".join([*lines, *repeats]) + "\n", encoding="utf-8")
+
+        def stage_files(out):
+            plan = build_stage_plan(forged, registry, seed=3)
+            for stage in (1, 2):
+                emit_training_manifest(plan, stage, out)
+            return [(out / f"stage{stage}.jsonl").read_bytes() for stage in (1, 2)]
+
+        hashed = stage_files(tmp_path / "hashed")
+        hashed_ids = []
+        monkeypatch.setattr(staging, "_id_hash", lambda instance_id: hashed_ids.append(instance_id) or 7)
+        assert stage_files(tmp_path / "colliding") == hashed
+        assert len(hashed_ids) == len(lines) + len(repeats)
+        rows = hashed[1].decode("utf-8").splitlines()
+        assert len(rows) == len(lines) + len(repeats)
+        for n, last in ((0, repeats[2]), (31, repeats[1]), (7, repeats[3])):
+            instance_id = json.loads(lines[n])["instance_id"]
+            copies = [row for row in rows if json.loads(row)["instance_id"] == instance_id]
+            assert copies == [last] * (3 if n == 0 else 2)
+
+    def test_plan_memory_grows_by_under_48_bytes_a_row(self, tmp_path):
+        """The plan holds machine words per row in ``array`` columns: offsets,
+        an id hash, a slot of the first-row table and stage row numbers."""
+        desc, docs = make_ner_docs(1, seed=1)  # Type1, so every row is in both stages
+        registry = Registry([desc])
+        one = tmp_path / "one.jsonl"
+        write_instances(one, build_corpus([(desc, docs)], default_template_bank(), seed=7))
+        row = {**json.loads(one.read_text(encoding="utf-8")), "instruction": "i", "input": "x", "output": "y"}
+        peaks = {}
+        for n in (10_000, 40_000):
+            forged = tmp_path / f"forged{n}.jsonl"
+            forged.write_text("".join(json.dumps({**row, "instance_id": f"i{k}"}) + "\n" for k in range(n)),
+                              encoding="utf-8")
+            tracemalloc.start()
+            try:
+                assert build_stage_plan(forged, registry, seed=3).stage2_count == n
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[40_000] - peaks[10_000]) / 30_000
+        assert slope < 48, peaks
 
     def test_reference_registry_counts(self):
         stage1, stage2 = registry_stage_counts(reference_registry())
@@ -144,7 +197,8 @@ class TestManifests:
         plan = build_stage_plan(forged, registry, seed=3)
         emit_training_manifest(plan, 1, tmp_path)
         written = read_instances(tmp_path / "stage1.jsonl")
-        assert tuple(i.instance_id for i in written) == plan.stage1_instances
+        ids = [i.instance_id for i in read_instances(forged)]
+        assert [i.instance_id for i in written] == [ids[r] for r in plan.stage1_rows]
 
     def test_forged_file_cut_after_planning_writes_no_stage_file(self, tmp_path):
         forged, registry = small_forged_corpus(tmp_path)
@@ -164,23 +218,27 @@ class TestManifests:
         plan = build_stage_plan(forged, Registry([ner_desc]), seed=3)
         out = tmp_path / "plan"
 
-        class CutOnceABlockIsWritten(dict):
+        class CutOnceABlockIsWritten:
+            """The plan's length column, read as ``copy_lines`` takes each row."""
             given = 0  # bytes of the rows given so far, each with its newline
             cut = False
 
-            def __getitem__(self, instance_id):
+            def __init__(self, lengths):
+                self.lengths = lengths
+
+            def __getitem__(self, row):
                 if self.given >= 1 << 16 and not self.cut:
                     assert (out / "stage2.jsonl.tmp").stat().st_size == self.given
                     forged.write_bytes(forged.read_bytes()[:100])
                     self.cut = True
-                start, length = super().__getitem__(instance_id)
+                length = self.lengths[row]
                 self.given += length + 1
-                return start, length
+                return length
 
-        spans = CutOnceABlockIsWritten(plan.spans)
+        lengths = CutOnceABlockIsWritten(plan.lengths)
         with pytest.raises(ValueError, match="file changed since it was planned"):
-            emit_training_manifest(replace(plan, spans=spans), 2, out)
-        assert spans.cut
+            emit_training_manifest(replace(plan, lengths=lengths), 2, out)
+        assert lengths.cut
         assert not (out / "stage2.jsonl").exists()
         assert not (out / "stage2.jsonl.tmp").exists()
 
