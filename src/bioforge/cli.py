@@ -19,7 +19,6 @@ import hashlib
 import os
 import sys
 from collections import Counter
-from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -131,18 +130,14 @@ def cmd_ingest(args) -> tuple[list[Path], dict]:
 
 
 def cmd_curate(args) -> tuple[list[Path], dict]:
-    from .curation import keyed_lines
+    from .curation import read_keyed_rows, read_keys
     train_files = _corpus_files(args.corpus_root, "train")
     test_files = sorted(Path(args.corpus_root).glob("*/test.jsonl"))
-    # a key, dataset id and byte span per row, not documents; train rows are
-    # decoded before test rows, so a fault in each is reported from train
-    train = list(keyed_lines(train_files))
-    kept, report = dedup_and_filter_overlap(train, keyed_lines(test_files), key=attrgetter("key"))
-    del train  # the dropped rows are freed before the kept lines are copied
+    train = read_keyed_rows(train_files)  # before any test row, so a train fault is reported first
+    keep, report = dedup_and_filter_overlap(train, read_keys(test_files))
     out_root = Path(args.out)
-    for dataset_id in sorted({line.dataset_id for line in kept}):
-        copy_lines(out_root / "curated" / dataset_id / "train.jsonl",
-                   ((line.source, line.start, line.length) for line in kept if line.dataset_id == dataset_id))
+    for dataset_id, lines in train.kept_lines(keep):
+        copy_lines(out_root / "curated" / dataset_id / "train.jsonl", lines)
     write_json(out_root / "curation_report.json", report.to_dict())
     print(f"curate: input={report.input_count} dups={report.duplicates_removed} "
           f"overlap={report.overlap_removed} output={report.output_count}")

@@ -7,21 +7,26 @@ collapsed, and a document is keyed by a 128-bit digest of it.  Overlap
 filtering compares whole-document text, not doc ids, because shared-task
 corpora reuse PMIDs across releases.
 
-``bioforge curate`` holds no documents: :func:`keyed_lines` decodes and
-checks each row but builds no document, keeping only the key of its text,
-its dataset id and its byte span, and the kept rows are copied from the
-corpus files as written.
+``bioforge curate`` holds no documents and no object per row:
+:func:`read_keyed_rows` decodes and checks each train row but builds no
+document, and keeps its 16-byte key, its dataset number and its byte span in
+:class:`KeyedRows` columns; with the dedup table and the kept marks, that is
+about 40 bytes a train row.  The kept rows are copied from the corpus files
+as written.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
-import sys
 import unicodedata
+from array import array
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import UnknownLabel
 from .schema import TASKS, DatasetDescriptor, Registry, TaskType, UnifiedDocument, read_jsonl
@@ -57,67 +62,143 @@ def _text_key(text: str) -> bytes:
     return hashlib.blake2b(normalize_for_hash(text).encode("utf-8"), digest_size=16).digest()
 
 
-class KeyedLine(NamedTuple):
-    """One corpus row as ``bioforge curate`` holds it: its :func:`doc_key`,
-    its dataset id, and the byte span of its line in ``source``."""
+class KeyedRows:
+    """Rows as dedup holds them: a few machine words each, in columns, not an
+    object per row.  Row ``r``'s 16-byte :func:`doc_key` is
+    ``keys[16 * r:16 * r + 16]``, and its dataset number ``datasets[r]`` is
+    the value of its dataset id in ``dataset_numbers`` (numbered in order of
+    first appearance).  Rows read by :func:`read_keyed_rows` also keep where
+    their line is: ``starts[r]`` and ``lengths[r]`` are its byte span in
+    ``sources[f]``, the first file whose ``file_ends[f]`` (one past its last
+    row) is above ``r``."""
 
-    key: bytes
-    dataset_id: str
-    source: str
-    start: int
-    length: int
+    def __init__(self):
+        self.keys = bytearray()
+        self.datasets = array("H")
+        self.dataset_numbers: dict[str, int] = {}
+        self.sources: list[str] = []
+        self.file_ends: list[int] = []
+        self.starts, self.lengths = array("q"), array("q")
+
+    def add(self, key: bytes, dataset_id: str) -> None:
+        number = self.dataset_numbers.get(dataset_id)
+        if number is None:
+            number = self.dataset_numbers[dataset_id] = len(self.dataset_numbers)
+            if number == 0x10000:  # past what array("H") holds
+                self.datasets = array("I", self.datasets)
+        self.keys += key
+        self.datasets.append(number)
+
+    def kept_lines(self, keep: bytearray) -> Iterator[tuple[str, Iterator[tuple[str, int, int]]]]:
+        """Each dataset id that has a row marked in ``keep``, in sorted order,
+        with the ``(source, start, length)`` span of each of its marked rows,
+        in row order."""
+        kept = [array("i") for _ in self.dataset_numbers]
+        for row in compress(range(len(keep)), keep):
+            kept[self.datasets[row]].append(row)
+        for dataset_id, number in sorted(self.dataset_numbers.items()):
+            if kept[number]:
+                yield dataset_id, ((self.sources[bisect_right(self.file_ends, row)],
+                                    self.starts[row], self.lengths[row]) for row in kept[number])
 
 
-def keyed_lines(paths: Iterable[Path]) -> Iterator[KeyedLine]:
+def _is_directory_name(name: str) -> bool:
+    """Whether ``name`` is exactly one path component, as a dataset id that
+    names an output directory must be."""
+    return name not in ("", ".", "..") and "/" not in name and os.sep not in name and "\0" not in name
+
+
+def read_keyed_rows(paths: Iterable[Path]) -> KeyedRows:
     """Decode and check every row of the JSONL corpus files ``paths`` in
     order as a document (a bad row raises ``<path>:<line>: ...``), without
-    building it, and give each as a :class:`KeyedLine`."""
+    building it, and keep each row's key, dataset number and byte span.  A
+    dataset id that is not one path component raises the same way, since
+    curate writes a dataset's rows under a directory of that name."""
+    rows = KeyedRows()
     for path in paths:
-        source = str(path)
-        for (text, dataset_id), start, length in read_jsonl(
-                path, UnifiedDocument, spans=True, fields=("text", "dataset_id")):
-            yield KeyedLine(_text_key(text), sys.intern(dataset_id), source, start, length)
+        items = read_jsonl(path, UnifiedDocument, spans=True, fields=("text", "dataset_id"))
+        for (text, dataset_id), start, length in items:
+            if dataset_id not in rows.dataset_numbers and not _is_directory_name(dataset_id):
+                items.throw(ValueError(f"dataset id {dataset_id!r} is not a directory name"))
+            rows.add(_text_key(text), dataset_id)
+            rows.starts.append(start)
+            rows.lengths.append(length)
+        rows.sources.append(str(path))
+        rows.file_ends.append(len(rows.starts))
+    return rows
 
 
-def dedup_and_filter_overlap(
-    train: Iterable, test: Iterable, key: Callable[..., Hashable] = doc_key
-) -> tuple[list, CurationReport]:
-    """Keep the first train row of each distinct ``key`` and drop any train
-    row whose key a test row has.  Rows are documents, or anything with a
-    ``dataset_id`` given its ``key`` (a :class:`KeyedLine`'s own ``key``).
+def read_keys(paths: Iterable[Path]) -> Iterator[bytes]:
+    """The key of each row of the JSONL corpus files ``paths``, each row
+    decoded and checked as in :func:`read_keyed_rows`."""
+    for path in paths:  # the train pass's projection, whose generated decoder is cached
+        for text, _ in read_jsonl(path, UnifiedDocument, fields=("text", "dataset_id")):
+            yield _text_key(text)
+
+
+# Where a key's probe starts in the dedup table; a key whose slot is taken is
+# a duplicate only when the full 16-byte keys are equal, so a collision never
+# merges two keys.
+_key_hash = hash
+
+
+def dedup_and_filter_overlap(train: Iterable, test: Iterable) -> tuple[list | bytearray, CurationReport]:
+    """Keep the first train row of each distinct key (:func:`doc_key`) and
+    drop any train row whose key a test row has; overlap is counted before
+    duplicates.  ``train`` and ``test`` are documents, and the kept
+    documents come back in order; or ``train`` is ``bioforge curate``'s
+    :class:`KeyedRows` and ``test`` its keys, and what comes back is a
+    ``bytearray`` with a 1 for each kept row.
+
+    Rows are held as :class:`KeyedRows` columns, and each key's first row is
+    found through one open-addressing table of row numbers, sized once for
+    the row count (at most 2/3 full, linear probing): with the columns and a
+    byte of kept mark, about 40 bytes a train row.
 
     Idempotent; the report arithmetic ``output == input - dups - overlap``
     holds per dataset and globally.
     """
-    test_keys = {key(row) for row in test}
-    seen: set = set()
-    kept: list = []
-    report = CurationReport()
+    if isinstance(train, KeyedRows):
+        return _dedup(train, set(test))
+    docs = list(train)
+    rows = KeyedRows()
+    for doc in docs:
+        rows.add(doc_key(doc), doc.dataset_id)
+    keep, report = _dedup(rows, {doc_key(doc) for doc in test})
+    return list(compress(docs, keep)), report
 
-    def bucket(dataset_id: str) -> dict:
-        return report.per_dataset.setdefault(
-            dataset_id,
-            {"input_count": 0, "duplicates_removed": 0, "overlap_removed": 0, "output_count": 0},
-        )
 
-    for row in train:
-        b = bucket(row.dataset_id)
-        report.input_count += 1
+def _dedup(rows: KeyedRows, test_keys: set) -> tuple[bytearray, CurationReport]:
+    """The kept mark of each row of ``rows`` and the report, as
+    :func:`dedup_and_filter_overlap` describes them."""
+    keys, datasets = rows.keys, rows.datasets
+    size = 16
+    while 3 * len(datasets) > 2 * size:
+        size *= 2
+    mask = size - 1
+    table = array("i", [-1]) * size  # slot -> the first row of a key, or -1
+    keep = bytearray(len(datasets))
+    names = ("input_count", "duplicates_removed", "overlap_removed", "output_count")
+    counts = [dict.fromkeys(names, 0) for _ in rows.dataset_numbers]  # by dataset number
+    for row, number in enumerate(datasets):
+        b = counts[number]
         b["input_count"] += 1
-        k = key(row)
-        if k in test_keys:
-            report.overlap_removed += 1
+        key = bytes(keys[16 * row:16 * row + 16])
+        if key in test_keys:
             b["overlap_removed"] += 1
             continue
-        if k in seen:
-            report.duplicates_removed += 1
-            b["duplicates_removed"] += 1
-            continue
-        seen.add(k)
-        kept.append(row)
-        report.output_count += 1
-        b["output_count"] += 1
-    return kept, report
+        slot = _key_hash(key) & mask
+        while (first := table[slot]) >= 0:
+            if keys.startswith(key, 16 * first):
+                b["duplicates_removed"] += 1
+                break
+            slot = (slot + 1) & mask
+        else:
+            table[slot] = row
+            keep[row] = 1
+            b["output_count"] += 1
+    return keep, CurationReport(**{name: sum(b[name] for b in counts) for name in names},
+                                per_dataset=dict(zip(rows.dataset_numbers, counts)))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from xml.sax.saxutils import escape
 
 import pytest
 
+from bioforge import curation
 from bioforge.cli import main
 from bioforge.forge import read_instances
 from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType, to_dict, write_documents
@@ -375,6 +376,19 @@ ERROR_CASES = {
     "forge_positional_pattern_slot": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/positional.jsonl",
                                       "config error: {tmp}/corpus/synth-ner-en/train.jsonl:1: "
                                       "template 't': unsupported field '{{0}}'\n"),
+    # a dataset id names curate's output directory, so it must be one path component
+    "curate_absolute_dataset_id": (2, "curate --corpus-root {tmp}/absolute_id_corpus",
+                                   "config error: {tmp}/absolute_id_corpus/ner-en/train.jsonl:2: "
+                                   "dataset id '{tmp}/escaped' is not a directory name\n"),
+    "curate_parent_dataset_id": (2, "curate --corpus-root {tmp}/parent_id_corpus",
+                                 "config error: {tmp}/parent_id_corpus/ner-en/train.jsonl:2: "
+                                 "dataset id '../../outside' is not a directory name\n"),
+    "curate_empty_dataset_id": (2, "curate --corpus-root {tmp}/empty_id_corpus",
+                                "config error: {tmp}/empty_id_corpus/ner-en/train.jsonl:2: "
+                                "dataset id '' is not a directory name\n"),
+    # every train row is read before any test row, though a-en's test file sorts before b-en's train file
+    "curate_train_fault_before_test_fault": (2, "curate --corpus-root {tmp}/fault_order_corpus",
+                                             "config error: {tmp}/fault_order_corpus/b-en/train.jsonl:2: "),
 }
 
 # Per task, a good payload and one that forge cannot render, for the
@@ -455,6 +469,16 @@ def bad_inputs(workspace):
             _jsonl_docs(task, UNFORGEABLE[task][0], bad))
     (tmp_path / "positional.jsonl").write_text(json.dumps(
         {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": "{0}"}) + "\n")
+    good = (tmp_path / "corpus" / "synth-ner-en" / "train.jsonl").read_text().splitlines(keepends=True)[0]
+    with_id = lambda dataset_id: good + json.dumps({**json.loads(good), "dataset_id": dataset_id}) + "\n"  # noqa: E731
+    for corpus, files in {"absolute_id": {"ner-en/train.jsonl": with_id(str(tmp_path / "escaped"))},
+                          "parent_id": {"ner-en/train.jsonl": with_id("../../outside")},
+                          "empty_id": {"ner-en/train.jsonl": with_id("")},
+                          "fault_order": {"a-en/train.jsonl": good, "a-en/test.jsonl": good + '{"text":\n',
+                                          "b-en/train.jsonl": good + '{"text":\n'}}.items():
+        for name, text in files.items():
+            (tmp_path / f"{corpus}_corpus" / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / f"{corpus}_corpus" / name).write_text(text)
     return tmp_path, registry_path
 
 
@@ -466,12 +490,14 @@ def test_failed_command_prints_one_line_and_writes_nothing(bad_inputs, capsys, c
     if "--registry" not in argv:
         argv += ["--registry", str(registry_path)]
     out = tmp_path / "out"
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert fragment.format(tmp=tmp_path) in err
     assert not out.exists()
+    assert sorted(tmp_path.rglob("*")) == before  # nor anywhere else
 
 
 def test_output_path_that_is_a_directory_exits_2(workspace, capsys):
@@ -783,6 +809,25 @@ def test_curate_copies_a_non_canonical_train_line_verbatim(tmp_path):
         [*lines[:2], odd, *lines[3:]]
 
 
+def test_every_key_hash_equal_writes_the_same_curated_files(tmp_path, monkeypatch):
+    """With one hash for every key, each row probes every earlier distinct
+    key, and only the full comparison of two keys tells them apart."""
+    corpus = _curate_corpus(tmp_path)
+
+    def curated(out):
+        assert main(["curate", "--corpus-root", str(corpus), "--out", str(out)]) == 0
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in [*sorted((out / "curated").glob("*/train.jsonl")), out / "curation_report.json"]}
+
+    hashed = curated(tmp_path / "hashed")
+    hashed_keys = []
+    monkeypatch.setattr(curation, "_key_hash", lambda key: hashed_keys.append(key) or 7)
+    assert curated(tmp_path / "colliding") == hashed
+    report = json.loads(hashed["curation_report.json"])
+    assert report["duplicates_removed"] > 0 and report["overlap_removed"] > 0
+    assert len(hashed_keys) == report["input_count"] - report["overlap_removed"]
+
+
 def _long_docs(n: int, dataset_id: str):
     """``n`` distinct TC documents of about 1.2 KB each."""
     _, docs = make_tc_docs(n, seed=5, desc=tc_descriptor(dataset_id))
@@ -806,6 +851,26 @@ def test_curate_peak_memory_is_below_half_the_train_file(tmp_path):
     write_documents(train.with_name("test.jsonl"), docs[100:110])
     peak = _peak_bytes(["curate", "--corpus-root", str(tmp_path / "corpus"), "--out", str(tmp_path / "cur")])
     assert peak < train.stat().st_size / 2, (peak, train.stat().st_size)
+
+
+def test_curate_memory_grows_by_under_48_bytes_a_row(tmp_path):
+    """Curate holds machine words per train row in columns: a key, a
+    dataset number, a byte span, a slot of the first-row table and a kept
+    mark."""
+    _, docs = make_tc_docs(1, seed=5, desc=tc_descriptor("synth-tc-en"))
+    row = to_dict(docs[0])
+    peaks = {}
+    for n in (10_000, 40_000):
+        train = tmp_path / f"corpus{n}" / "synth-tc-en" / "train.jsonl"
+        train.parent.mkdir(parents=True)
+        train.write_text("".join(json.dumps({**row, "doc_id": f"d{k}", "text": f"t{k}"}) + "\n"
+                                 for k in range(n)), encoding="utf-8")
+        train.with_name("test.jsonl").write_text("".join(json.dumps({**row, "doc_id": f"e{k}", "text": f"e{k}"})
+                                                         + "\n" for k in range(50)), encoding="utf-8")
+        peaks[n] = _peak_bytes(["curate", "--corpus-root", str(train.parent.parent),
+                                "--out", str(tmp_path / f"cur{n}")])
+    slope = (peaks[40_000] - peaks[10_000]) / 30_000
+    assert slope < 48, peaks
 
 
 def test_forge_peak_memory_is_below_half_the_corpus_file(tmp_path):

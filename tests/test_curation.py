@@ -1,18 +1,21 @@
+import re
 import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bioforge.curation import (
+    KeyedRows,
     SubtaskPlan,
     corpus_stats,
     decompose_subtasks,
     dedup_and_filter_overlap,
     normalize_for_hash,
+    read_keyed_rows,
 )
 from bioforge.errors import UnknownLabel
 from bioforge.fixtures import reference_registry
-from bioforge.schema import Language, Registry, UnifiedDocument
+from bioforge.schema import Language, Registry, UnifiedDocument, write_documents
 from bioforge.synth import make_ner_docs, ner_descriptor
 
 
@@ -105,6 +108,26 @@ class TestDedupAndOverlap:
         train = [doc("X", "first"), doc("X", "second")]
         kept, _ = dedup_and_filter_overlap(train, [])
         assert kept[0].doc_id == "first"
+
+
+class TestKeyedRows:
+    @pytest.mark.parametrize("dataset_id", ["", ".", "..", "a/b", "/abs", "a\0b"])
+    def test_a_dataset_id_that_is_not_one_path_component_is_named_by_its_line(self, tmp_path, dataset_id):
+        path = tmp_path / "train.jsonl"
+        write_documents(path, [doc("A", "1", "ok"), doc("B", "2", dataset_id)])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: dataset id .* is not a directory name$"):
+            read_keyed_rows([path])
+
+    def test_dotted_dataset_ids_are_directory_names(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        write_documents(path, [doc("A", "1", "..a"), doc("B", "2", "a.b"), doc("C", "3", "...")])
+        assert list(read_keyed_rows([path]).dataset_numbers) == ["..a", "a.b", "..."]
+
+    def test_dataset_numbers_past_65535_widen_the_column(self):
+        rows = KeyedRows()
+        for n in range(0x10002):
+            rows.add(bytes(16), f"d{n}")
+        assert list(rows.datasets[-3:]) == [0xFFFF, 0x10000, 0x10001]
 
 
 class TestDecomposeSubtasks:
