@@ -9,10 +9,10 @@ corpora reuse PMIDs across releases.
 
 ``bioforge curate`` holds no documents and no object per row:
 :func:`read_keyed_rows` decodes and checks each train row but builds no
-document, and keeps its 16-byte key, its dataset number and its byte span in
-:class:`KeyedRows` columns; with the dedup table and the kept marks, that is
-about 40 bytes a train row.  The kept rows are copied from the corpus files
-as written.
+document, and keeps its 16-byte key, its dataset number and its
+``schema.LineSpans`` span in columns; with the ``schema.first_rows`` table
+and the kept marks, that is about 40 bytes a train row.  The kept rows are
+copied from the corpus files as written.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ import os
 import re
 import unicodedata
 from array import array
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import UnknownLabel
-from .schema import TASKS, DatasetDescriptor, Registry, TaskType, UnifiedDocument, read_jsonl
+from .schema import (TASKS, DatasetDescriptor, LineSpans, Registry, TaskType, UnifiedDocument, first_rows,
+                     read_jsonl)
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -67,18 +67,14 @@ class KeyedRows:
     object per row.  Row ``r``'s 16-byte :func:`doc_key` is
     ``keys[16 * r:16 * r + 16]``, and its dataset number ``datasets[r]`` is
     the value of its dataset id in ``dataset_numbers`` (numbered in order of
-    first appearance).  Rows read by :func:`read_keyed_rows` also keep where
-    their line is: ``starts[r]`` and ``lengths[r]`` are its byte span in
-    ``sources[f]``, the first file whose ``file_ends[f]`` (one past its last
-    row) is above ``r``."""
+    first appearance).  ``spans`` holds where the lines of rows read by
+    :func:`read_keyed_rows` are."""
 
     def __init__(self):
         self.keys = bytearray()
         self.datasets = array("H")
         self.dataset_numbers: dict[str, int] = {}
-        self.sources: list[str] = []
-        self.file_ends: list[int] = []
-        self.starts, self.lengths = array("q"), array("q")
+        self.spans = LineSpans()
 
     def add(self, key: bytes, dataset_id: str) -> None:
         number = self.dataset_numbers.get(dataset_id)
@@ -98,8 +94,7 @@ class KeyedRows:
             kept[self.datasets[row]].append(row)
         for dataset_id, number in sorted(self.dataset_numbers.items()):
             if kept[number]:
-                yield dataset_id, ((self.sources[bisect_right(self.file_ends, row)],
-                                    self.starts[row], self.lengths[row]) for row in kept[number])
+                yield dataset_id, self.spans.lines(kept[number])
 
 
 def _is_directory_name(name: str) -> bool:
@@ -116,15 +111,11 @@ def read_keyed_rows(paths: Iterable[Path]) -> KeyedRows:
     curate writes a dataset's rows under a directory of that name."""
     rows = KeyedRows()
     for path in paths:
-        items = read_jsonl(path, UnifiedDocument, spans=True, fields=("text", "dataset_id"))
-        for (text, dataset_id), start, length in items:
+        items = read_jsonl(path, UnifiedDocument, spans=rows.spans, fields=("text", "dataset_id"))
+        for text, dataset_id in items:
             if dataset_id not in rows.dataset_numbers and not _is_directory_name(dataset_id):
                 items.throw(ValueError(f"dataset id {dataset_id!r} is not a directory name"))
             rows.add(_text_key(text), dataset_id)
-            rows.starts.append(start)
-            rows.lengths.append(length)
-        rows.sources.append(str(path))
-        rows.file_ends.append(len(rows.starts))
     return rows
 
 
@@ -136,9 +127,7 @@ def read_keys(paths: Iterable[Path]) -> Iterator[bytes]:
             yield _text_key(text)
 
 
-# Where a key's probe starts in the dedup table; a key whose slot is taken is
-# a duplicate only when the full 16-byte keys are equal, so a collision never
-# merges two keys.
+# The hash of a key in the dedup table, whose full 16-byte keys confirm it.
 _key_hash = hash
 
 
@@ -151,9 +140,7 @@ def dedup_and_filter_overlap(train: Iterable, test: Iterable) -> tuple[list | by
     ``bytearray`` with a 1 for each kept row.
 
     Rows are held as :class:`KeyedRows` columns, and each key's first row is
-    found through one open-addressing table of row numbers, sized once for
-    the row count (at most 2/3 full, linear probing): with the columns and a
-    byte of kept mark, about 40 bytes a train row.
+    found through one ``schema.first_rows`` table.
 
     Idempotent; the report arithmetic ``output == input - dups - overlap``
     holds per dataset and globally.
@@ -172,11 +159,7 @@ def _dedup(rows: KeyedRows, test_keys: set) -> tuple[bytearray, CurationReport]:
     """The kept mark of each row of ``rows`` and the report, as
     :func:`dedup_and_filter_overlap` describes them."""
     keys, datasets = rows.keys, rows.datasets
-    size = 16
-    while 3 * len(datasets) > 2 * size:
-        size *= 2
-    mask = size - 1
-    table = array("i", [-1]) * size  # slot -> the first row of a key, or -1
+    first = first_rows(len(datasets), lambda a, b: keys[16 * a:16 * a + 16] == keys[16 * b:16 * b + 16])
     keep = bytearray(len(datasets))
     names = ("input_count", "duplicates_removed", "overlap_removed", "output_count")
     counts = [dict.fromkeys(names, 0) for _ in rows.dataset_numbers]  # by dataset number
@@ -186,17 +169,11 @@ def _dedup(rows: KeyedRows, test_keys: set) -> tuple[bytearray, CurationReport]:
         key = bytes(keys[16 * row:16 * row + 16])
         if key in test_keys:
             b["overlap_removed"] += 1
-            continue
-        slot = _key_hash(key) & mask
-        while (first := table[slot]) >= 0:
-            if keys.startswith(key, 16 * first):
-                b["duplicates_removed"] += 1
-                break
-            slot = (slot + 1) & mask
-        else:
-            table[slot] = row
+        elif first(row, _key_hash(key)) == row:
             keep[row] = 1
             b["output_count"] += 1
+        else:
+            b["duplicates_removed"] += 1
     return keep, CurationReport(**{name: sum(b[name] for b in counts) for name in names},
                                 per_dataset=dict(zip(rows.dataset_numbers, counts)))
 

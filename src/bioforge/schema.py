@@ -32,7 +32,10 @@ exactly as its record would be, but only those fields' values come out, as
 a tuple, and no record is built (a class whose ``__post_init__`` checks
 rules has none).  Every output file is written through
 :func:`atomic_writer`, so it appears whole or not at all; :func:`copy_lines`
-copies byte spans of lines into one in 64 KiB blocks.
+copies byte spans of lines into one in 64 KiB blocks.  ``curate`` and
+``plan`` index rows by number: :class:`LineSpans` columns, which
+:func:`read_jsonl` fills, hold where each row's line is, and one
+:func:`first_rows` table finds each key's first row.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ import contextlib
 import functools
 import json
 import os
+from array import array
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -546,6 +551,47 @@ def atomic_writer(path: Path | str, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+@dataclass
+class LineSpans:
+    """Where rows' lines are, in columns indexed by row number: row ``r`` is
+    ``lengths[r]`` bytes from byte ``starts[r]`` of ``sources[f]``, the first
+    file whose ``file_ends[f]`` (one past its last row) is above ``r``."""
+
+    sources: list = field(default_factory=list)
+    file_ends: list = field(default_factory=list)
+    starts: array = field(default_factory=lambda: array("q"))
+    lengths: array = field(default_factory=lambda: array("q"))
+
+    def lines(self, rows: Iterable[int]) -> Iterator[tuple[str, int, int]]:
+        """The ``(source, start, length)`` span of each of ``rows``, as
+        :func:`copy_lines` takes them."""
+        return ((self.sources[bisect_right(self.file_ends, r)], self.starts[r], self.lengths[r])
+                for r in rows)
+
+
+def first_rows(n: int, same: Callable[[int, int], bool]) -> Callable[[int, int], int]:
+    """``first(row, h)``: the first row given with a key equal to ``row``'s,
+    ``row`` itself if there is none yet, for up to ``n`` rows and ``h`` the
+    hash of ``row``'s key.  One open-addressing table of row numbers, sized
+    once (at most 2/3 full, linear probing); ``same(first, row)`` confirms
+    each taken slot, so a hash collision never merges two keys."""
+    size = 16
+    while 3 * n > 2 * size:
+        size *= 2
+    mask = size - 1
+    table = array("i", [-1]) * size  # slot -> a first row, or -1
+
+    def first(row: int, h: int) -> int:
+        slot = h & mask
+        while (found := table[slot]) >= 0:
+            if same(found, row):
+                return found
+            slot = (slot + 1) & mask
+        table[slot] = row
+        return row
+    return first
+
+
 _COPY_BLOCK = 1 << 16  # bytes of rows that :func:`copy_lines` writes at once
 
 
@@ -618,20 +664,23 @@ def write_records(path: Path | str, records: Iterable) -> int:
 _scan = json.JSONDecoder().raw_decode
 
 
-def read_jsonl(path: Path | str, cls=None, *, spans: bool = False, fields: Iterable[str] = ()) -> Iterator:
+def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
+               fields: Iterable[str] = ()) -> Iterator:
     """Parse each non-blank line of a UTF-8 JSONL file, decoded as a ``cls``
     record when ``cls`` is given.  With ``fields`` (names of ``cls``
     fields), each line is decoded and checked as a ``cls`` record would be,
     but the item is the tuple of those fields' values, in that order, and no
     record is built; a class with a ``__post_init__`` rule check raises
-    ``TypeError``.  With ``spans``, each item is ``(record, start,
-    length)``: the byte span of the record's line in the file, without its
-    edge ASCII whitespace.  A line that is not UTF-8, not JSON or does not
+    ``TypeError``.  Given ``spans``, the file and each record's line, without
+    its edge ASCII whitespace, are appended to those columns before the
+    record is yielded.  A line that is not UTF-8, not JSON or does not
     fit ``cls`` raises ``ValueError`` naming the path and line:
     ``<path>:<line>: <message>``.  So does a ``ValueError`` a caller throws
     into the generator (``gen.throw``) about the record it was last given."""
     decode = None if cls is None else _decoder(cls, tuple(fields))
     with Path(path).open("rb") as f:
+        if spans is not None:
+            spans.sources.append(str(path))
         # counted by hand: enumerate's result tuple would keep each raw line
         # alive one line longer, which raised `bioforge plan`'s peak RSS by
         # 1.3 MiB on the benchmark's plan-reference workload
@@ -650,10 +699,13 @@ def read_jsonl(path: Path | str, cls=None, *, spans: bool = False, fields: Itera
                         rec = json.loads(line)
                     if decode is not None:
                         rec = decode(rec)
-                    if spans:
+                    if spans is not None:
                         lead = len(raw) - len(raw.lstrip())
-                        rec = (rec, start + lead, len(raw.rstrip()) - lead)
+                        spans.starts.append(start + lead)
+                        spans.lengths.append(len(raw.rstrip()) - lead)
                     yield rec
+            if spans is not None:
+                spans.file_ends.append(len(spans.starts))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:

@@ -6,10 +6,9 @@ retrospective data and mixes in the Type2 tasks (QA, dialogue) for
 incremental training.  The stage-2 order is one global seeded shuffle over
 retrospective plus Type2 instances; one fixed order per seed.
 
-A plan holds row numbers and byte offsets in ``array`` columns, not ids or
-records: each stage row is the forged line copied verbatim, without its edge
-whitespace, plus a newline, and the rows are written in blocks of about
-64 KiB (``schema.copy_lines``).
+A plan holds row numbers and the forged file's ``schema.LineSpans``, not
+ids or records: each stage row is the forged line copied verbatim, without
+its edge whitespace, plus a newline (``schema.copy_lines``).
 """
 
 from __future__ import annotations
@@ -28,8 +27,10 @@ from .schema import (
     TYPE2,
     DatasetDescriptor,
     InstructionInstance,
+    LineSpans,
     Registry,
     copy_lines,
+    first_rows,
     read_json,
     read_jsonl,
     write_json,
@@ -57,9 +58,7 @@ def assign_stage(desc: DatasetDescriptor) -> str:
 class StagePlan:
     stage1_rows: array  # 'q' row numbers of the forged file, in stage order
     stage2_rows: array
-    source: str  # the forged file that stage rows are copied from
-    starts: array  # 'q', by row number: byte start of the row copied for it
-    lengths: array  # 'q', by row number: its byte length
+    spans: LineSpans  # by row number: the forged line copied for it
 
     @property
     def stage1_count(self) -> int:
@@ -70,43 +69,13 @@ class StagePlan:
         return len(self.stage2_rows)
 
 
-# The hash that finds an id's other rows; equal hashes are confirmed by
-# re-reading both rows' ids, so a collision never merges two ids.
+# The hash of an id in the repeat table, whose re-read ids confirm it.
 _id_hash = hash
 
 
 def _id_at(fd: int, start: int, length: int) -> str:
     """The instance id of the forged row at a byte span, read again."""
     return json.loads(os.pread(fd, length, start).decode("utf-8").strip())["instance_id"]
-
-
-def _copy_last_rows(forged: Path | str, starts: array, lengths: array, hashes: array) -> None:
-    """Give each row whose id is given more than once the span of the last
-    row with that id.  Each id's first row is found through an
-    open-addressing table of row numbers, sized once for the row count (at
-    most 2/3 full, linear probing) and keyed by ``hashes``."""
-    size = 16
-    while 3 * len(hashes) > 2 * size:
-        size *= 2
-    mask = size - 1
-    table = array("i", [-1]) * size  # slot -> the first row of an id, or -1
-    first_of, last_of = {}, {}  # of repeated ids: each row -> first row, first row -> last row
-    with open(forged, "rb") as f:
-        fd = f.fileno()
-        for row, h in enumerate(hashes):
-            slot = h & mask
-            while (first := table[slot]) >= 0:
-                if hashes[first] == h and (_id_at(fd, starts[first], lengths[first])
-                                           == _id_at(fd, starts[row], lengths[row])):
-                    first_of[row] = first_of[first] = first
-                    last_of[first] = row
-                    break
-                slot = (slot + 1) & mask
-            else:
-                table[slot] = row
-    for row, first in first_of.items():
-        last = last_of[first]
-        starts[row], lengths[row] = starts[last], lengths[last]
 
 
 def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> StagePlan:
@@ -118,31 +87,34 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
     deterministic shuffle of the seed.  Every row is decoded and type-checked
     as an ``InstructionInstance``, but none is built: only its id and dataset
     id are read (a ``read_jsonl`` projection), and each dataset's stage is
-    looked up once.  The plan holds machine words per row, in ``array``
-    columns: the byte start and length of the row to copy, and the row
-    numbers of each stage.  An id given twice is listed twice, each copy the
-    last row with that id; while the file is read, a row also keeps the hash
-    of its id, which finds those repeats.
+    looked up once.  The plan holds machine words per row: the stages' row
+    numbers and the rows' spans.  An id given twice is listed twice, each
+    copy the last row with that id: the rows go through a
+    ``schema.first_rows`` table of their ids' hashes last first.
     """
     type1 = {desc.id: assign_stage(desc) == TYPE1 for desc in registry}
-    starts, lengths, hashes, stage1_rows = array("q"), array("q"), array("q"), array("q")
-    rows = read_jsonl(forged, InstructionInstance, spans=True, fields=("instance_id", "dataset_id"))
-    for (instance_id, dataset_id), start, length in rows:
+    spans, hashes, stage1_rows = LineSpans(), array("q"), array("q")
+    rows = read_jsonl(forged, InstructionInstance, spans=spans, fields=("instance_id", "dataset_id"))
+    for instance_id, dataset_id in rows:
         in_stage1 = type1.get(dataset_id)
         if in_stage1 is None:  # named by the forged file's path and line
             rows.throw(ValueError(str(UnknownDataset(dataset_id))))
         if in_stage1:
-            stage1_rows.append(len(starts))
-        starts.append(start)
-        lengths.append(length)
+            stage1_rows.append(len(hashes))
         hashes.append(_id_hash(instance_id))
-    _copy_last_rows(forged, starts, lengths, hashes)
+    starts, lengths = spans.starts, spans.lengths
+    with open(forged, "rb") as f:
+        fd = f.fileno()
+        last_of = first_rows(len(hashes), lambda a, b: hashes[a] == hashes[b] and (
+            _id_at(fd, starts[a], lengths[a]) == _id_at(fd, starts[b], lengths[b])))
+        for row in reversed(range(len(hashes))):  # so the table's row of an id is its last
+            if (last := last_of(row, hashes[row])) != row:
+                starts[row], lengths[row] = starts[last], lengths[last]
     del hashes  # before the stage-2 rows are made, which bounds the peak
     random.Random(f"stage1:{seed}").shuffle(stage1_rows)
     stage2_rows = array("q", range(len(starts)))
     random.Random(f"stage2:{seed}").shuffle(stage2_rows)
-    return StagePlan(stage1_rows=stage1_rows, stage2_rows=stage2_rows, source=str(forged),
-                     starts=starts, lengths=lengths)
+    return StagePlan(stage1_rows=stage1_rows, stage2_rows=stage2_rows, spans=spans)
 
 
 def registry_stage_counts(registry: Registry) -> tuple[int, int]:
@@ -193,9 +165,8 @@ def emit_training_manifest(plan: StagePlan, stage: int, out_dir: Path | str) -> 
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     out_dir = Path(out_dir)
     ordered = plan.stage1_rows if stage == 1 else plan.stage2_rows
-    starts, lengths = plan.starts, plan.lengths
     data_path = out_dir / f"stage{stage}.jsonl"
-    copy_lines(data_path, ((plan.source, starts[r], lengths[r]) for r in ordered), since="planned")
+    copy_lines(data_path, plan.spans.lines(ordered), since="planned")
     manifest = TrainingManifest(
         stage=stage, epochs=STAGE_EPOCHS[stage], data_path=str(data_path)
     )

@@ -532,7 +532,7 @@ def scored_cases(draw, task, language):
     if task is TaskType.NER_NEN:
         pairs = draw(st.lists(st.tuples(ITEM, st.sampled_from(vocab)), max_size=5))
         doc = dataclasses.replace(doc, entities=tuple(EntityMention(s, t, 0, len(s)) for s, t in pairs))
-        lossy = _clashing(vocab) or _blank(*(s for s, _ in pairs))
+        lossy = _clashing(vocab) or _blank(*(f for pair in pairs for f in pair))  # surfaces and types
         return desc, doc, frozenset((s.strip(), t) for s, t in pairs), lossy
     if task is TaskType.TC:
         labels = draw(st.lists(st.sampled_from(vocab), max_size=3))
@@ -543,7 +543,9 @@ def scored_cases(draw, task, language):
         keys = draw(st.lists(OPTION_KEY, min_size=1, max_size=5, unique=True))
         options = tuple(zip(keys, draw(st.lists(ITEM, min_size=len(keys), max_size=len(keys)))))
         answer = draw(st.sampled_from(keys))
-        qa = QAInstance(draw(ITEM), options, (answer,), draw(st.none() | ITEM))
+        context = draw(st.none() | ITEM)  # without a non-blank one, validate_document needs a question
+        question = draw(ITEM if (context or "").strip() else ITEM.filter(str.strip))
+        qa = QAInstance(question, options, (answer,), context)
         return desc, dataclasses.replace(doc, qa=qa), answer, _qa_ambiguous(qa)
     if task is TaskType.RE and draw(st.booleans()):  # untyped: the prompt implies vocab[0]
         desc = dataclasses.replace(desc, re_untyped=True, prompted_relation=vocab[0])

@@ -1,5 +1,6 @@
 import ast
 import json
+from array import array
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -16,6 +17,7 @@ from bioforge.schema import (
     EventFrame,
     InstructionInstance,
     Language,
+    LineSpans,
     QAInstance,
     Registry,
     RelationTriple,
@@ -25,6 +27,7 @@ from bioforge.schema import (
     UnifiedDocument,
     atomic_writer,
     copy_lines,
+    first_rows,
     from_dict,
     read_jsonl,
     to_dict,
@@ -374,8 +377,9 @@ def test_projection_tuple_follows_the_order_of_fields(tmp_path):
     write_records(path, [inst])
     assert list(read_jsonl(path, InstructionInstance, fields=("output", "instance_id", "task"))) == \
         [("o", "i", TaskType.TC)]
-    assert list(read_jsonl(path, InstructionInstance, spans=True, fields=["dataset_id"])) == \
-        [(("ds",), 0, path.stat().st_size - 1)]
+    spans = LineSpans()
+    assert list(read_jsonl(path, InstructionInstance, spans=spans, fields=["dataset_id"])) == [("ds",)]
+    assert spans == LineSpans([str(path)], [1], array("q", [0]), array("q", [path.stat().st_size - 1]))
 
 
 @pytest.mark.parametrize("cls,keep,message", [
@@ -408,12 +412,44 @@ def test_copy_lines_writes_the_bytes_of_a_per_row_copy(tmp_path, first):
     source = tmp_path / "source.jsonl"
     source.write_text("".join([*head, *(json.dumps("x" * (n - 2)) + "\n" for n in fill), "[1]\n", "[2]"]),
                       encoding="utf-8")
-    spans = [(start, length) for _, start, length in read_jsonl(source, spans=True)]
+    read = LineSpans()
+    list(read_jsonl(source, spans=read))
+    spans = list(zip(read.starts, read.lengths))
     assert sum(length + 1 for _, length in spans[:-2]) == first
     spans += spans[::-1]
     out = tmp_path / "out.jsonl"
     assert copy_lines(out, ((str(source), *span) for span in spans)) == len(spans)
     assert out.read_bytes() == copy_per_row(source, spans)
+
+
+def test_line_spans_give_each_row_the_bytes_of_its_line_in_its_own_file(tmp_path):
+    """Blank lines, edge whitespace, a CRLF line and a last line without a
+    newline, in two files with an empty one between them."""
+    texts = ['\n  {"a": 1}\t \n\n{"b": "é"}\r\n', "", ' [2] \n\r\n[3]']
+    paths = [tmp_path / f"{n}.jsonl" for n in range(len(texts))]
+    spans = LineSpans()
+    for path, text in zip(paths, texts):
+        path.write_bytes(text.encode("utf-8"))
+        list(read_jsonl(path, spans=spans))
+    assert (spans.sources, spans.file_ends) == ([str(p) for p in paths], [2, 2, 4])
+    lines = [b'{"a": 1}', '{"b": "é"}'.encode("utf-8"), b"[2]", b"[3]"]
+    rows = [3, 0, 2, 1]
+    assert [Path(source).read_bytes()[start:start + length]
+            for source, start, length in spans.lines(rows)] == [lines[r] for r in rows]
+
+
+@settings(deadline=None)
+@given(keys=st.lists(st.integers(0, 9), max_size=60), hashes=st.lists(st.integers(), min_size=1, max_size=2))
+def test_first_rows_gives_each_key_its_first_row_whatever_the_hash(keys, hashes):
+    """Each key's hash is one of one or two values, so keys collide; rows
+    given last first find each key's last row."""
+    first_index = {key: row for row, key in reversed(list(enumerate(keys)))}
+    last_index = {key: row for row, key in enumerate(keys)}
+    rows = range(len(keys))
+    for order, oracle in ((rows, first_index), (rows[::-1], last_index)):
+        first = first_rows(len(keys), lambda a, b: keys[a] == keys[b])
+        assert [first(row, hashes[keys[row] % len(hashes)]) for row in order] == \
+            [oracle[keys[row]] for row in order]
 
 
 def plain(value):

@@ -219,7 +219,7 @@ class TestManifests:
         out = tmp_path / "plan"
 
         class CutOnceABlockIsWritten:
-            """The plan's length column, read as ``copy_lines`` takes each row."""
+            """The plan's span length column, read as ``copy_lines`` takes each row."""
             given = 0  # bytes of the rows given so far, each with its newline
             cut = False
 
@@ -235,9 +235,9 @@ class TestManifests:
                 self.given += length + 1
                 return length
 
-        lengths = CutOnceABlockIsWritten(plan.lengths)
+        lengths = CutOnceABlockIsWritten(plan.spans.lengths)
         with pytest.raises(ValueError, match="file changed since it was planned"):
-            emit_training_manifest(replace(plan, lengths=lengths), 2, out)
+            emit_training_manifest(replace(plan, spans=replace(plan.spans, lengths=lengths)), 2, out)
         assert lengths.cut
         assert not (out / "stage2.jsonl").exists()
         assert not (out / "stage2.jsonl.tmp").exists()
