@@ -18,7 +18,6 @@ import errno
 import hashlib
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -64,6 +63,7 @@ build_corpus = _deferred("forge", "build_corpus")
 forge_instances = _deferred("forge", "forge_instances")
 build_stage_plan = _deferred("staging", "build_stage_plan")
 emit_training_manifest = _deferred("staging", "emit_training_manifest")
+# an index of the predictions file: each row's span and id hash, not its record
 read_predictions = _deferred("evaluation", "read_predictions")
 evaluate_dataset = _deferred("evaluation", "evaluate_dataset")
 
@@ -169,43 +169,37 @@ def cmd_plan(args) -> tuple[list[Path], dict]:
     return [forged], {"stage1_count": plan.stage1_count, "stage2_count": plan.stage2_count}
 
 
-def _prediction_id_counts(gold_ids: set, predictions) -> dict:
-    """Prediction ids given more than once (the last is scored) and ids that
-    name no gold row (not scored)."""
-    seen = Counter(p.instance_id for p in predictions)
-    return {"duplicate_prediction_ids": sum(1 for n in seen.values() if n > 1),
-            "unknown_prediction_ids": sum(1 for i in seen if i not in gold_ids)}
-
-
 def cmd_eval(args) -> tuple[list[Path], dict]:
     from .evaluation import sample_subset
     registry = _load_registry(args)
     desc = registry[args.dataset]
     gold_path, pred_path = Path(args.gold), Path(args.predictions)
-    gold_ids: set[str] = set()
-
-    def gold_rows():  # each other dataset's row checked, then dropped
-        for inst in read_jsonl(gold_path, InstructionInstance):
-            if inst.dataset_id == args.dataset:
-                gold_ids.add(inst.instance_id)
-                yield inst
-    gold = gold_rows()  # scored as it is read
+    # scored as it is read; each other dataset's row checked, then dropped
+    gold = (inst for inst in read_jsonl(gold_path, InstructionInstance) if inst.dataset_id == args.dataset)
+    rows = None
     if args.sample_n is not None:  # a sample needs the row count
-        gold = sample_subset(list(gold), args.sample_n, args.seed)
+        rows = list(gold)
+        gold = sample_subset(rows, args.sample_n, args.seed)
     try:
         predictions = read_predictions(pred_path)
         report = evaluate_dataset(gold, predictions, desc)
+        if rows is not None:  # the id of a row left out of the sample is no unknown id
+            with predictions.texts() as text_of:
+                for inst in rows:
+                    text_of(inst.instance_id)
     except (BioforgeError, ValueError, OSError):
         for _ in gold:  # a fault of the gold file is reported first
             pass
         raise
-    id_counts = _prediction_id_counts(gold_ids, predictions)
     out_root = Path(args.out)
     write_json(out_root / f"eval.{args.dataset}.json", report.to_dict())
     with atomic_writer(out_root / f"eval.{args.dataset}.txt") as f:
         f.write(report.to_text() + "\n")
     print(report.to_text())
-    return [gold_path, pred_path], {"instances": report.total, "metric": report.metric_name, **id_counts}
+    # ids given more than once (the last is scored), and ids that name no gold row (not scored)
+    return [gold_path, pred_path], {"instances": report.total, "metric": report.metric_name,
+                                    "duplicate_prediction_ids": predictions.duplicate_ids,
+                                    "unknown_prediction_ids": predictions.unknown_ids}
 
 
 def cmd_stats(args) -> tuple[list[Path], dict]:

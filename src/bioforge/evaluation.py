@@ -18,34 +18,117 @@ verbatim, the ``""`` that stands in for every missing prediction and repeated
 empty markers or labels cost one parse each.  Gold and prediction rows are
 type-checked by the record codec as they are read: only ``raw_text`` may be
 ``null``, a failed generation that scores as unparseable.
+
+``bioforge eval`` holds no predictions and no gold ids either:
+:func:`read_predictions` keeps each prediction row's ``schema.LineSpans``
+span and id hash, and one ``schema.first_rows`` table finds an id's last
+row, which is read again when its gold row is scored.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
 import re
+import stat
+from array import array
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import LengthMismatch, UnknownTaskMetric
-from .schema import (DatasetDescriptor, InstructionInstance, Language, RelationTriple, TaskType,
-                     UnifiedDocument, read_jsonl)
+from .schema import (DatasetDescriptor, InstructionInstance, Language, LineSpans, RelationTriple, TaskType,
+                     UnifiedDocument, first_rows, read_jsonl, read_span)
 
 PARSED = "parsed"
 PARTIAL = "partial"
 UNPARSEABLE = "unparseable"
 
 
-@dataclass(frozen=True, slots=True)  # slots: eval holds every prediction while it scores
+@dataclass(frozen=True, slots=True)  # slots: a caller's list holds one per row (eval decodes one at a time)
 class PredictionRecord:
     instance_id: str
     raw_text: Optional[str]  # None: a failed generation, scored like a missing row
 
 
-def read_predictions(path: Path | str) -> list[PredictionRecord]:
-    return list(read_jsonl(path, PredictionRecord))
+# The hash of a prediction id in the last-row table, whose re-read rows confirm it.
+_id_hash = hash
+
+
+class Predictions:
+    """A predictions file, indexed by id but not held: per row, its
+    ``schema.LineSpans`` span, its id's hash and a looked-up mark.
+
+    Every row is decoded and type-checked as a :class:`PredictionRecord`
+    when the file is read (a ``read_jsonl`` projection), and none is kept.
+    The rows then go, last first, through one ``schema.first_rows`` table of
+    their ids' hashes, so the table's row of an id is its last, the one
+    scored; that pass counts the ids given more than once.  ``len()`` is the
+    row count, and iterating reads the rows again, in file order."""
+
+    def __init__(self, path: Path | str):
+        self.path = str(path)
+        self._spans = LineSpans()
+        with open(path, "rb") as f:
+            fd = f.fileno()
+            if not stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe: its rows could not be read again
+                raise ValueError(f"{path}: not a regular file")
+            rows = read_jsonl(path, PredictionRecord, spans=self._spans, fields=("instance_id",))
+            self._hashes = hashes = array("q", (_id_hash(instance_id) for instance_id, in rows))
+            repeated, ids = bytearray(len(hashes)), 0  # 1: a later row repeats the row's id
+            last_of = first_rows(len(hashes), lambda a, b: hashes[a] == hashes[b] and (
+                self._row_at(fd, a)[0] == self._row_at(fd, b)[0]))
+            for row in reversed(range(len(hashes))):  # so the table's row of an id is its last
+                if (last := last_of(row, hashes[row])) == row:
+                    ids += 1
+                else:
+                    repeated[last] = 1
+        self._last_of, self._distinct_ids, self.duplicate_ids = last_of, ids, repeated.count(1)
+        del repeated  # before the marks are made, which bounds the peak
+        self._looked_up = bytearray(len(hashes))  # 1: a lookup found the row
+
+    def __len__(self) -> int:
+        return len(self._hashes)
+
+    def __iter__(self) -> Iterator[PredictionRecord]:
+        return read_jsonl(self.path, PredictionRecord)
+
+    @property
+    def unknown_ids(self) -> int:
+        """The number of distinct ids that no lookup has found."""
+        return self._distinct_ids - self._looked_up.count(1)
+
+    @contextlib.contextmanager
+    def texts(self) -> Iterator[Callable[[str], str]]:
+        """While open, ``text_of(instance_id)``: the ``raw_text`` of that id's
+        last row (None: ``""``), or ``""`` for an id no row has.  A lookup
+        inserts nothing; it marks the row it finds, which it reads by one
+        ``os.pread`` and decodes once."""
+        hashes, probe, looked_up, row_at = self._hashes, self._last_of.probe, self._looked_up, self._row_at
+        with open(self.path, "rb") as f:
+            fd = f.fileno()
+
+            def text_of(instance_id: str) -> str:
+                h = _id_hash(instance_id)
+                for row in probe(h):
+                    if hashes[row] == h:
+                        found, raw_text = row_at(fd, row)
+                        if found == instance_id:
+                            looked_up[row] = 1
+                            return raw_text or ""
+                return ""
+            yield text_of
+
+    def _row_at(self, fd: int, row: int) -> tuple[str, Optional[str]]:
+        """The id and ``raw_text`` of row ``row``, read again."""
+        return read_span(self.path, fd, self._spans.starts[row], self._spans.lengths[row],
+                         PredictionRecord, ("instance_id", "raw_text"))
+
+
+def read_predictions(path: Path | str) -> Predictions:
+    return Predictions(path)
 
 
 @dataclass(frozen=True, slots=True)  # slots: evaluate_dataset caches up to 1024
@@ -499,9 +582,21 @@ GRAMMARS: dict[TaskType, Grammar] = {
 _EMPTY_MARKER_STRINGS = frozenset(m for grammar in GRAMMARS.values() for m in grammar.empty.values())
 
 
+@contextlib.contextmanager
+def _prediction_texts(predictions: Predictions | Iterable[PredictionRecord]) -> Iterator[Callable[[str], str]]:
+    """The one lookup :func:`evaluate_dataset` scores through: a file's
+    :meth:`Predictions.texts`, or the same lookup over a list of records."""
+    if isinstance(predictions, Predictions):
+        with predictions.texts() as text_of:
+            yield text_of
+    else:
+        by_id = {p.instance_id: p.raw_text or "" for p in predictions}
+        yield lambda instance_id: by_id.get(instance_id, "")
+
+
 def evaluate_dataset(
     gold: Iterable[InstructionInstance],
-    predictions: Sequence[PredictionRecord],
+    predictions: Predictions | Iterable[PredictionRecord],
     desc,
 ) -> EvalReport:
     """Parse and score free-text predictions against a forged gold corpus,
@@ -511,28 +606,30 @@ def evaluate_dataset(
     Gold structure is recovered by running the same parser over the canonical
     gold output (an exact inverse by construction).  Missing predictions and
     a ``raw_text`` of None score as empty/unparseable; of several predictions
-    with one id the last wins.  ``gold`` is read once, in order, and each row
-    is scored as it comes, so it may be a one-shot iterator: neither gold rows
-    nor parse outcomes are held.  The parsers are pure, so for micro-F1 the
-    outcomes of the last 1024 distinct strings are reused: a prediction that
-    repeats its gold output verbatim, the ``""`` of a missing prediction and
-    repeated empty markers or labels are parsed once.
+    with one id the last wins.  ``predictions`` is what
+    :func:`read_predictions` returns, whose rows are read when their gold
+    row is, or a list of records.  ``gold`` is read once, in order, and each
+    row is scored as it comes, so it may be a one-shot iterator: neither gold
+    rows nor parse outcomes are held.  The parsers are pure, so for micro-F1
+    the outcomes of the last 1024 distinct strings are reused: a prediction
+    that repeats its gold output verbatim, the ``""`` of a missing prediction
+    and repeated empty markers or labels are parsed once.
     """
     grammar = GRAMMARS[desc.task]
     if grammar.metric is None:
         raise UnknownTaskMetric(desc.task.value)
-    by_id = {p.instance_id: p.raw_text or "" for p in predictions}
     items = grammar.items
-    if grammar.metric == "accuracy":  # a choice depends on the options, which the instruction fixes
-        choices = ((getattr(grammar.parse(inst.output, desc, inst.instruction), items) or "",
-                    grammar.parse(by_id.get(inst.instance_id, ""), desc, inst.instruction)) for inst in gold)
-        return _tally_accuracy(choices, desc.id)
-    # bounded: 1024 entries ran eval-sweep's 18 evals in-process as fast as an
-    # unbounded cache did, and 256 entries about 10 % slower
-    outcome_of = functools.lru_cache(maxsize=1024)(lambda raw: grammar.parse(raw, desc, None))
+    with _prediction_texts(predictions) as text_of:
+        if grammar.metric == "accuracy":  # a choice depends on the options, which the instruction fixes
+            choices = ((getattr(grammar.parse(inst.output, desc, inst.instruction), items) or "",
+                        grammar.parse(text_of(inst.instance_id), desc, inst.instruction)) for inst in gold)
+            return _tally_accuracy(choices, desc.id)
+        # bounded: 1024 entries ran eval-sweep's 18 evals in-process as fast as an
+        # unbounded cache did, and 256 entries about 10 % slower
+        outcome_of = functools.lru_cache(maxsize=1024)(lambda raw: grammar.parse(raw, desc, None))
 
-    def item_sets():
-        for inst in gold:
-            pred = outcome_of(by_id.get(inst.instance_id, ""))
-            yield getattr(outcome_of(inst.output), items), getattr(pred, items), pred.status == UNPARSEABLE
-    return _tally_micro_f1(item_sets(), desc.id)
+        def item_sets():
+            for inst in gold:
+                pred = outcome_of(text_of(inst.instance_id))
+                yield getattr(outcome_of(inst.output), items), getattr(pred, items), pred.status == UNPARSEABLE
+        return _tally_micro_f1(item_sets(), desc.id)

@@ -32,10 +32,11 @@ exactly as its record would be, but only those fields' values come out, as
 a tuple, and no record is built (a class whose ``__post_init__`` checks
 rules has none).  Every output file is written through
 :func:`atomic_writer`, so it appears whole or not at all; :func:`copy_lines`
-copies byte spans of lines into one in 64 KiB blocks.  ``curate`` and
-``plan`` index rows by number: :class:`LineSpans` columns, which
-:func:`read_jsonl` fills, hold where each row's line is, and one
-:func:`first_rows` table finds each key's first row.
+copies byte spans of lines into one in 64 KiB blocks, and :func:`read_span`
+decodes the line at one span again.  ``curate``, ``plan`` and ``eval``
+index rows by number: :class:`LineSpans` columns, which :func:`read_jsonl`
+fills, hold where each row's line is, and one :func:`first_rows` table
+finds each key's first row.
 """
 
 from __future__ import annotations
@@ -574,7 +575,9 @@ def first_rows(n: int, same: Callable[[int, int], bool]) -> Callable[[int, int],
     ``row`` itself if there is none yet, for up to ``n`` rows and ``h`` the
     hash of ``row``'s key.  One open-addressing table of row numbers, sized
     once (at most 2/3 full, linear probing); ``same(first, row)`` confirms
-    each taken slot, so a hash collision never merges two keys."""
+    each taken slot, so a hash collision never merges two keys.
+    ``first.probe(h)`` inserts nothing: it gives the rows whose slots a key
+    of hash ``h`` passes, in probe order, for its caller to confirm."""
     size = 16
     while 3 * n > 2 * size:
         size *= 2
@@ -589,6 +592,13 @@ def first_rows(n: int, same: Callable[[int, int], bool]) -> Callable[[int, int],
             slot = (slot + 1) & mask
         table[slot] = row
         return row
+
+    def probe(h: int) -> Iterator[int]:
+        slot = h & mask
+        while (found := table[slot]) >= 0:
+            yield found
+            slot = (slot + 1) & mask
+    first.probe = probe
     return first
 
 
@@ -622,6 +632,23 @@ def copy_lines(path: Path | str, lines: Iterable[tuple[str, int, int]], since: s
                 block, size = [], 0
         f.write(b"\n".join([*block, b""]))
     return n
+
+
+def read_span(source: str, fd: int, start: int, length: int, cls, fields: tuple[str, ...]) -> tuple:
+    """The values of ``fields`` of the ``cls`` record on the line at a byte
+    span of ``source``, open as ``fd``: one ``os.pread``, decoded and
+    checked as a :func:`read_jsonl` projection decodes a line.  A span that
+    no longer holds such a record raises ``ValueError``: ``<source>: file
+    changed since it was read``."""
+    line = os.pread(fd, length, start)
+    if len(line) == length:
+        try:
+            rec, stop = _scan(text := line.decode("utf-8"))
+            if stop == len(text):
+                return _decoder(cls, fields)(rec)
+        except ValueError:
+            pass
+    raise ValueError(f"{source}: file changed since it was read")
 
 
 def write_json(path: Path | str, obj) -> None:

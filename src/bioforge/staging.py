@@ -13,8 +13,6 @@ its edge whitespace, plus a newline (``schema.copy_lines``).
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from array import array
 from dataclasses import asdict, dataclass
@@ -33,6 +31,7 @@ from .schema import (
     first_rows,
     read_json,
     read_jsonl,
+    read_span,
     write_json,
 )
 
@@ -73,11 +72,6 @@ class StagePlan:
 _id_hash = hash
 
 
-def _id_at(fd: int, start: int, length: int) -> str:
-    """The instance id of the forged row at a byte span, read again."""
-    return json.loads(os.pread(fd, length, start).decode("utf-8").strip())["instance_id"]
-
-
 def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> StagePlan:
     """Partition the forged corpus in the file ``forged`` into the two
     training stages.
@@ -105,8 +99,10 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
     starts, lengths = spans.starts, spans.lengths
     with open(forged, "rb") as f:
         fd = f.fileno()
-        last_of = first_rows(len(hashes), lambda a, b: hashes[a] == hashes[b] and (
-            _id_at(fd, starts[a], lengths[a]) == _id_at(fd, starts[b], lengths[b])))
+
+        def id_at(row: int) -> str:
+            return read_span(str(forged), fd, starts[row], lengths[row], InstructionInstance, ("instance_id",))[0]
+        last_of = first_rows(len(hashes), lambda a, b: hashes[a] == hashes[b] and id_at(a) == id_at(b))
         for row in reversed(range(len(hashes))):  # so the table's row of an id is its last
             if (last := last_of(row, hashes[row])) != row:
                 starts[row], lengths[row] = starts[last], lengths[last]

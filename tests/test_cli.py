@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,7 @@ from xml.sax.saxutils import escape
 
 import pytest
 
-from bioforge import curation
+from bioforge import cli, curation, evaluation
 from bioforge.cli import main
 from bioforge.forge import read_instances
 from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType, to_dict, write_documents
@@ -617,8 +618,9 @@ def test_plan_peak_memory_is_below_half_the_forged_file(workspace):
 
 
 def test_eval_peak_memory_is_below_a_quarter_of_the_gold_file(workspace):
-    """Eval scores each gold row as it reads it: it holds the predictions, the
-    gold ids and running counts, not gold rows."""
+    """Eval scores each gold row as it reads it: it holds each prediction
+    row's span, id hash and looked-up mark, and running counts, not gold
+    rows, predictions or gold ids."""
     tmp_path, registry_path, corpus_root = workspace
     out = tmp_path / "out"
     assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
@@ -722,6 +724,121 @@ def test_eval_counts_duplicate_and_unknown_prediction_ids(workspace):
     assert counts["instances"] == 3
     # last wins: the verbatim copy, so every sampled row scores as gold
     assert json.loads((out / "eval.synth-ner-en.json").read_text())["f1"] == 1.0
+
+
+@pytest.mark.parametrize("sample_n, strays", [(None, 1), (None, 2), ("3", 2)])
+def test_eval_counts_a_repeated_stray_id_once_as_duplicate_and_once_as_unknown(workspace, sample_n, strays):
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    common = ["--registry", str(registry_path), "--out", str(out)]
+    assert main(["forge", "--corpus-root", str(corpus_root), *common]) == 0
+    forged = read_instances(out / "forged.jsonl")
+    gold = [i for i in forged if i.dataset_id == "synth-ner-en"]
+    rows = [{"instance_id": i.instance_id, "raw_text": i.output} for i in gold]
+    rows[1:1] = [{"instance_id": gold[0].instance_id, "raw_text": "junk"},
+                 *({"instance_id": "stray", "raw_text": f"x{k}"} for k in range(strays)),
+                 {"instance_id": gold[0].instance_id, "raw_text": gold[0].output}]
+    rows.append({"instance_id": next(i.instance_id for i in forged if i.dataset_id == "synth-qamc-en"),
+                 "raw_text": "A"})
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    sample = [] if sample_n is None else ["--sample-n", sample_n]
+    assert main(["eval", "--dataset", "synth-ner-en", "--gold", str(out / "forged.jsonl"),
+                 "--predictions", str(preds), *sample, *common]) == 0
+    counts = json.loads((out / "run_log.eval.synth-ner-en.json").read_text())["counts"]
+    assert counts["duplicate_prediction_ids"] == strays
+    assert counts["unknown_prediction_ids"] == 2
+    assert counts["instances"] == (len(gold) if sample_n is None else 3)
+    assert json.loads((out / "eval.synth-ner-en.json").read_text())["f1"] == 1.0
+
+
+def test_every_prediction_id_hash_equal_writes_the_same_eval(workspace, monkeypatch):
+    """With one hash for every id, each row probes every later id and each
+    lookup every id, and only the re-read row's id tells two ids apart."""
+    tmp_path, registry_path, corpus_root = workspace
+    assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(tmp_path / "out")]) == 0
+    forged = read_instances(tmp_path / "out" / "forged.jsonl")
+    rows = []
+    for n, inst in enumerate(forged):
+        if n % 5 == 2:  # missing
+            continue
+        rows.append({"instance_id": inst.instance_id,
+                     "raw_text": None if n % 7 == 3 else inst.output if n % 3 else "junk"})
+        if n % 4 == 1:  # given again, and the later row wins
+            rows.append({"instance_id": inst.instance_id, "raw_text": inst.output if n % 8 == 1 else None})
+    rows[10:10] = [{"instance_id": "stray", "raw_text": "x"}, {"instance_id": "stray 2", "raw_text": None},
+                   {"instance_id": "stray", "raw_text": "y"}]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+    def evals(out):
+        results = []
+        for dataset in ("synth-ner-en", "synth-qamc-en"):
+            assert main(["eval", "--registry", str(registry_path), "--dataset", dataset,
+                         "--gold", str(tmp_path / "out" / "forged.jsonl"), "--predictions", str(preds),
+                         "--out", str(out)]) == 0
+            results.append(((out / f"eval.{dataset}.json").read_bytes(), (out / f"eval.{dataset}.txt").read_bytes(),
+                            json.loads((out / f"run_log.eval.{dataset}.json").read_text())["counts"]))
+        return results
+
+    hashed = evals(tmp_path / "hashed")
+    ids = [r["instance_id"] for r in rows]
+    for (*_, counts), dataset in zip(hashed, ("synth-ner-en", "synth-qamc-en")):
+        assert counts["duplicate_prediction_ids"] == sum(1 for i in set(ids) if ids.count(i) > 1) == 12
+        assert counts["unknown_prediction_ids"] == len(set(ids) - {i.instance_id for i in forged
+                                                                   if i.dataset_id == dataset})
+    hashed_ids = []
+    monkeypatch.setattr(evaluation, "_id_hash", lambda instance_id: hashed_ids.append(instance_id) or 7)
+    assert evals(tmp_path / "colliding") == hashed
+    assert len(hashed_ids) == 2 * len(rows) + len(forged)  # each row once an eval, each gold row once
+
+
+def test_eval_of_predictions_changed_after_they_were_read_exits_2(workspace, monkeypatch, capsys):
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    common = ["--registry", str(registry_path), "--out", str(out)]
+    assert main(["forge", "--corpus-root", str(corpus_root), *common]) == 0
+    gold = [i for i in read_instances(out / "forged.jsonl") if i.dataset_id == "synth-ner-en"]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"instance_id": i.instance_id, "raw_text": i.output}) + "\n"
+                             for i in gold), encoding="utf-8")
+    read_predictions = cli.read_predictions
+
+    def read_then_truncate(path):
+        predictions = read_predictions(path)
+        with open(path, "r+b") as f:
+            f.truncate(preds.stat().st_size // 2)
+        return predictions
+    monkeypatch.setattr(cli, "read_predictions", read_then_truncate)
+    capsys.readouterr()
+    assert main(["eval", "--dataset", "synth-ner-en", "--gold", str(out / "forged.jsonl"),
+                 "--predictions", str(preds), *common]) == 2
+    assert capsys.readouterr().err == f"config error: {preds}: file changed since it was read\n"
+    assert not (out / "eval.synth-ner-en.json").exists()
+    assert not (out / "run_log.eval.synth-ner-en.json").exists()
+
+
+def test_eval_of_predictions_from_a_pipe_exits_2(workspace, capsys):
+    """Eval reads prediction rows again by their byte spans, which a pipe
+    cannot give: it fails at once, and does not wait for a second writer of
+    a named pipe."""
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    common = ["--registry", str(registry_path), "--out", str(out)]
+    assert main(["forge", "--corpus-root", str(corpus_root), *common]) == 0
+    read, write = os.pipe()
+    pipe = f"/dev/fd/{read}"
+    try:
+        os.write(write, b'{"instance_id": "x", "raw_text": "y"}\n')
+        os.close(write)
+        capsys.readouterr()
+        assert main(["eval", "--dataset", "synth-ner-en", "--gold", str(out / "forged.jsonl"),
+                     "--predictions", pipe, *common]) == 2
+    finally:
+        os.close(read)
+    assert capsys.readouterr().err == f"config error: {pipe}: not a regular file\n"
+    assert not (out / "eval.synth-ner-en.json").exists()
 
 
 def test_eval_scores_a_null_prediction_as_unparseable(workspace):
@@ -869,6 +986,29 @@ def test_curate_memory_grows_by_under_48_bytes_a_row(tmp_path):
                                                          + "\n" for k in range(50)), encoding="utf-8")
         peaks[n] = _peak_bytes(["curate", "--corpus-root", str(train.parent.parent),
                                 "--out", str(tmp_path / f"cur{n}")])
+    slope = (peaks[40_000] - peaks[10_000]) / 30_000
+    assert slope < 48, peaks
+
+
+def test_eval_memory_grows_by_under_48_bytes_a_prediction_row(workspace):
+    """Eval holds machine words per prediction row in columns: a byte span,
+    an id hash, a slot of the last-row table and a looked-up mark."""
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(out)]) == 0
+    gold = "".join(json.dumps({"instance_id": i.instance_id, "raw_text": i.output}) + "\n"
+                   for i in read_instances(out / "forged.jsonl") if i.dataset_id == "synth-ner-en")
+    peaks = {}
+    for n in (10_000, 40_000):
+        preds = tmp_path / f"preds{n}.jsonl"
+        preds.write_text(gold + "".join(json.dumps({"instance_id": f"s{k}", "raw_text": "x"}) + "\n"
+                                        for k in range(n)), encoding="utf-8")
+        peaks[n] = _peak_bytes(["eval", "--registry", str(registry_path), "--dataset", "synth-ner-en",
+                                "--gold", str(out / "forged.jsonl"), "--predictions", str(preds),
+                                "--out", str(tmp_path / f"eval{n}")])
+        counts = json.loads((tmp_path / f"eval{n}" / "run_log.eval.synth-ner-en.json").read_text())["counts"]
+        assert counts["unknown_prediction_ids"] == n
     slope = (peaks[40_000] - peaks[10_000]) / 30_000
     assert slope < 48, peaks
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import re
 import string
@@ -18,6 +19,7 @@ from bioforge.evaluation import (
     parse_qa_choice,
     parse_re_output,
     parse_tc_output,
+    read_predictions,
     sample_subset,
     score_accuracy,
     score_micro_f1,
@@ -37,6 +39,7 @@ from bioforge.schema import (
     TextPairInstance,
     TranslationPair,
     UnifiedDocument,
+    to_dict,
     validate_document,
 )
 from bioforge.synth import (
@@ -413,7 +416,7 @@ MUTATIONS = [
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_evaluate_dataset_equals_one_parse_per_instance(data):
+def test_evaluate_dataset_equals_one_parse_per_instance(tmp_path_factory, data):
     desc, gold = data.draw(st.sampled_from(FORGED))
     outputs = [i.output for i in gold]
 
@@ -432,7 +435,12 @@ def test_evaluate_dataset_equals_one_parse_per_instance(data):
     ids = st.sampled_from([i.instance_id for i in gold] + ["stray"])
     rows += data.draw(st.lists(st.builds(PredictionRecord, ids, text("")), max_size=4))
     predictions = data.draw(st.permutations(rows))
-    assert evaluate_dataset(gold, predictions, desc) == reference_evaluation(gold, predictions, desc)
+    expected = reference_evaluation(gold, predictions, desc)
+    assert evaluate_dataset(gold, predictions, desc) == expected
+    path = tmp_path_factory.mktemp("predictions") / "predictions.jsonl"
+    path.write_text("".join(json.dumps(to_dict(p)) + "\n" for p in predictions), encoding="utf-8")
+    assert list(read_predictions(path)) == predictions
+    assert evaluate_dataset(gold, read_predictions(path), desc) == expected
 
 
 @pytest.mark.parametrize("case", [FORGED[0], FORGED[-1]], ids=["ner-f1", "qa-mc-accuracy"])
@@ -444,6 +452,20 @@ def test_evaluate_dataset_reads_gold_once_from_a_generator(case):
     assert next(rows, None) is None
     assert report == evaluate_dataset(gold, predictions, desc) == reference_evaluation(gold, predictions, desc)
     assert report.total == len(gold) and 0 < report.unparseable_count < report.total
+
+
+@pytest.mark.parametrize("case", [FORGED[0], FORGED[-1]], ids=["ner-f1", "qa-mc-accuracy"])
+def test_predictions_file_cut_after_it_was_read_raises_naming_it(tmp_path, case):
+    desc, gold = case
+    path = tmp_path / "predictions.jsonl"
+    path.write_text("".join(json.dumps({"instance_id": i.instance_id, "raw_text": i.output}) + "\n"
+                            for i in gold), encoding="utf-8")
+    predictions = read_predictions(path)
+    assert len(predictions) == len(gold)
+    with path.open("r+b") as f:
+        f.truncate(path.stat().st_size // 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: file changed since it was read$"):
+        evaluate_dataset(gold, predictions, desc)
 
 
 def test_ner_vocabularies_evaluated_alternately_keep_their_own_results():

@@ -442,7 +442,8 @@ def test_line_spans_give_each_row_the_bytes_of_its_line_in_its_own_file(tmp_path
 @given(keys=st.lists(st.integers(0, 9), max_size=60), hashes=st.lists(st.integers(), min_size=1, max_size=2))
 def test_first_rows_gives_each_key_its_first_row_whatever_the_hash(keys, hashes):
     """Each key's hash is one of one or two values, so keys collide; rows
-    given last first find each key's last row."""
+    given last first find each key's last row.  Afterwards a probe, which
+    inserts nothing, passes each key's row and no row of a key not given."""
     first_index = {key: row for row, key in reversed(list(enumerate(keys)))}
     last_index = {key: row for row, key in enumerate(keys)}
     rows = range(len(keys))
@@ -450,6 +451,9 @@ def test_first_rows_gives_each_key_its_first_row_whatever_the_hash(keys, hashes)
         first = first_rows(len(keys), lambda a, b: keys[a] == keys[b])
         assert [first(row, hashes[keys[row] % len(hashes)]) for row in order] == \
             [oracle[keys[row]] for row in order]
+        for key in range(11):  # 10 is never given
+            assert [row for row in first.probe(hashes[key % len(hashes)]) if keys[row] == key] == \
+                ([oracle[key]] if key in oracle else [])
 
 
 def plain(value):
