@@ -20,19 +20,16 @@ type-checked by the record codec as they are read: only ``raw_text`` may be
 ``null``, a failed generation that scores as unparseable.
 
 ``bioforge eval`` holds no predictions and no gold ids either:
-:func:`read_predictions` keeps each prediction row's ``schema.LineSpans``
-span and id hash, and one ``schema.first_rows`` table finds an id's last
-row, which is read again when its gold row is scored.
+:class:`Predictions` keeps each prediction row's ``schema.LineSpans`` span,
+and an id's last row (``schema.last_rows``) is read again when its gold row
+is scored.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import os
 import re
-import stat
-from array import array
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from itertools import repeat
@@ -40,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import LengthMismatch, UnknownTaskMetric
 from .schema import (DatasetDescriptor, InstructionInstance, Language, LineSpans, RelationTriple, TaskType,
-                     UnifiedDocument, first_rows, read_jsonl, read_span)
+                     UnifiedDocument, last_rows, read_jsonl)
 
 PARSED = "parsed"
 PARTIAL = "partial"
@@ -53,44 +50,26 @@ class PredictionRecord:
     raw_text: Optional[str]  # None: a failed generation, scored like a missing row
 
 
-# The hash of a prediction id in the last-row table, whose re-read rows confirm it.
-_id_hash = hash
-
-
 class Predictions:
     """A predictions file, indexed by id but not held: per row, its
     ``schema.LineSpans`` span, its id's hash and a looked-up mark.
 
     Every row is decoded and type-checked as a :class:`PredictionRecord`
-    when the file is read (a ``read_jsonl`` projection), and none is kept.
-    The rows then go, last first, through one ``schema.first_rows`` table of
-    their ids' hashes, so the table's row of an id is its last, the one
-    scored; that pass counts the ids given more than once.  ``len()`` is the
-    row count, and iterating reads the rows again, in file order."""
+    when the file is read (a ``read_jsonl`` projection), and none is kept;
+    ``schema.last_rows`` finds each id's last row, the one scored, and counts
+    the ids given more than once.  ``len()`` is the row count, and iterating
+    reads the rows again, in file order."""
 
     def __init__(self, path: Path | str):
         self.path = str(path)
         self._spans = LineSpans()
-        with open(path, "rb") as f:
-            fd = f.fileno()
-            if not stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe: its rows could not be read again
-                raise ValueError(f"{path}: not a regular file")
-            rows = read_jsonl(path, PredictionRecord, spans=self._spans, fields=("instance_id",))
-            self._hashes = hashes = array("q", (_id_hash(instance_id) for instance_id, in rows))
-            repeated, ids = bytearray(len(hashes)), 0  # 1: a later row repeats the row's id
-            last_of = first_rows(len(hashes), lambda a, b: hashes[a] == hashes[b] and (
-                self._row_at(fd, a)[0] == self._row_at(fd, b)[0]))
-            for row in reversed(range(len(hashes))):  # so the table's row of an id is its last
-                if (last := last_of(row, hashes[row])) == row:
-                    ids += 1
-                else:
-                    repeated[last] = 1
-        self._last_of, self._distinct_ids, self.duplicate_ids = last_of, ids, repeated.count(1)
-        del repeated  # before the marks are made, which bounds the peak
-        self._looked_up = bytearray(len(hashes))  # 1: a lookup found the row
+        rows = read_jsonl(path, PredictionRecord, spans=self._spans, fields=("instance_id",))
+        self._find, self._distinct_ids, self.duplicate_ids = last_rows(
+            path, PredictionRecord, ("instance_id", "raw_text"), self._spans, (row[0] for row in rows))
+        self._looked_up = bytearray(len(self))  # 1: a lookup found the row
 
     def __len__(self) -> int:
-        return len(self._hashes)
+        return len(self._spans.starts)
 
     def __iter__(self) -> Iterator[PredictionRecord]:
         return read_jsonl(self.path, PredictionRecord)
@@ -106,29 +85,20 @@ class Predictions:
         last row (None: ``""``), or ``""`` for an id no row has.  A lookup
         inserts nothing; it marks the row it finds, which it reads by one
         ``os.pread`` and decodes once."""
-        hashes, probe, looked_up, row_at = self._hashes, self._last_of.probe, self._looked_up, self._row_at
+        find, looked_up = self._find, self._looked_up
         with open(self.path, "rb") as f:
             fd = f.fileno()
 
             def text_of(instance_id: str) -> str:
-                h = _id_hash(instance_id)
-                for row in probe(h):
-                    if hashes[row] == h:
-                        found, raw_text = row_at(fd, row)
-                        if found == instance_id:
-                            looked_up[row] = 1
-                            return raw_text or ""
-                return ""
+                if (found := find(fd, instance_id)) is None:
+                    return ""
+                row, (_, raw_text) = found
+                looked_up[row] = 1
+                return raw_text or ""
             yield text_of
 
-    def _row_at(self, fd: int, row: int) -> tuple[str, Optional[str]]:
-        """The id and ``raw_text`` of row ``row``, read again."""
-        return read_span(self.path, fd, self._spans.starts[row], self._spans.lengths[row],
-                         PredictionRecord, ("instance_id", "raw_text"))
 
-
-def read_predictions(path: Path | str) -> Predictions:
-    return Predictions(path)
+read_predictions = Predictions
 
 
 @dataclass(frozen=True, slots=True)  # slots: evaluate_dataset caches up to 1024

@@ -36,7 +36,8 @@ copies byte spans of lines into one in 64 KiB blocks, and :func:`read_span`
 decodes the line at one span again.  ``curate``, ``plan`` and ``eval``
 index rows by number: :class:`LineSpans` columns, which :func:`read_jsonl`
 fills, hold where each row's line is, and one :func:`first_rows` table
-finds each key's first row.
+finds each key's first row; :func:`last_rows` finds, for plan and eval, each
+id's last row.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 from array import array
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -651,6 +653,44 @@ def read_span(source: str, fd: int, start: int, length: int, cls, fields: tuple[
     raise ValueError(f"{source}: file changed since it was read")
 
 
+# The hash of an id in a :func:`last_rows` table, whose re-read rows confirm it.
+_id_hash = hash
+
+
+def last_rows(path: Path | str, cls, fields: tuple[str, ...], spans: LineSpans, keys: Iterable[str]) -> tuple:
+    """Find each key's last row among the rows ``read_jsonl(path, cls,
+    spans=spans, ...)`` read, given their keys (each row's ``fields[0]``) in
+    order as ``keys``: the rows go last first through one :func:`first_rows`
+    table of the keys' hashes, and a hash match counts only once both keys,
+    read again, are equal.  Each earlier row of a key takes its last row's
+    span.  Returns ``(find, distinct, repeated)``: the numbers of distinct
+    and of repeated keys, and ``find(fd, key)``, with ``path`` open as
+    ``fd``: ``key``'s last row and its ``fields``, read again, or ``None``."""
+    hashes, starts, lengths = array("q", map(_id_hash, keys)), spans.starts, spans.lengths
+
+    def at(fd: int, row: int) -> tuple:
+        return read_span(str(path), fd, starts[row], lengths[row], cls, fields)
+
+    def find(fd: int, key: str) -> Optional[tuple[int, tuple]]:
+        h = _id_hash(key)
+        for row in last.probe(h):
+            if hashes[row] == h and (values := at(fd, row))[0] == key:
+                return row, values
+        return None
+
+    repeated, distinct = bytearray(len(hashes)), 0  # 1: a later row repeats the row's key
+    with open(path, "rb") as f:
+        fd = f.fileno()
+        last = first_rows(len(hashes), lambda a, b: hashes[a] == hashes[b] and at(fd, a)[0] == at(fd, b)[0])
+        for row in reversed(range(len(hashes))):
+            if (found := last(row, hashes[row])) == row:
+                distinct += 1
+            else:
+                repeated[found] = 1
+                starts[row], lengths[row] = starts[found], lengths[found]
+    return find, distinct, repeated.count(1)
+
+
 def write_json(path: Path | str, obj) -> None:
     """Write one indented JSON document, through :func:`atomic_writer`."""
     with atomic_writer(path) as f:
@@ -700,11 +740,15 @@ def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
     record is built; a class with a ``__post_init__`` rule check raises
     ``TypeError``.  Given ``spans``, the file and each record's line, without
     its edge ASCII whitespace, are appended to those columns before the
-    record is yielded.  A line that is not UTF-8, not JSON or does not
-    fit ``cls`` raises ``ValueError`` naming the path and line:
+    record is yielded, and a pipe raises ``<path>: not a regular file``
+    before it is read.  A line that is not UTF-8, not JSON or does not fit
+    ``cls`` raises ``ValueError`` naming the path and line:
     ``<path>:<line>: <message>``.  So does a ``ValueError`` a caller throws
     into the generator (``gen.throw``) about the record it was last given."""
     decode = None if cls is None else _decoder(cls, tuple(fields))
+    # a span is read again, which a pipe cannot give; a directory fails at the open
+    if spans is not None and not (stat.S_ISREG(mode := os.stat(path).st_mode) or stat.S_ISDIR(mode)):
+        raise ValueError(f"{path}: not a regular file")
     with Path(path).open("rb") as f:
         if spans is not None:
             spans.sources.append(str(path))

@@ -28,10 +28,9 @@ from .schema import (
     LineSpans,
     Registry,
     copy_lines,
-    first_rows,
+    last_rows,
     read_json,
     read_jsonl,
-    read_span,
     write_json,
 )
 
@@ -68,10 +67,6 @@ class StagePlan:
         return len(self.stage2_rows)
 
 
-# The hash of an id in the repeat table, whose re-read ids confirm it.
-_id_hash = hash
-
-
 def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> StagePlan:
     """Partition the forged corpus in the file ``forged`` into the two
     training stages.
@@ -83,32 +78,24 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
     id are read (a ``read_jsonl`` projection), and each dataset's stage is
     looked up once.  The plan holds machine words per row: the stages' row
     numbers and the rows' spans.  An id given twice is listed twice, each
-    copy the last row with that id: the rows go through a
-    ``schema.first_rows`` table of their ids' hashes last first.
+    copy the last row with that id (``schema.last_rows``).
     """
     type1 = {desc.id: assign_stage(desc) == TYPE1 for desc in registry}
-    spans, hashes, stage1_rows = LineSpans(), array("q"), array("q")
+    spans, stage1_rows = LineSpans(), array("q")
     rows = read_jsonl(forged, InstructionInstance, spans=spans, fields=("instance_id", "dataset_id"))
-    for instance_id, dataset_id in rows:
-        in_stage1 = type1.get(dataset_id)
-        if in_stage1 is None:  # named by the forged file's path and line
-            rows.throw(ValueError(str(UnknownDataset(dataset_id))))
-        if in_stage1:
-            stage1_rows.append(len(hashes))
-        hashes.append(_id_hash(instance_id))
-    starts, lengths = spans.starts, spans.lengths
-    with open(forged, "rb") as f:
-        fd = f.fileno()
 
-        def id_at(row: int) -> str:
-            return read_span(str(forged), fd, starts[row], lengths[row], InstructionInstance, ("instance_id",))[0]
-        last_of = first_rows(len(hashes), lambda a, b: hashes[a] == hashes[b] and id_at(a) == id_at(b))
-        for row in reversed(range(len(hashes))):  # so the table's row of an id is its last
-            if (last := last_of(row, hashes[row])) != row:
-                starts[row], lengths[row] = starts[last], lengths[last]
-    del hashes  # before the stage-2 rows are made, which bounds the peak
+    def instance_ids():
+        for instance_id, dataset_id in rows:
+            in_stage1 = type1.get(dataset_id)
+            if in_stage1 is None:  # named by the forged file's path and line
+                rows.throw(ValueError(str(UnknownDataset(dataset_id))))
+            if in_stage1:
+                stage1_rows.append(len(spans.starts) - 1)
+            yield instance_id
+    # its hashes and table are freed as it returns, before the stage-2 rows are made, which bounds the peak
+    last_rows(forged, InstructionInstance, ("instance_id",), spans, instance_ids())
     random.Random(f"stage1:{seed}").shuffle(stage1_rows)
-    stage2_rows = array("q", range(len(starts)))
+    stage2_rows = array("q", range(len(spans.starts)))
     random.Random(f"stage2:{seed}").shuffle(stage2_rows)
     return StagePlan(stage1_rows=stage1_rows, stage2_rows=stage2_rows, spans=spans)
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +11,8 @@ from xml.sax.saxutils import escape
 
 import pytest
 
-from bioforge import cli, curation, evaluation
+import bioforge
+from bioforge import cli, curation, schema
 from bioforge.cli import main
 from bioforge.forge import read_instances
 from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType, to_dict, write_documents
@@ -253,6 +256,10 @@ ERROR_CASES = {
     "eval_bad_predictions_json": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
                                   "--predictions {tmp}/bad.jsonl", "{tmp}/bad.jsonl:2: "),
     "plan_bad_forged_json": (2, "plan --forged {tmp}/bad.jsonl", "{tmp}/bad.jsonl:2: "),
+    # a directory is a missing input, not a file that is not regular
+    "plan_forged_directory": (1, "plan --forged {tmp}/corpus", "missing input: {tmp}/corpus\n"),
+    "eval_predictions_directory": (1, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
+                                   "--predictions {tmp}/corpus", "missing input: {tmp}/corpus\n"),
     "forge_bad_templates_json": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/bad.jsonl",
                                  "{tmp}/bad.jsonl:2: "),
     "eval_negative_sample_n": (2, "eval --dataset synth-ner-en --gold {tmp}/forged/forged.jsonl "
@@ -789,7 +796,7 @@ def test_every_prediction_id_hash_equal_writes_the_same_eval(workspace, monkeypa
         assert counts["unknown_prediction_ids"] == len(set(ids) - {i.instance_id for i in forged
                                                                    if i.dataset_id == dataset})
     hashed_ids = []
-    monkeypatch.setattr(evaluation, "_id_hash", lambda instance_id: hashed_ids.append(instance_id) or 7)
+    monkeypatch.setattr(schema, "_id_hash", lambda instance_id: hashed_ids.append(instance_id) or 7)
     assert evals(tmp_path / "colliding") == hashed
     assert len(hashed_ids) == 2 * len(rows) + len(forged)  # each row once an eval, each gold row once
 
@@ -821,8 +828,7 @@ def test_eval_of_predictions_changed_after_they_were_read_exits_2(workspace, mon
 
 def test_eval_of_predictions_from_a_pipe_exits_2(workspace, capsys):
     """Eval reads prediction rows again by their byte spans, which a pipe
-    cannot give: it fails at once, and does not wait for a second writer of
-    a named pipe."""
+    cannot give: it fails before it reads a row."""
     tmp_path, registry_path, corpus_root = workspace
     out = tmp_path / "out"
     common = ["--registry", str(registry_path), "--out", str(out)]
@@ -839,6 +845,57 @@ def test_eval_of_predictions_from_a_pipe_exits_2(workspace, capsys):
         os.close(read)
     assert capsys.readouterr().err == f"config error: {pipe}: not a regular file\n"
     assert not (out / "eval.synth-ner-en.json").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "curate"])
+def test_plan_and_curate_of_a_pipe_exit_2(workspace, capsys, command):
+    """Plan and curate read rows again by their byte spans, as eval does, and
+    refuse a pipe the same way (curate's train file here is a link to one).
+    The pipe's row fits neither record, so the pipe is refused before any
+    row is read."""
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    read, write = os.pipe()
+    pipe = f"/dev/fd/{read}"
+    if command == "plan":
+        argv, named = ["--forged", pipe], pipe
+    else:
+        named = tmp_path / "piped" / "synth-ner-en" / "train.jsonl"
+        named.parent.mkdir(parents=True)
+        named.symlink_to(pipe)
+        argv = ["--corpus-root", str(tmp_path / "piped")]
+    try:
+        os.write(write, b'{"instance_id": "x"}\n')
+        os.close(write)
+        assert main([command, *argv, "--registry", str(registry_path), "--out", str(out)]) == 2
+    finally:
+        os.close(read)
+    assert capsys.readouterr().err == f"config error: {named}: not a regular file\n"
+    assert not out.exists()
+
+
+PROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(bioforge.__file__).resolve().parent.parent)}
+
+
+@pytest.mark.parametrize("command", ["plan", "eval", "curate"])
+def test_named_pipe_without_a_writer_exits_2_at_once(workspace, command):
+    """Opening a named pipe with no writer blocks, so plan, eval and curate
+    refuse one before they open it.  Each runs in a process of its own,
+    killed after a timeout, so that a hang fails the test, not the suite."""
+    tmp_path, registry_path, corpus_root = workspace
+    fifo = tmp_path / "fifo" / "synth-ner-en" / "train.jsonl"
+    fifo.parent.mkdir(parents=True)
+    os.mkfifo(fifo)
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("")
+    argv = {"plan": ["--forged", str(fifo)],
+            "eval": ["--dataset", "synth-ner-en", "--gold", str(gold), "--predictions", str(fifo)],
+            "curate": ["--corpus-root", str(tmp_path / "fifo")]}[command]
+    proc = subprocess.run([sys.executable, "-m", "bioforge.cli", command, *argv, "--registry", str(registry_path),
+                           "--out", str(tmp_path / "out")],
+                          env=PROCESS_ENV, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, f"config error: {fifo}: not a regular file\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_scores_a_null_prediction_as_unparseable(workspace):

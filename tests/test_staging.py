@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from bioforge import staging
+from bioforge import schema
 from bioforge.fixtures import reference_registry
 from bioforge.forge import build_corpus, read_instances, write_instances
 from bioforge.schema import DatasetDescriptor, Language, Registry, TaskType
@@ -119,7 +119,7 @@ class TestBuildStagePlan:
 
         hashed = stage_files(tmp_path / "hashed")
         hashed_ids = []
-        monkeypatch.setattr(staging, "_id_hash", lambda instance_id: hashed_ids.append(instance_id) or 7)
+        monkeypatch.setattr(schema, "_id_hash", lambda instance_id: hashed_ids.append(instance_id) or 7)
         assert stage_files(tmp_path / "colliding") == hashed
         assert len(hashed_ids) == len(lines) + len(repeats)
         rows = hashed[1].decode("utf-8").splitlines()
