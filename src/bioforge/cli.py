@@ -5,10 +5,10 @@ under the output root, and returns its input paths and counts; :func:`main`
 then records a run log (config, seed, input digests, counts) sufficient to
 reproduce its artifacts.  :func:`main` alone maps errors to exit codes: 1
 for a missing input (a ``FileNotFoundError`` or ``IsADirectoryError`` from
-the open that needs it), 2 for a configuration error (any
-:class:`~bioforge.errors.BioforgeError`, ``ValueError`` or other
-``OSError``), each with a one-line diagnostic on stderr.  A failed command
-writes no run log, and every output file is written whole or not at all.
+the open that needs it), 2 for a configuration error (any ``ValueError``,
+which every :mod:`bioforge.errors` class is, or other ``OSError``), each
+with a one-line diagnostic on stderr.  A failed command writes no run log,
+and every output file is written whole or not at all.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import BioforgeError
 from .fixtures import reference_registry
 from .schema import (
     InstructionInstance,
@@ -29,7 +28,7 @@ from .schema import (
     UnifiedDocument,
     atomic_writer,
     copy_lines,
-    read_documents,
+    read_documents,  # noqa: F401 (bound for the benchmark's tracer, see below)
     read_instances,  # noqa: F401 (bound for the benchmark's tracer, see below)
     read_jsonl,
     write_documents,
@@ -187,7 +186,7 @@ def cmd_eval(args) -> tuple[list[Path], dict]:
             with predictions.texts() as text_of:
                 for inst in rows:
                     text_of(inst.instance_id)
-    except (BioforgeError, ValueError, OSError):
+    except (ValueError, OSError):
         for _ in gold:  # a fault of the gold file is reported first
             pass
         raise
@@ -208,7 +207,8 @@ def cmd_stats(args) -> tuple[list[Path], dict]:
     corpus_counts = None
     if args.corpus_root:
         corpus_counts = {
-            registry[path.parent.name].id: sum(1 for _ in read_jsonl(path))  # raises if unregistered
+            # the key raises if unregistered; each row is checked as a document
+            registry[path.parent.name].id: sum(1 for _ in read_jsonl(path, UnifiedDocument, fields=("dataset_id",)))
             for path in _corpus_files(args.corpus_root, "train")
         }
     table = corpus_stats(registry, corpus_counts)
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"missing input: {exc.filename}", file=sys.stderr)
         return 1
-    except (BioforgeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0

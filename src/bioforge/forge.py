@@ -141,8 +141,8 @@ def forge_instances(
 
     Identical inputs and seed produce a byte-identical corpus; output order
     follows input order.  A document that cannot be rendered raises its
-    ``BioforgeError``, first thrown as a ``ValueError`` into ``docs`` if that
-    is a generator, so that ``read_jsonl`` names the row: ``<path>:<line>:``.
+    ``BioforgeError``, thrown into ``docs`` first if that is a generator, so
+    that ``read_jsonl`` names the row: ``<path>:<line>:``.
     """
     for desc, docs in corpora:
         type2 = TASKS[desc.task].type2
@@ -153,7 +153,7 @@ def forge_instances(
                 instance = render_instance(doc, template, desc)
             except BioforgeError as exc:
                 if isinstance(docs, Generator):
-                    docs.throw(ValueError(str(exc)))
+                    docs.throw(exc)
                 raise
             yield instance
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, TextIO
 
 from .errors import (
-    BioforgeError,
     DanglingRef,
     EmptyToken,
     MalformedLine,
@@ -328,7 +327,7 @@ def ingest_dataset(
                     try:
                         doc = parser(chunk, index, cfg, warnings)
                         reasons = list(validate_document(doc, desc).violations)
-                    except (BioforgeError, ValueError) as exc:
+                    except ValueError as exc:
                         reasons = [str(exc)]
                     doc_id = doc.doc_id if doc else None
                     report.warning_details.extend({"index": index, "doc_id": doc_id, "warning": w}

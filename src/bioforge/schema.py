@@ -179,6 +179,11 @@ class DatasetDescriptor:
         if self.stage_override not in (None, TYPE1, TYPE2):
             raise ValueError(f"dataset {self.id!r}: stage_override must be {TYPE1!r} or {TYPE2!r}, "
                              f"got {self.stage_override!r}")
+        # an untyped pair's relation is the prompted one, else the vocabulary's only entry
+        if (self.task is TaskType.RE and self.re_untyped and self.prompted_relation is None
+                and len(self.label_vocab) != 1):
+            raise ValueError(f"dataset {self.id!r}: re_untyped needs a prompted_relation or one "
+                             f"label_vocab entry, got {len(self.label_vocab)}")
 
 
 @dataclass(frozen=True)
@@ -785,14 +790,6 @@ def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
             raise ValueError(f"{path}:{line_no}: {exc}") from None
 
 
-def read_json(path: Path | str, cls):
-    """Decode the JSON document in ``path`` as one ``cls`` record; errors name ``path``."""
-    try:
-        return from_dict(cls, json.loads(Path(path).read_text(encoding="utf-8")))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def write_documents(path: Path | str, docs: Iterable[UnifiedDocument]) -> int:
     return write_records(path, docs)
 
@@ -855,12 +852,12 @@ class Registry:
 
     @classmethod
     def load(cls, path: Path | str) -> "Registry":
-        registry = cls()
-        for desc in read_jsonl(path, DatasetDescriptor):
+        registry, rows = cls(), read_jsonl(path, DatasetDescriptor)
+        for desc in rows:
             try:
                 registry.add(desc)
-            except ValueError as exc:  # a duplicate id
-                raise ValueError(f"{path}: {exc}") from None
+            except ValueError as exc:  # a duplicate id, named by its line
+                rows.throw(exc)
         return registry
 
     def save(self, path: Path | str) -> int:

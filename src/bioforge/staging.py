@@ -29,7 +29,6 @@ from .schema import (
     Registry,
     copy_lines,
     last_rows,
-    read_json,
     read_jsonl,
     write_json,
 )
@@ -88,7 +87,7 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
         for instance_id, dataset_id in rows:
             in_stage1 = type1.get(dataset_id)
             if in_stage1 is None:  # named by the forged file's path and line
-                rows.throw(ValueError(str(UnknownDataset(dataset_id))))
+                rows.throw(UnknownDataset(dataset_id))
             if in_stage1:
                 stage1_rows.append(len(spans.starts) - 1)
             yield instance_id
@@ -155,7 +154,3 @@ def emit_training_manifest(plan: StagePlan, stage: int, out_dir: Path | str) -> 
     )
     write_json(out_dir / f"stage{stage}.manifest.json", asdict(manifest))
     return manifest
-
-
-def load_manifest(path: Path | str) -> TrainingManifest:
-    return read_json(path, TrainingManifest)

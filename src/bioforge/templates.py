@@ -46,7 +46,13 @@ class TemplateBank:
 
     @classmethod
     def load(cls, path: Path | str) -> "TemplateBank":
-        return cls(read_jsonl(path, InstructionTemplate))
+        bank, rows = cls(), read_jsonl(path, InstructionTemplate)
+        for template in rows:
+            try:
+                bank.add(template)
+            except ValueError as exc:  # a duplicate id, named by its line
+                rows.throw(exc)
+        return bank
 
     def save(self, path: Path | str) -> int:
         return write_records(path, (t for ts in self._by_pair.values() for t in ts))

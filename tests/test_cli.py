@@ -269,8 +269,18 @@ ERROR_CASES = {
                              "config error: {tmp}/negative.jsonl:1: dataset 'synth-ner-en': "
                              "split_counts['train'] must be >= 0, got -1\n"),
     "stats_duplicate_id": (2, "stats --registry {tmp}/duplicate.jsonl",
-                           "config error: {tmp}/duplicate.jsonl: duplicate dataset id 'synth-ner-en' "
+                           "config error: {tmp}/duplicate.jsonl:2: duplicate dataset id 'synth-ner-en' "
                            "in registry\n"),
+    "forge_duplicate_template_id": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/duplicate_template.jsonl",
+                                    "config error: {tmp}/duplicate_template.jsonl:3: duplicate template id 't'\n"),
+    # an untyped RE row whose relation neither a prompt nor a one-entry vocabulary implies
+    "stats_untyped_re_two_relations": (2, "stats --registry {tmp}/untyped_re.jsonl",
+                                       "config error: {tmp}/untyped_re.jsonl:1: dataset 're-en': re_untyped needs "
+                                       "a prompted_relation or one label_vocab entry, got 2\n"),
+    # stats counts documents: a row that is not one is named by file and line
+    "stats_corpus_row_not_a_document": (2, "stats --corpus-root {tmp}/not_a_doc_corpus",
+                                        "config error: {tmp}/not_a_doc_corpus/synth-ner-en/train.jsonl:2: "
+                                        "UnifiedDocument.doc_id: required key missing\n"),
     "plan_unknown_stage_override": (2, "plan --forged {tmp}/forged/forged.jsonl "
                                     "--registry {tmp}/stage_override.jsonl",
                                     "config error: {tmp}/stage_override.jsonl:1: dataset 'synth-ner-en': "
@@ -477,13 +487,20 @@ def bad_inputs(workspace):
             _jsonl_docs(task, UNFORGEABLE[task][0], bad))
     (tmp_path / "positional.jsonl").write_text(json.dumps(
         {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": "{0}"}) + "\n")
+    (tmp_path / "duplicate_template.jsonl").write_text("".join(json.dumps(
+        {"template_id": template_id, "task": "NER/NEN", "language": "en", "instruction_pattern": "{text}"}) + "\n"
+        for template_id in ("t", "u", "t")))
+    (tmp_path / "untyped_re.jsonl").write_text(json.dumps(
+        {"id": "re-en", "name": "re-en", "task": "RE", "language": "en", "label_vocab": ["CID", "treats"],
+         "re_untyped": True}) + "\n")
     good = (tmp_path / "corpus" / "synth-ner-en" / "train.jsonl").read_text().splitlines(keepends=True)[0]
     with_id = lambda dataset_id: good + json.dumps({**json.loads(good), "dataset_id": dataset_id}) + "\n"  # noqa: E731
     for corpus, files in {"absolute_id": {"ner-en/train.jsonl": with_id(str(tmp_path / "escaped"))},
                           "parent_id": {"ner-en/train.jsonl": with_id("../../outside")},
                           "empty_id": {"ner-en/train.jsonl": with_id("")},
                           "fault_order": {"a-en/train.jsonl": good, "a-en/test.jsonl": good + '{"text":\n',
-                                          "b-en/train.jsonl": good + '{"text":\n'}}.items():
+                                          "b-en/train.jsonl": good + '{"text":\n'},
+                          "not_a_doc": {"synth-ner-en/train.jsonl": good + '{}\n[1, 2]\n"x"\n'}}.items():
         for name, text in files.items():
             (tmp_path / f"{corpus}_corpus" / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / f"{corpus}_corpus" / name).write_text(text)

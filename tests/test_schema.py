@@ -215,6 +215,20 @@ def test_descriptor_round_trip_and_negative_counts():
         Registry([from_dict(DatasetDescriptor, bad)])
 
 
+def test_untyped_re_row_needs_an_implied_relation():
+    """An untyped pair takes the prompted relation, else the vocabulary's
+    only entry; a row with neither would forge gold that eval cannot read."""
+    row = dict(id="x", name="X", task=TaskType.RE, language=Language.EN, re_untyped=True)
+    for vocab in ((), ("CID", "treats")):
+        with pytest.raises(ValueError) as exc:
+            DatasetDescriptor(**row, label_vocab=vocab)
+        assert str(exc.value) == ("dataset 'x': re_untyped needs a prompted_relation or one label_vocab "
+                                  f"entry, got {len(vocab)}")
+        DatasetDescriptor(**row, label_vocab=vocab, prompted_relation="CID")
+        DatasetDescriptor(**{**row, "task": TaskType.NER_NEN}, label_vocab=vocab)  # no pairs to type
+    DatasetDescriptor(**row, label_vocab=("CID",))
+
+
 def test_registry_rejects_duplicate_ids():
     desc = DatasetDescriptor(id="x", name="X", task=TaskType.TC, language=Language.EN)
     registry = Registry([desc])
@@ -298,8 +312,10 @@ ANY_JSON = st.recursive(
 # Fields whose record checks a rule beyond the field's type, drawn within
 # that rule: the record rejects a well-typed value outside it by design.
 WITHIN_RULES = {
+    # re_untyped: an untyped RE row also needs a prompted relation or a one-entry vocabulary
     DatasetDescriptor: {"split_counts": st.dictionaries(st.text(max_size=3), st.integers(0, 30), max_size=3),
-                        "stage_override": st.sampled_from([None, "Type1", "Type2"])},
+                        "stage_override": st.sampled_from([None, "Type1", "Type2"]),
+                        "re_untyped": st.just(False)},
 }
 
 
@@ -584,9 +600,9 @@ def codec_references(tree: ast.AST, scope=None):
 
 
 def test_records_are_decoded_only_by_the_schema_readers_and_jsonl_ingest():
-    """Every record file is read through ``schema.read_jsonl`` or
-    ``read_json``, whose errors name the file and line; only generic JSONL
-    ingest decodes a row itself, so that a bad row costs only that row."""
+    """Every record file is read through ``schema.read_jsonl`` (or a span
+    of a file it read), whose errors name the file and line; only generic
+    JSONL ingest decodes a row itself, so that a bad row costs only that row."""
     found = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope in codec_references(ast.parse(path.read_text(encoding="utf-8")))}
     assert {name for name, _ in found} == {"schema.py", "ingest.py"}

@@ -1,0 +1,43 @@
+"""Checks of the source that no installed linter makes: every module-level
+import of ``src/bioforge`` is used, and every pipeline error is a
+``ValueError``, the one family the CLI maps to exit code 2."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+from bioforge import errors
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bioforge"
+
+
+def module_imports(tree: ast.Module):
+    """``(name, line)`` for each name bound by an import at module level,
+    including one under a top-level ``if`` or ``try``."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            nodes.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_level_import_is_used_or_marked(path):
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line}: {name}" for name, line in module_imports(tree)
+              if name not in used and "# noqa: F401" not in lines[line - 1]]
+    assert unused == []
+
+
+def test_every_pipeline_error_is_a_value_error():
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__]
+    assert errors.BioforgeError in classes
+    assert [cls.__name__ for cls in classes if not issubclass(cls, ValueError)] == []

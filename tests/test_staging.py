@@ -1,7 +1,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -16,7 +16,6 @@ from bioforge.staging import (
     assign_stage,
     build_stage_plan,
     emit_training_manifest,
-    load_manifest,
     registry_stage_counts,
 )
 from bioforge.synth import make_ner_docs, make_qa_mc_docs
@@ -190,7 +189,7 @@ class TestManifests:
         forged, registry = small_forged_corpus(tmp_path)
         plan = build_stage_plan(forged, registry, seed=3)
         manifest = emit_training_manifest(plan, 2, tmp_path)
-        assert load_manifest(tmp_path / "stage2.manifest.json") == manifest
+        assert json.loads((tmp_path / "stage2.manifest.json").read_text(encoding="utf-8")) == asdict(manifest)
 
     def test_stage_file_in_plan_order(self, tmp_path):
         forged, registry = small_forged_corpus(tmp_path)
