@@ -3,12 +3,14 @@
 Every command is idempotent given identical inputs and seed, writes only
 under the output root, and returns its input paths and counts; :func:`main`
 then records a run log (config, seed, input digests, counts) sufficient to
-reproduce its artifacts.  :func:`main` alone maps errors to exit codes: 1
-for a missing input (a ``FileNotFoundError`` or ``IsADirectoryError`` from
-the open that needs it), 2 for a configuration error (any ``ValueError``,
-which every :mod:`bioforge.errors` class is, or other ``OSError``), each
-with a one-line diagnostic on stderr.  A failed command writes no run log,
-and every output file is written whole or not at all.
+reproduce its artifacts.  Before a command runs, :func:`main` checks that
+each argument it puts in an output file name is one path component.
+:func:`main` alone maps errors to exit codes: 1 for a missing input (a
+``FileNotFoundError`` or ``IsADirectoryError`` from the open that needs it),
+2 for a configuration error (any ``ValueError``, the one type every stage
+raises, or other ``OSError``), each with a one-line diagnostic on stderr.
+A failed command writes no run log, and every output file is written whole
+or not at all.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .schema import (
     UnifiedDocument,
     atomic_writer,
     copy_lines,
+    is_directory_name,
     read_documents,  # noqa: F401 (bound for the benchmark's tracer, see below)
     read_instances,  # noqa: F401 (bound for the benchmark's tracer, see below)
     read_jsonl,
@@ -83,7 +86,8 @@ def _load_registry(args) -> Registry:
 
 # The arguments that name a command's run log beside its command name, so
 # that each ingest of a split and each eval of a dataset into one ``--out``
-# keeps its own log.
+# keeps its own log.  They name its other output files too, so each must be
+# a directory name.
 RUN_LOG_SCOPE = {"ingest": ("dataset", "split"), "eval": ("dataset",)}
 
 
@@ -278,6 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for key in RUN_LOG_SCOPE.get(args.command, ()):
+            if not is_directory_name(value := getattr(args, key)):
+                raise ValueError(f"--{key} {value!r} is not a directory name")
         inputs, counts = args.func(args)
         _write_run_log(args, inputs, counts)
     except (FileNotFoundError, IsADirectoryError) as exc:

@@ -18,7 +18,6 @@ copied from the corpus files as written.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 import unicodedata
 from array import array
@@ -27,9 +26,8 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import UnknownLabel
 from .schema import (TASKS, DatasetDescriptor, LineSpans, Registry, TaskType, UnifiedDocument, first_rows,
-                     read_jsonl)
+                     is_directory_name, read_jsonl)
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -97,12 +95,6 @@ class KeyedRows:
                 yield dataset_id, self.spans.lines(kept[number])
 
 
-def _is_directory_name(name: str) -> bool:
-    """Whether ``name`` is exactly one path component, as a dataset id that
-    names an output directory must be."""
-    return name not in ("", ".", "..") and "/" not in name and os.sep not in name and "\0" not in name
-
-
 def read_keyed_rows(paths: Iterable[Path]) -> KeyedRows:
     """Decode and check every row of the JSONL corpus files ``paths`` in
     order as a document (a bad row raises ``<path>:<line>: ...``), without
@@ -113,7 +105,7 @@ def read_keyed_rows(paths: Iterable[Path]) -> KeyedRows:
     for path in paths:
         items = read_jsonl(path, UnifiedDocument, spans=rows.spans, fields=("text", "dataset_id"))
         for text, dataset_id in items:
-            if dataset_id not in rows.dataset_numbers and not _is_directory_name(dataset_id):
+            if dataset_id not in rows.dataset_numbers and not is_directory_name(dataset_id):
                 items.throw(ValueError(f"dataset id {dataset_id!r} is not a directory name"))
             rows.add(_text_key(text), dataset_id)
     return rows
@@ -229,7 +221,7 @@ def decompose_subtasks(
     for name, labels in plan.subsets:
         for label in labels:
             if label not in vocabulary:
-                raise UnknownLabel(label)
+                raise ValueError(f"subset label {label!r} absent from corpus label vocabulary")
         label_set = set(labels)
         virtual_id = f"{desc.id}__{name}"
         virtual = DatasetDescriptor(
@@ -264,9 +256,6 @@ def task_group(desc: DatasetDescriptor) -> str:
 class StatsTable:
     rows: dict[tuple[str, str], int] = field(default_factory=dict)  # (group, language) -> count
     total: int = 0
-
-    def group_total(self, group: str) -> int:
-        return sum(n for (g, _), n in self.rows.items() if g == group)
 
     def to_dict(self) -> dict:
         return {

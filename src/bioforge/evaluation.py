@@ -35,7 +35,6 @@ from pathlib import Path
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import LengthMismatch, UnknownTaskMetric
 from .schema import (DatasetDescriptor, InstructionInstance, Language, LineSpans, RelationTriple, TaskType,
                      UnifiedDocument, last_rows, read_jsonl)
 
@@ -462,7 +461,7 @@ def score_micro_f1(
     """Pooled exact-match micro P/R/F1 over aligned instance-level sets, with
     a per-type breakdown computed the same way restricted to each type."""
     if len(gold) != len(pred):
-        raise LengthMismatch(len(gold), len(pred))
+        raise ValueError(f"gold/pred length mismatch: {len(gold)} vs {len(pred)}")
     return _tally_micro_f1(zip(gold, pred, repeat(False)), dataset_id, type_key)
 
 
@@ -474,7 +473,7 @@ def score_accuracy(
     """Exact key-match accuracy; unparseable predictions count as incorrect.
     An empty test set yields accuracy 0 with total 0 rather than an error."""
     if len(gold_keys) != len(outcomes):
-        raise LengthMismatch(len(gold_keys), len(outcomes))
+        raise ValueError(f"gold/pred length mismatch: {len(gold_keys)} vs {len(outcomes)}")
     return _tally_accuracy(zip(gold_keys, outcomes), dataset_id)
 
 
@@ -571,7 +570,7 @@ def evaluate_dataset(
 ) -> EvalReport:
     """Parse and score free-text predictions against a forged gold corpus,
     with the parser and metric of the task's row of :data:`GRAMMARS`; a task
-    without a metric raises :class:`UnknownTaskMetric`.
+    without a metric raises ``ValueError``.
 
     Gold structure is recovered by running the same parser over the canonical
     gold output (an exact inverse by construction).  Missing predictions and
@@ -587,7 +586,7 @@ def evaluate_dataset(
     """
     grammar = GRAMMARS[desc.task]
     if grammar.metric is None:
-        raise UnknownTaskMetric(desc.task.value)
+        raise ValueError(f"no automatic metric defined for task {desc.task.value!r}")
     items = grammar.items
     with _prediction_texts(predictions) as text_of:
         if grammar.metric == "accuracy":  # a choice depends on the options, which the instruction fixes

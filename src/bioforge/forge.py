@@ -14,7 +14,6 @@ import hashlib
 from collections.abc import Generator
 from typing import Iterable, Iterator, Optional
 
-from .errors import BioforgeError, InvalidDocument, MissingSlotData, NoTemplate, UnsupportedField, UnsupportedTask
 from .evaluation import _FIELD, GRAMMARS
 from .schema import (TASKS, DatasetDescriptor, InstructionInstance, Language, TaskType, UnifiedDocument,
                      validate_document)
@@ -35,29 +34,34 @@ def serialize_gold(
     ``re_untyped`` selects the binary ``[head, tail]`` relation grammar, in
     which the prompt implies the relation type.  A document with nothing to
     render gets its grammar's empty marker; without the required payload, or
-    without a marker, it raises :class:`UnsupportedTask`.
+    without a marker, it raises ``ValueError``.
     """
     required = TASKS[task].required
-    if required is not None and getattr(doc, required) is None:
-        raise UnsupportedTask(task.value)
     grammar = GRAMMARS[task]
-    output = grammar.render(doc, language, re_untyped)
+    output = None
+    if required is None or getattr(doc, required) is not None:
+        output = grammar.render(doc, language, re_untyped)
+        if output is None:
+            output = grammar.empty.get(language)
     if output is None:
-        output = grammar.empty.get(language)
-    if output is None:
-        raise UnsupportedTask(task.value)
+        raise ValueError(f"document has no gold output for task {task.value!r}")
     return output
 
 
 def _unfilled_field(pattern: str, slots: dict) -> str:
-    """The first replacement field of ``pattern`` that ``slots`` cannot fill."""
+    """The first replacement field of ``pattern`` that ``slots`` cannot fill,
+    or the whole pattern if it is no format string."""
     import string  # only on this error path
-    for _, name, spec, conversion in string.Formatter().parse(pattern):
+    try:
+        parsed = list(string.Formatter().parse(pattern))
+    except ValueError:
+        return pattern
+    for _, name, spec, conversion in parsed:
         if name is not None:
             field = "{" + name + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "") + "}"
             try:
                 field.format(**slots)
-            except (LookupError, AttributeError, TypeError):
+            except (LookupError, AttributeError, TypeError, ValueError):
                 return field
     return pattern
 
@@ -68,27 +72,28 @@ def render_instance(
     """Render one document the same way for every task.
 
     The document is first checked with ``validate_document(doc, desc)``; its
-    first violation raises :class:`InvalidDocument` with that violation's
-    text.  ``GRAMMARS[task].prompt`` then writes what the prompt shows of the
+    first violation raises ``ValueError`` with that violation's text.
+    ``GRAMMARS[task].prompt`` then writes what the prompt shows of the
     document: a Type2 (QA or dialogue) task takes it as its instruction and
     ignores ``template``; any other task fills the template from ``{text}``
     (the prompt), ``{entity_types}`` and ``{labels}`` (the registry row's
     vocabulary, if any) and ``{source_lang}``/``{target_lang}`` (if the
     document has a translation).  A slot with no data raises
-    :class:`MissingSlotData`; a positional field, or a slot's index or
-    attribute that its value lacks, :class:`UnsupportedField`.  The rendered
+    ``ValueError`` naming the slot; a positional field, a slot's index or
+    attribute that its value lacks, a bad format spec or a pattern that is no
+    format string, one naming the template and the field.  The rendered
     prompt is ``instruction``; ``input`` is kept empty.
     """
     violations = validate_document(doc, desc).violations
     if violations:
-        raise InvalidDocument(violations[0])
+        raise ValueError(violations[0])
     task = desc.task
     language = desc.language
     instruction = GRAMMARS[task].prompt(doc, language)
     template_id = ""
     if not TASKS[task].type2:
         if template is None:
-            raise NoTemplate(task.value, language.value)
+            raise ValueError(f"template bank has no template for ({task.value}, {language.value})")
         slots = {"text": instruction}
         if desc.label_vocab:
             slots["entity_types"] = slots["labels"] = _FIELD[language].join(desc.label_vocab)
@@ -100,9 +105,10 @@ def render_instance(
         try:
             instruction = pattern.format(**slots)
         except KeyError as exc:
-            raise MissingSlotData(exc.args[0]) from None
-        except (IndexError, AttributeError, TypeError):  # a positional field, or a slot's index or attribute
-            raise UnsupportedField(template.template_id, _unfilled_field(pattern, slots)) from None
+            raise ValueError(f"no data available to fill template slot {{{exc.args[0]}}}") from None
+        except (IndexError, AttributeError, TypeError, ValueError):  # a positional field, an index, attribute or spec
+            field = _unfilled_field(pattern, slots)
+            raise ValueError(f"template {template.template_id!r}: unsupported field {field!r}") from None
         template_id = template.template_id
     output = serialize_gold(doc, task, language, re_untyped=desc.re_untyped)
     return InstructionInstance(
@@ -126,7 +132,7 @@ def _pick_template(
     so re-forging after adding one dataset never reshuffles the others."""
     candidates = bank.for_pair(task, language)
     if not candidates:
-        raise NoTemplate(task.value, language.value)
+        raise ValueError(f"template bank has no template for ({task.value}, {language.value})")
     digest = hashlib.sha256(f"{seed}|{dataset_id}|{doc_id}".encode("utf-8")).digest()
     return candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
 
@@ -141,7 +147,7 @@ def forge_instances(
 
     Identical inputs and seed produce a byte-identical corpus; output order
     follows input order.  A document that cannot be rendered raises its
-    ``BioforgeError``, thrown into ``docs`` first if that is a generator, so
+    ``ValueError``, thrown into ``docs`` first if that is a generator, so
     that ``read_jsonl`` names the row: ``<path>:<line>:``.
     """
     for desc, docs in corpora:
@@ -151,7 +157,7 @@ def forge_instances(
                 template = None if type2 else _pick_template(
                     template_bank, desc.task, desc.language, seed, desc.id, doc.doc_id)
                 instance = render_instance(doc, template, desc)
-            except BioforgeError as exc:
+            except ValueError as exc:
                 if isinstance(docs, Generator):
                     docs.throw(exc)
                 raise

@@ -18,13 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, TextIO
 
-from .errors import (
-    DanglingRef,
-    EmptyToken,
-    MalformedLine,
-    OffsetMismatch,
-    XmlSyntax,
-)
 from .schema import (
     EntityMention,
     Language,
@@ -61,6 +54,10 @@ class IngestReport:
     warning_details: list = field(default_factory=list)
 
 
+def _malformed(line_no: int, line: str) -> ValueError:
+    return ValueError(f"malformed line {line_no}: {line!r}")
+
+
 def _blocks(stream: TextIO) -> Iterator[tuple[int, list[str]]]:
     """Runs of lines separated by whitespace-only lines, each with the line
     number of its first line."""
@@ -87,8 +84,8 @@ def _bioc_documents(stream: TextIO) -> Iterator[Element]:
     documents nested in it) when its end tag is read, then cleared and
     dropped from the root.  The parser builds the tree of every document that
     a fed block completes before the first is yielded, so the 16 KiB blocks
-    bound the trees in memory at once.  A syntax error raises XmlSyntax when
-    the parser reaches it, after the documents before it; it names the
+    bound the trees in memory at once.  A syntax error raises ``ValueError``
+    when the parser reaches it, after the documents before it; it names the
     stream's file, if it has one, and the parser's reason."""
     import xml.etree.ElementTree as ET
 
@@ -119,7 +116,8 @@ def _bioc_documents(stream: TextIO) -> Iterator[Element]:
             if not block:
                 break
     except ET.ParseError as exc:
-        raise XmlSyntax(str(exc), getattr(stream, "name", None)) from exc
+        path = getattr(stream, "name", None)
+        raise ValueError(f"{path}: not well-formed XML: {exc}" if path else f"not well-formed XML: {exc}") from exc
 
 
 def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
@@ -128,7 +126,7 @@ def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
     ``PMID start end surface type [norm_id]`` mention lines.
 
     Document text is ``title + "\\n" + abstract``; mention offsets are checked
-    against it and a mismatch raises :class:`~bioforge.errors.OffsetMismatch`.
+    against it and a mismatch raises ``ValueError``.
     A line is a title or abstract only when no tab precedes its first ``|``.
     """
     first, lines = chunk
@@ -138,7 +136,7 @@ def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
         head, _, rest = line.partition("|")
         if rest[:2] in ("t|", "a|") and "\t" not in head:
             if pmid is not None and head != pmid:
-                raise MalformedLine(line_no, line)
+                raise _malformed(line_no, line)
             pmid = head
             if rest[0] == "t":
                 title = rest[2:]
@@ -147,17 +145,17 @@ def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
             continue
         parts = line.split("\t")
         if len(parts) not in (5, 6) or parts[0] != pmid:
-            raise MalformedLine(line_no, line)
+            raise _malformed(line_no, line)
         try:
             start, end = int(parts[1]), int(parts[2])
         except ValueError:
-            raise MalformedLine(line_no, line) from None
+            raise _malformed(line_no, line) from None
         mentions.append(EntityMention(surface=parts[3], etype=parts[4], start=start, end=end,
                                       norm_id=parts[5] if len(parts) == 6 else None))
     text = (title or "") + "\n" + abstract if abstract is not None else (title or "")
     for m in mentions:
         if m.end > len(text) or text[m.start:m.end] != m.surface:
-            raise OffsetMismatch(pmid, m.surface, text[m.start:m.end])
+            raise ValueError(f"doc {pmid}: mention surface {m.surface!r} != text span {text[m.start:m.end]!r}")
     return UnifiedDocument(doc_id=pmid, dataset_id=cfg.dataset_id, language=cfg.language,
                            text=text, entities=tuple(mentions))
 
@@ -168,8 +166,7 @@ def _parse_bioc(dnode: Element, index: int, cfg: IngestConfig,
 
     Passages are concatenated with a single ``"\\n"`` separator and annotation
     offsets (passage-local) are rebased to the concatenated text.  Relation
-    nodes referencing unknown annotation ids raise
-    :class:`~bioforge.errors.DanglingRef`.
+    nodes referencing unknown annotation ids raise ``ValueError``.
     """
     doc_id = dnode.findtext("id", default="")
     parts: list[str] = []
@@ -191,7 +188,7 @@ def _parse_bioc(dnode: Element, index: int, cfg: IngestConfig,
                     etype = infon.text or ""
             span_text = passage_text[offset:offset + length]
             if surface and span_text != surface:
-                raise OffsetMismatch(doc_id, surface, span_text)
+                raise ValueError(f"doc {doc_id}: mention surface {surface!r} != text span {span_text!r}")
             mention = EntityMention(
                 surface=surface or span_text,
                 etype=etype,
@@ -213,7 +210,7 @@ def _parse_bioc(dnode: Element, index: int, cfg: IngestConfig,
         refs = [n.get("refid", "") for n in rnode.iter("node")]
         for ref in refs:
             if ref not in by_ref:
-                raise DanglingRef(rnode.get("id", "?"), ref)
+                raise ValueError(f"relation {rnode.get('id', '?')!r} references unknown annotation {ref!r}")
         if len(refs) >= 2:
             relations.append(RelationTriple(by_ref[refs[0]].surface, by_ref[refs[1]].surface, rtype))
     return UnifiedDocument(doc_id=doc_id, dataset_id=cfg.dataset_id, language=cfg.language,
@@ -240,16 +237,16 @@ def _parse_conll(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
     for line_no, line in enumerate(lines, start=first):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise MalformedLine(line_no, line)
+            raise _malformed(line_no, line)
         token, tag = parts
         if not token:
-            raise EmptyToken(line_no)
+            raise ValueError(f"empty token at line {line_no}")
         prefix, _, etype = tag.partition("-")
         end = start + len(token)
         if tag == "O":
             open_type = None
         elif prefix not in ("B", "I") or not etype:
-            raise MalformedLine(line_no, line)
+            raise _malformed(line_no, line)
         elif prefix == "I" and open_type == etype:
             spans[-1][2] = end
         else:
@@ -288,8 +285,8 @@ def parse_documents(stream: str, cfg: IngestConfig,
 
     Strict: the first malformed document raises.  Documents are parsed as
     they are read, so in a BioC collection with a syntax error, a malformed
-    document before the error raises its own error, not XmlSyntax.  Repair
-    warnings (CoNLL) are appended to ``warnings`` when given.
+    document before the error raises its own error, not the syntax error.
+    Repair warnings (CoNLL) are appended to ``warnings`` when given.
     """
     chunker, parser = _FORMATS[cfg.format]
     warnings = [] if warnings is None else warnings
@@ -309,8 +306,8 @@ def ingest_dataset(
     drawn: one that fails either, or repeats the ``doc_id`` of a document
     already kept from this file, is dropped and recorded in the report, and
     the rest still load.  Only a BioC file that is not well-formed XML fails
-    as a whole, with XmlSyntax when the parser reaches the error, and a file
-    that is not UTF-8 text, with ``ValueError`` naming the path.  Beside the
+    as a whole, when the parser reaches the error, and a file that is not
+    UTF-8 text; each raises ``ValueError`` naming the path.  Beside the
     document in hand, ingest holds only the ids kept so far and the report.
     """
     desc = registry[cfg.dataset_id]

@@ -54,8 +54,6 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import UnknownDataset
-
 
 class TaskType(str, Enum):
     """The closed 15-way task taxonomy. Unknown tags are rejected at parse time."""
@@ -529,6 +527,12 @@ def from_dict(cls, d):
     return _decoder(cls)(d)
 
 
+def is_directory_name(name: str) -> bool:
+    """Whether ``name`` is exactly one path component, as a name that a
+    command puts in an output path must be."""
+    return name not in ("", ".", "..") and "/" not in name and os.sep not in name and "\0" not in name
+
+
 @contextlib.contextmanager
 def atomic_writer(path: Path | str, binary: bool = False) -> Iterator[IO]:
     """Open ``path`` for UTF-8 text writing (bytes if ``binary``) so that it
@@ -836,7 +840,7 @@ class Registry:
         try:
             return self._rows[dataset_id]
         except KeyError:
-            raise UnknownDataset(dataset_id) from None
+            raise ValueError(f"dataset id {dataset_id!r} not in registry") from None
 
     def get(self, dataset_id: str) -> Optional[DatasetDescriptor]:
         return self._rows.get(dataset_id)

@@ -18,7 +18,6 @@ from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import UnknownDataset
 from .schema import (
     TASKS,
     TYPE1,
@@ -86,8 +85,11 @@ def build_stage_plan(forged: Path | str, registry: Registry, seed: int = 0) -> S
     def instance_ids():
         for instance_id, dataset_id in rows:
             in_stage1 = type1.get(dataset_id)
-            if in_stage1 is None:  # named by the forged file's path and line
-                rows.throw(UnknownDataset(dataset_id))
+            if in_stage1 is None:  # the registry's own error, named by the forged file's path and line
+                try:
+                    registry[dataset_id]
+                except ValueError as exc:
+                    rows.throw(exc)
             if in_stage1:
                 stage1_rows.append(len(spans.starts) - 1)
             yield instance_id

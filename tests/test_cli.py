@@ -394,6 +394,26 @@ ERROR_CASES = {
     "forge_positional_pattern_slot": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/positional.jsonl",
                                       "config error: {tmp}/corpus/synth-ner-en/train.jsonl:1: "
                                       "template 't': unsupported field '{{0}}'\n"),
+    # a pattern that is no format string for a document's slots: the field, or else the whole pattern
+    "forge_format_spec_pattern_slot": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/format_spec.jsonl",
+                                       "config error: {tmp}/corpus/synth-ner-en/train.jsonl:1: "
+                                       "template 't': unsupported field '{{text:d}}'\n"),
+    "forge_lone_brace_pattern": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/lone_brace.jsonl",
+                                 "config error: {tmp}/corpus/synth-ner-en/train.jsonl:1: "
+                                 "template 't': unsupported field 'a {{ b'\n"),
+    "forge_unclosed_field_pattern": (2, "forge --corpus-root {tmp}/corpus --templates {tmp}/unclosed.jsonl",
+                                     "config error: {tmp}/corpus/synth-ner-en/train.jsonl:1: "
+                                     "template 't': unsupported field '{{text'\n"),
+    # an argument that a command puts in an output path must be one path component
+    "ingest_split_outside_out": (2, "ingest --dataset synth-ner-en --format generic_jsonl "
+                                 "--input {tmp}/corpus/synth-ner-en/train.jsonl --split ../../../escaped",
+                                 "config error: --split '../../../escaped' is not a directory name\n"),
+    "ingest_dataset_outside_out": (2, "ingest --dataset ../../evil --format generic_jsonl "
+                                   "--input {tmp}/corpus/synth-ner-en/train.jsonl --registry {tmp}/escaping_ids.jsonl",
+                                   "config error: --dataset '../../evil' is not a directory name\n"),
+    "eval_dataset_outside_out": (2, "eval --dataset /../../escaped2 --gold {tmp}/forged/forged.jsonl "
+                                 "--predictions {tmp}/one_prediction.jsonl --registry {tmp}/escaping_ids.jsonl",
+                                 "config error: --dataset '/../../escaped2' is not a directory name\n"),
     # a dataset id names curate's output directory, so it must be one path component
     "curate_absolute_dataset_id": (2, "curate --corpus-root {tmp}/absolute_id_corpus",
                                    "config error: {tmp}/absolute_id_corpus/ner-en/train.jsonl:2: "
@@ -485,8 +505,11 @@ def bad_inputs(workspace):
         (tmp_path / f"{corpus}_corpus" / task).mkdir(parents=True)
         (tmp_path / f"{corpus}_corpus" / task / "train.jsonl").write_text(
             _jsonl_docs(task, UNFORGEABLE[task][0], bad))
-    (tmp_path / "positional.jsonl").write_text(json.dumps(
-        {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": "{0}"}) + "\n")
+    for name, pattern in {"positional": "{0}", "format_spec": "{text:d}", "lone_brace": "a { b",
+                          "unclosed": "{text"}.items():
+        (tmp_path / f"{name}.jsonl").write_text(json.dumps(
+            {"template_id": "t", "task": "NER/NEN", "language": "en", "instruction_pattern": pattern}) + "\n")
+    Registry([ner_descriptor("../../evil"), ner_descriptor("/../../escaped2")]).save(tmp_path / "escaping_ids.jsonl")
     (tmp_path / "duplicate_template.jsonl").write_text("".join(json.dumps(
         {"template_id": template_id, "task": "NER/NEN", "language": "en", "instruction_pattern": "{text}"}) + "\n"
         for template_id in ("t", "u", "t")))

@@ -18,7 +18,7 @@ ENV = {**os.environ, "PYTHONPATH": str(Path(bioforge.__file__).resolve().parent.
 # What every command loads (``bioforge.cli`` itself runs as ``__main__``),
 # and what each command loads beside it.  No command here loads ``xml``:
 # ingest imports it only to read a BioC file, and the ingest run is PubTator.
-COMMON_MODULES = {"bioforge", "bioforge.errors", "bioforge.fixtures", "bioforge.schema"}
+COMMON_MODULES = {"bioforge", "bioforge.fixtures", "bioforge.schema"}
 COMMAND_MODULES = {
     "ingest": {"bioforge.ingest"},
     "curate": {"bioforge.curation"},

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from bioforge.errors import MissingSlotData, NoTemplate
 from bioforge.forge import (
     build_corpus,
     forge_instances,
@@ -155,7 +154,7 @@ class TestRenderInstance:
             "t0", TaskType.NER_NEN, Language.EN,
             "Identify {entity_types} entities from the text: {text}",
         )
-        with pytest.raises(MissingSlotData):
+        with pytest.raises(ValueError, match=r"^no data available to fill template slot \{entity_types\}$"):
             render_instance(doc, template, desc)
 
 
@@ -184,7 +183,7 @@ class TestBuildCorpus:
 
     def test_missing_pair_raises(self):
         desc, docs = make_tc_docs(1, seed=1)
-        with pytest.raises(NoTemplate):
+        with pytest.raises(ValueError, match=r"^template bank has no template for \(TC, en\)$"):
             build_corpus([(desc, docs)], TemplateBank(), seed=7)
 
     def test_template_usage_within_binomial_bounds(self):

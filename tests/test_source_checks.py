@@ -1,14 +1,12 @@
 """Checks of the source that no installed linter makes: every module-level
-import of ``src/bioforge`` is used, and every pipeline error is a
-``ValueError``, the one family the CLI maps to exit code 2."""
+import of ``src/bioforge`` is used, and no module defines an exception
+class, so every pipeline error is a ``ValueError`` (the type the CLI maps to
+exit code 2) raised with its message."""
 
 import ast
-import inspect
 from pathlib import Path
 
 import pytest
-
-from bioforge import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bioforge"
 
@@ -37,7 +35,13 @@ def test_every_module_level_import_is_used_or_marked(path):
     assert unused == []
 
 
-def test_every_pipeline_error_is_a_value_error():
-    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__]
-    assert errors.BioforgeError in classes
-    assert [cls.__name__ for cls in classes if not issubclass(cls, ValueError)] == []
+def base_name(node: ast.expr) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_no_module_defines_an_exception_class():
+    defined = [f"{path.name}:{node.lineno}: {node.name}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               and any(base_name(base).endswith(("Error", "Exception")) for base in node.bases)]
+    assert defined == []
