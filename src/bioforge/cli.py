@@ -120,7 +120,7 @@ def cmd_ingest(args) -> tuple[list[Path], dict]:
     if args.language not in (None, language.value):
         raise ValueError(f"--language {args.language} contradicts dataset {args.dataset!r}, "
                          f"whose registry row says {language.value}")
-    cfg = IngestConfig(dataset_id=args.dataset, format=args.format, language=language)
+    cfg = IngestConfig(dataset_id=args.dataset, format=args.format)
     docs, report = ingest_dataset(src, cfg, registry)
     dest = Path(args.out) / "corpus" / args.dataset / f"{args.split}.jsonl"
     write_documents(dest, docs)

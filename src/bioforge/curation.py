@@ -21,7 +21,7 @@ import hashlib
 import re
 import unicodedata
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -50,19 +50,15 @@ class CurationReport:
         return asdict(self)
 
 
-def doc_key(doc: UnifiedDocument) -> bytes:
-    """What dedup and overlap compare: a 128-bit BLAKE2b digest of the
-    document's :func:`normalize_for_hash` text, 16 bytes whatever its length."""
-    return _text_key(doc.text)
-
-
 def _text_key(text: str) -> bytes:
+    """What dedup and overlap compare: a 128-bit BLAKE2b digest of a
+    document's :func:`normalize_for_hash` text, 16 bytes whatever its length."""
     return hashlib.blake2b(normalize_for_hash(text).encode("utf-8"), digest_size=16).digest()
 
 
 class KeyedRows:
     """Rows as dedup holds them: a few machine words each, in columns, not an
-    object per row.  Row ``r``'s 16-byte :func:`doc_key` is
+    object per row.  Row ``r``'s 16-byte :func:`_text_key` is
     ``keys[16 * r:16 * r + 16]``, and its dataset number ``datasets[r]`` is
     the value of its dataset id in ``dataset_numbers`` (numbered in order of
     first appearance).  ``spans`` holds where the lines of rows read by
@@ -124,7 +120,7 @@ _key_hash = hash
 
 
 def dedup_and_filter_overlap(train: Iterable, test: Iterable) -> tuple[list | bytearray, CurationReport]:
-    """Keep the first train row of each distinct key (:func:`doc_key`) and
+    """Keep the first train row of each distinct key (:func:`_text_key`) and
     drop any train row whose key a test row has; overlap is counted before
     duplicates.  ``train`` and ``test`` are documents, and the kept
     documents come back in order; or ``train`` is ``bioforge curate``'s
@@ -142,8 +138,8 @@ def dedup_and_filter_overlap(train: Iterable, test: Iterable) -> tuple[list | by
     docs = list(train)
     rows = KeyedRows()
     for doc in docs:
-        rows.add(doc_key(doc), doc.dataset_id)
-    keep, report = _dedup(rows, {doc_key(doc) for doc in test})
+        rows.add(_text_key(doc.text), doc.dataset_id)
+    keep, report = _dedup(rows, {_text_key(doc.text) for doc in test})
     return list(compress(docs, keep)), report
 
 
@@ -184,21 +180,8 @@ class SubtaskPlan:
 
 def _filter_doc(doc: UnifiedDocument, task: TaskType, labels: set, dataset_id: str) -> UnifiedDocument:
     if task is TaskType.RE:
-        return UnifiedDocument(
-            doc_id=doc.doc_id,
-            dataset_id=dataset_id,
-            language=doc.language,
-            text=doc.text,
-            entities=doc.entities,
-            relations=tuple(r for r in doc.relations if r.rtype in labels),
-        )
-    return UnifiedDocument(
-        doc_id=doc.doc_id,
-        dataset_id=dataset_id,
-        language=doc.language,
-        text=doc.text,
-        entities=tuple(e for e in doc.entities if e.etype in labels),
-    )
+        return replace(doc, dataset_id=dataset_id, relations=tuple(r for r in doc.relations if r.rtype in labels))
+    return replace(doc, dataset_id=dataset_id, entities=tuple(e for e in doc.entities if e.etype in labels))
 
 
 def decompose_subtasks(

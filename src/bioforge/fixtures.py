@@ -43,17 +43,15 @@ _ROWS = [
 def reference_registry() -> Registry:
     """Registry whose train split counts sum to 1,114,315 instances overall
     and 340,400 in stage 1."""
-    registry = Registry()
-    for dataset_id, name, task, language, count, extras in _ROWS:
-        registry.add(
-            DatasetDescriptor(
-                id=dataset_id,
-                name=name,
-                task=task,
-                language=language,
-                split_counts={"train": count},
-                description=name,
-                **extras,
-            )
+    return Registry(
+        DatasetDescriptor(
+            id=dataset_id,
+            name=name,
+            task=task,
+            language=language,
+            split_counts={"train": count},
+            description=name,
+            **extras,
         )
-    return registry
+        for dataset_id, name, task, language, count, extras in _ROWS
+    )

@@ -75,7 +75,8 @@ def render_instance(
     first violation raises ``ValueError`` with that violation's text.
     ``GRAMMARS[task].prompt`` then writes what the prompt shows of the
     document: a Type2 (QA or dialogue) task takes it as its instruction and
-    ignores ``template``; any other task fills the template from ``{text}``
+    ignores ``template``; any other task, for which a ``None`` template
+    raises ``ValueError`` (the bank has none), fills it from ``{text}``
     (the prompt), ``{entity_types}`` and ``{labels}`` (the registry row's
     vocabulary, if any) and ``{source_lang}``/``{target_lang}`` (if the
     document has a translation).  A slot with no data raises
@@ -127,12 +128,13 @@ def render_instance(
 def _pick_template(
     bank: TemplateBank, task: TaskType, language: Language,
     seed: int, dataset_id: str, doc_id: str,
-) -> InstructionTemplate:
+) -> Optional[InstructionTemplate]:
     """Deterministic per-document uniform choice keyed by (seed, dataset, doc),
-    so re-forging after adding one dataset never reshuffles the others."""
+    so re-forging after adding one dataset never reshuffles the others;
+    ``None`` if the bank has no template for the pair."""
     candidates = bank.for_pair(task, language)
     if not candidates:
-        raise ValueError(f"template bank has no template for ({task.value}, {language.value})")
+        return None
     digest = hashlib.sha256(f"{seed}|{dataset_id}|{doc_id}".encode("utf-8")).digest()
     return candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
 
@@ -151,11 +153,9 @@ def forge_instances(
     that ``read_jsonl`` names the row: ``<path>:<line>:``.
     """
     for desc, docs in corpora:
-        type2 = TASKS[desc.task].type2
         for doc in docs:
+            template = _pick_template(template_bank, desc.task, desc.language, seed, desc.id, doc.doc_id)
             try:
-                template = None if type2 else _pick_template(
-                    template_bank, desc.task, desc.language, seed, desc.id, doc.doc_id)
                 instance = render_instance(doc, template, desc)
             except ValueError as exc:
                 if isinstance(docs, Generator):

@@ -7,14 +7,15 @@ runs every format through the same lazy loop, so a malformed document costs
 that document only and one document is in memory at a time;
 :func:`parse_documents` is the strict form over in-memory text.  QA /
 dialogue / translation datasets enter through the generic JSONL path, already
-in canonical schema.  ``xml.etree`` is imported only when a BioC file is read.
+in canonical schema.  ``xml.etree``, whose ``iterparse`` reads BioC, is
+imported only when a BioC file is read.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, TextIO
 
@@ -80,41 +81,32 @@ def _nonblank_lines(stream: TextIO) -> Iterator[str]:
 
 def _bioc_documents(stream: TextIO) -> Iterator[Element]:
     """The ``<document>`` elements of a BioC collection, in document order,
-    read by a pull parser.  Each outermost document is yielded (with any
+    read by ``ET.iterparse``.  Each outermost document is yielded (with any
     documents nested in it) when its end tag is read, then cleared and
     dropped from the root.  The parser builds the tree of every document that
-    a fed block completes before the first is yielded, so the 16 KiB blocks
-    bound the trees in memory at once.  A syntax error raises ``ValueError``
-    when the parser reaches it, after the documents before it; it names the
-    stream's file, if it has one, and the parser's reason."""
+    a 16 KiB block of the stream completes before the first is yielded, so
+    the block size bounds the trees in memory at once.  A syntax error raises
+    ``ValueError`` when the parser reaches it, after the documents before it;
+    it names the stream's file, if it has one, and the parser's reason."""
     import xml.etree.ElementTree as ET
 
     # fed str like ET.fromstring: a declared encoding is not re-applied.  The
     # start events give the root, from which each finished document is
     # dropped: an emptied element left in it costs about 80 bytes a document.
-    parser = ET.XMLPullParser(events=("start", "end"))
     root = None
     depth = 0  # of open <document> elements
     try:
-        while True:
-            block = stream.read(1 << 14)
-            if block:
-                parser.feed(block)
-            else:
-                parser.close()
-            for event, elem in parser.read_events():
-                if event == "start":
-                    if root is None:
-                        root = elem
-                    depth += elem.tag == "document"
-                elif elem.tag == "document":
-                    depth -= 1
-                    if not depth:
-                        yield from elem.iter("document")
-                        elem.clear()
-                        del root[:]
-            if not block:
-                break
+        for event, elem in ET.iterparse(stream, events=("start", "end")):
+            if event == "start":
+                if root is None:
+                    root = elem
+                depth += elem.tag == "document"
+            elif elem.tag == "document":
+                depth -= 1
+                if not depth:
+                    yield from elem.iter("document")
+                    elem.clear()
+                    del root[:]
     except ET.ParseError as exc:
         path = getattr(stream, "name", None)
         raise ValueError(f"{path}: not well-formed XML: {exc}" if path else f"not well-formed XML: {exc}") from exc
@@ -223,13 +215,15 @@ def _parse_conll(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
     """Token-per-line ``token<TAB>BIO-tag`` text; the document id is
     ``<dataset_id>-<index>``.
 
-    Text is reconstructed by joining tokens with single spaces; contiguous
-    B-X / I-X runs become one mention.  An I-X tag with no live run of the
-    same X is repaired to B-X and a warning is recorded (real shared-task
-    files contain this noise; rejecting whole documents for it would be too
-    strict).
+    Text is reconstructed by joining tokens with single spaces, or with
+    nothing in a ``zh`` document, whose tokens are characters or words
+    written without spaces; contiguous B-X / I-X runs become one mention.
+    An I-X tag with no live run of the same X is repaired to B-X and a
+    warning is recorded (real shared-task files contain this noise;
+    rejecting whole documents for it would be too strict).
     """
     first, lines = chunk
+    sep = "" if cfg.language is Language.ZH else " "
     tokens: list[str] = []
     spans: list[list] = []  # [etype, start, end] per mention
     open_type: Optional[str] = None
@@ -255,8 +249,8 @@ def _parse_conll(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
             open_type = etype
             spans.append([etype, start, end])
         tokens.append(token)
-        start = end + 1
-    text = " ".join(tokens)
+        start = end + len(sep)
+    text = sep.join(tokens)
     return UnifiedDocument(
         doc_id=f"{cfg.dataset_id}-{index}",
         dataset_id=cfg.dataset_id,
@@ -301,7 +295,8 @@ def ingest_dataset(
     the report that they fill in as the iterator is drained.
 
     The registry row is looked up and the file opened here, so an unknown
-    dataset or a missing file raises before any document is read.  Each
+    dataset or a missing file raises before any document is read.  The
+    documents take the row's language, whatever ``cfg.language`` says.  Each
     document is then parsed and validated against the registry row as it is
     drawn: one that fails either, or repeats the ``doc_id`` of a document
     already kept from this file, is dropped and recorded in the report, and
@@ -311,6 +306,7 @@ def ingest_dataset(
     document in hand, ingest holds only the ids kept so far and the report.
     """
     desc = registry[cfg.dataset_id]
+    cfg = replace(cfg, language=desc.language)
     chunker, parser = _FORMATS[cfg.format]
     report = IngestReport()
     stream = Path(path).open(encoding="utf-8")

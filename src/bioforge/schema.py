@@ -794,10 +794,6 @@ def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
             raise ValueError(f"{path}:{line_no}: {exc}") from None
 
 
-def write_documents(path: Path | str, docs: Iterable[UnifiedDocument]) -> int:
-    return write_records(path, docs)
-
-
 def read_documents(path: Path | str) -> list[UnifiedDocument]:
     return list(read_jsonl(path, UnifiedDocument))
 
@@ -815,12 +811,25 @@ class InstructionInstance:
     source_doc_id: str
 
 
-def write_instances(path: Path | str, instances: Iterable[InstructionInstance]) -> int:
-    return write_records(path, instances)
-
-
 def read_instances(path: Path | str) -> list[InstructionInstance]:
     return list(read_jsonl(path, InstructionInstance))
+
+
+# names of the one record writer, which ``cli`` calls and the benchmark's tracer swaps
+write_documents = write_instances = write_records
+
+
+def _add_rows(into, path: Path | str, cls):
+    """``into``, with each ``cls`` row of the JSONL file ``path`` added in
+    order by ``into.add``; a row that ``add`` refuses (a repeated id) raises
+    its ``ValueError`` named by its line: ``<path>:<line>: <message>``."""
+    rows = read_jsonl(path, cls)
+    for row in rows:
+        try:
+            into.add(row)
+        except ValueError as exc:
+            rows.throw(exc)
+    return into
 
 
 class Registry:
@@ -856,13 +865,7 @@ class Registry:
 
     @classmethod
     def load(cls, path: Path | str) -> "Registry":
-        registry, rows = cls(), read_jsonl(path, DatasetDescriptor)
-        for desc in rows:
-            try:
-                registry.add(desc)
-            except ValueError as exc:  # a duplicate id, named by its line
-                rows.throw(exc)
-        return registry
+        return _add_rows(cls(), path, DatasetDescriptor)
 
     def save(self, path: Path | str) -> int:
         return write_records(path, self)

@@ -9,11 +9,12 @@ the instruction and need no templates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .schema import Language, TaskType, read_jsonl, write_records
+from .schema import Language, TaskType, _add_rows, write_records
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,7 @@ class TemplateBank:
 
     @classmethod
     def load(cls, path: Path | str) -> "TemplateBank":
-        bank, rows = cls(), read_jsonl(path, InstructionTemplate)
-        for template in rows:
-            try:
-                bank.add(template)
-            except ValueError as exc:  # a duplicate id, named by its line
-                rows.throw(exc)
-        return bank
+        return _add_rows(cls(), path, InstructionTemplate)
 
     def save(self, path: Path | str) -> int:
         return write_records(path, (t for ts in self._by_pair.values() for t in ts))
@@ -247,16 +242,13 @@ def default_template_bank() -> TemplateBank:
         (Language.ZH, _ZH_BASES, _wrap_zh),
     ):
         for task, patterns in bases.items():
-            i = 0
-            for style in range(3):
-                for base in patterns:
-                    bank.add(
-                        InstructionTemplate(
-                            template_id=f"{task.value}-{language.value}-{i:02d}",
-                            task=task,
-                            language=language,
-                            instruction_pattern=wrap(base, style),
-                        )
+            for i, (style, base) in enumerate(itertools.product(range(3), patterns)):
+                bank.add(
+                    InstructionTemplate(
+                        template_id=f"{task.value}-{language.value}-{i:02d}",
+                        task=task,
+                        language=language,
+                        instruction_pattern=wrap(base, style),
                     )
-                    i += 1
+                )
     return bank

@@ -1235,7 +1235,7 @@ PINNED_DIGESTS = {
     "corpus/synth-qamc-en/train.jsonl": "7aac9ca6f63624c50f300f95b7f5bc63e8f45082f5b89cef7d82752cc6e2d06b",
     "corpus/tc-en/train.jsonl": "2468c2e39d8f7898e8c031968094ba20412a26110d1b2b094dfc3de7555041a8",
     "ingest/corpus/ner-en/train.jsonl": "b3d0ca4fa709b70d8a92d4f0583ecf20c38ae48af5e040ce3fdd86b1a8b32882",
-    "ingest/corpus/ner-zh/train.jsonl": "4d3ec2f4a8ca1830e7c639e46d69fb0fb008c58e62b7bd6908a085d0227f111a",
+    "ingest/corpus/ner-zh/train.jsonl": "feb1fe7e85a5191eed8453a2404306070ac092a44135de21dd444eea6b24b588",
     "ingest/corpus/re-en/train.jsonl": "200b0c4afeb2275d99ebf3a4d16e3e8513b6551620b9559ad9c9976d1325626d",
     "ingest/corpus/tc-en/train.jsonl": "3cf311ab825da8fb08ed8bd338f1dbc6c8c25ee41908338582a2745a545d131c",
     "out/forged.jsonl": "bd773290cfcc63157b6e32282caeb781ac46f515fa30e788326af9a654866fe3",
@@ -1284,6 +1284,32 @@ def test_pinned_output_digests(tmp_path):
     digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in written}
     assert digests == PINNED_DIGESTS
+
+
+def test_zh_conll_ingests_unspaced_and_its_oracle_predictions_score_one(tmp_path):
+    """A character-per-line zh CoNLL file ingests as the unspaced text, so its
+    forged gold names the surfaces a model writes, and that gold, given back
+    as the predictions, scores F1 1.0."""
+    registry_path = tmp_path / "registry.jsonl"
+    Registry([DatasetDescriptor(id="ner-zh", name="ner-zh", task=TaskType.NER_NEN, language=Language.ZH,
+                                label_vocab=("药物", "疾病"))]).save(registry_path)
+    src, out = tmp_path / "raw.conll", tmp_path / "out"
+    src.write_bytes(INGEST_INPUTS[("conll", "ner-zh", "zh")].encode("utf-8"))
+    common = ["--registry", str(registry_path), "--out", str(out)]
+    assert main(["ingest", "--dataset", "ner-zh", "--format", "conll", "--input", str(src), *common]) == 0
+    docs = schema.read_documents(out / "corpus" / "ner-zh" / "train.jsonl")
+    assert [(d.text, [e.surface for e in d.entities]) for d in docs] == [
+        ("阿司匹林治痛风", ["阿司匹林", "痛风"]), ("头痛", ["头痛"])]
+    assert main(["forge", "--corpus-root", str(out / "corpus"), *common]) == 0
+    instances = read_instances(out / "forged.jsonl")
+    assert ["阿司匹林" in i.output and "痛风" in i.output for i in instances] == [True, False]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"instance_id": i.instance_id, "raw_text": i.output}) + "\n"
+                             for i in instances), encoding="utf-8")
+    assert main(["eval", "--dataset", "ner-zh", "--gold", str(out / "forged.jsonl"),
+                 "--predictions", str(preds), *common]) == 0
+    report = json.loads((out / "eval.ner-zh.json").read_text(encoding="utf-8"))
+    assert (report["f1"], report["tp"], report["total"]) == (1.0, 3, 2)
 
 
 # Half- and full-width separators, swapped both ways: model outputs drift

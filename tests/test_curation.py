@@ -15,7 +15,7 @@ from bioforge.curation import (
 )
 from bioforge.fixtures import reference_registry
 from bioforge.schema import Language, Registry, UnifiedDocument, write_documents
-from bioforge.synth import make_ner_docs, ner_descriptor
+from bioforge.synth import make_ner_docs, make_re_docs, make_tc_docs, ner_descriptor
 
 
 def doc(text, doc_id="d", dataset_id="ds"):
@@ -162,6 +162,23 @@ class TestDecomposeSubtasks:
             assert sorted(union, key=lambda e: (e.start, e.etype)) == sorted(
                 original.entities, key=lambda e: (e.start, e.etype)
             )
+
+    def test_re_subtasks_keep_the_entities_and_the_relations_of_their_type(self):
+        desc, docs = make_re_docs(20, seed=11)
+        out = decompose_subtasks(docs, desc, SubtaskPlan.per_label(desc.label_vocab))
+        assert [d.id for d, _ in out] == [desc.id, *(f"{desc.id}__{label}" for label in desc.label_vocab)]
+        for (virtual, subset_docs), label in zip(out[1:], desc.label_vocab):
+            assert virtual.label_vocab == (label,)
+            assert subset_docs == [
+                UnifiedDocument(doc_id=d.doc_id, dataset_id=virtual.id, language=d.language, text=d.text,
+                                entities=d.entities, relations=tuple(r for r in d.relations if r.rtype == label))
+                for d in docs]
+        assert any(d.relations for _, subset_docs in out[1:] for d in subset_docs)
+
+    def test_a_task_that_is_neither_ner_nor_re_is_refused(self):
+        desc, docs = make_tc_docs(5, seed=11)
+        with pytest.raises(ValueError, match=r"^subtask decomposition applies to NER/RE, not TC$"):
+            decompose_subtasks(docs, desc, SubtaskPlan())
 
     def test_unknown_label(self):
         desc, docs = self.fixture()

@@ -68,6 +68,9 @@ class TestParseNer:
         assert out.status == UNPARSEABLE
         assert out.ner == frozenset()
 
+    def test_empty_vocabulary_is_unparseable(self):
+        assert parse_ner_output("Chemical: aspirin", Language.EN, []).status == UNPARSEABLE
+
     def test_tolerant_casing_whitespace_dedup(self):
         out = parse_ner_output("chemical:  Aspirin ;Aspirin", Language.EN, ["Chemical"])
         assert out.ner == {("Aspirin", "Chemical")}
@@ -271,6 +274,10 @@ class TestScoreAccuracy:
         )
         assert report.accuracy == 0.25
         assert report.unparseable_count == 1
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"^gold/pred length mismatch: 2 vs 1$"):
+            score_accuracy(["A", "B"], [self.out("A")])
 
     def test_empty_set_reports_zero_total(self):
         report = score_accuracy([], [])

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bioforge.fixtures import reference_registry
 from bioforge.ingest import IngestConfig, ingest_dataset, parse_documents
 from bioforge.schema import (
     DatasetDescriptor,
@@ -43,6 +44,10 @@ class TestPubTator:
         docs = parse_documents("1|t|gout|a|flare\n1\t0\t12\tgout|a|flare\tDisease\n", CFG)
         assert [d.doc_id for d in docs] == ["1"]
         assert docs[0].entities[0].surface == "gout|a|flare"
+
+    def test_offset_that_is_not_an_integer_is_malformed(self):
+        with pytest.raises(ValueError, match=r"^malformed line 2: '1\\tx\\t3\\tAbc\\tDisease'$"):
+            parse_documents("1|t|Abc\n1\tx\t3\tAbc\tDisease\n", CFG)
 
     def test_second_pmid_in_one_block_is_malformed(self):
         with pytest.raises(ValueError, match="^malformed line 2: "):
@@ -92,6 +97,13 @@ class TestBioC:
         e = doc.entities[0]
         assert (e.start, e.end) == (7, 9)
         assert doc.text[e.start:e.end] == e.surface == "bc"
+
+    def test_surface_mismatch_raises(self):
+        xml = """<collection><document><id>d</id><passage><text>Tree grows</text>
+          <annotation id="a1"><location offset="0" length="4"/><text>Root</text></annotation>
+        </passage></document></collection>"""
+        with pytest.raises(ValueError, match=r"^doc d: mention surface 'Root' != text span 'Tree'$"):
+            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
 
     def test_dangling_relation_ref(self):
         xml = """<collection><document><id>d</id><passage>
@@ -168,6 +180,10 @@ class TestConll:
     def test_blank_line_separates_documents(self):
         docs = parse_documents("a\tO\n\nb\tO\n", self.cfg())
         assert len(docs) == 2
+
+    def test_empty_token_raises(self):
+        with pytest.raises(ValueError, match=r"^empty token at line 2$"):
+            parse_documents("a\tO\n\tO\n", self.cfg())
 
     def test_spans_match_surfaces(self):
         docs = parse_documents("alpha\tB-X\nbeta\tI-X\ngamma\tO\ndelta\tB-Y\n", self.cfg())
@@ -283,6 +299,13 @@ class TestIngestDataset:
         assert next(docs).text == "Abc"
         assert (report.loaded, report.violations) == (1, 0)
         assert list(docs) == [] and (report.loaded, report.violations) == (1, 1)
+
+    def test_documents_take_the_language_of_the_registry_row(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_text("阿\tB-药物\n司\tI-药物\n治\tO\n", encoding="utf-8")
+        docs, report = ingest_dataset(path, IngestConfig(dataset_id="ner-zh", format="conll"), reference_registry())
+        assert [(d.language, d.text, d.entities[0].surface) for d in docs] == [(Language.ZH, "阿司治", "阿司")]
+        assert (report.loaded, report.violations) == (1, 0)
 
     def test_missing_file_raises_before_the_documents_are_drawn(self, tmp_path):
         with pytest.raises(FileNotFoundError):

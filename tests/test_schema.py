@@ -151,6 +151,25 @@ def test_validate_accepts_a_document_with_gold_output_and_prompt(task, payload):
     assert validate_document(doc, desc).violations == ()
 
 
+@pytest.mark.parametrize("task, doc_fields, violation", [
+    (TaskType.NER_NEN, dict(dataset_id="other"), "dataset_id: 'other' does not match registry row 'ds'"),
+    (TaskType.NER_NEN, dict(language=Language.ZH), "language: document zh vs dataset en"),
+    (TaskType.NER_NEN, dict(entities=(EntityMention("", "Disease", 3, 3),)),
+     "entities: span [3,3) is not a valid range"),
+    (TaskType.RE, dict(relations=(RelationTriple("", "gout", "treats"),)),
+     "relations: head and tail must be non-empty"),
+    (TaskType.RE, dict(relations=(RelationTriple("aspirin", "fever", "treats"),)),
+     "relations: argument 'fever' not among entity surfaces or in text"),
+    (TaskType.EE, dict(events=(EventFrame("Treat", "eases", (("Theme", "gout"),)),)),
+     "events: role 'Theme' not in declared role vocabulary"),
+])
+def test_validate_names_the_rule_a_document_breaks(task, doc_fields, violation):
+    desc = DatasetDescriptor(id="ds", name="ds", task=task, language=Language.EN, role_vocab=("Agent",))
+    doc = UnifiedDocument(**{"doc_id": "d1", "dataset_id": "ds", "language": Language.EN,
+                             "text": "aspirin eases gout", **doc_fields})
+    assert validate_document(doc, desc).violations == (violation,)
+
+
 def test_validate_is_deterministic(ner_desc):
     doc = make_ner_doc("Title of doc", [EntityMention("Title", "Disease", 0, 5)])
     assert validate_document(doc, ner_desc) == validate_document(doc, ner_desc)

@@ -1,7 +1,7 @@
 """Checks of the source that no installed linter makes: every module-level
-import of ``src/bioforge`` is used, and no module defines an exception
-class, so every pipeline error is a ``ValueError`` (the type the CLI maps to
-exit code 2) raised with its message."""
+import of ``src/bioforge`` is used, no module defines an exception class,
+so every pipeline error is a ``ValueError`` (the type the CLI maps to exit
+code 2) raised with its message, and each message is made at one site."""
 
 import ast
 from pathlib import Path
@@ -45,3 +45,17 @@ def test_no_module_defines_an_exception_class():
                if isinstance(node, ast.ClassDef)
                and any(base_name(base).endswith(("Error", "Exception")) for base in node.bases)]
     assert defined == []
+
+
+def test_each_value_error_message_is_made_at_one_site():
+    """Compared by the source text of the first argument of each
+    ``ValueError(...)`` call, so a message with the same text at two sites
+    is a copy that one of them should get from the other."""
+    sites: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and base_name(node.func) == "ValueError" and node.args:
+                sites.setdefault(ast.get_source_segment(source, node.args[0]), []).append(
+                    f"{path.name}:{node.lineno}")
+    assert {message: where for message, where in sites.items() if len(where) > 1} == {}

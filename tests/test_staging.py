@@ -191,6 +191,13 @@ class TestManifests:
         manifest = emit_training_manifest(plan, 2, tmp_path)
         assert json.loads((tmp_path / "stage2.manifest.json").read_text(encoding="utf-8")) == asdict(manifest)
 
+    def test_unknown_stage_rejected(self, tmp_path):
+        forged, registry = small_forged_corpus(tmp_path)
+        plan = build_stage_plan(forged, registry, seed=3)
+        with pytest.raises(ValueError, match=r"^stage must be 1 or 2, got 3$"):
+            emit_training_manifest(plan, 3, tmp_path / "plan")
+        assert not (tmp_path / "plan").exists()
+
     def test_stage_file_in_plan_order(self, tmp_path):
         forged, registry = small_forged_corpus(tmp_path)
         plan = build_stage_plan(forged, registry, seed=3)
