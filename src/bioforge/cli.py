@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .fixtures import reference_registry
 from .schema import (
     InstructionInstance,
     Registry,
@@ -80,6 +79,7 @@ def _digest(path: Path) -> str:
 
 def _load_registry(args) -> Registry:
     if args.registry is None:
+        from .fixtures import reference_registry
         return reference_registry()
     return Registry.load(args.registry)
 

@@ -21,13 +21,12 @@ import hashlib
 import re
 import unicodedata
 from array import array
-from dataclasses import asdict, dataclass, field, replace
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .schema import (TASKS, DatasetDescriptor, LineSpans, Registry, TaskType, UnifiedDocument, first_rows,
-                     is_directory_name, read_jsonl)
+from .schema import (TASKS, DatasetDescriptor, Factory, LineSpans, Registry, TaskType, UnifiedDocument, asdict,
+                     first_rows, is_directory_name, read_jsonl, record, replace)
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -38,13 +37,13 @@ def normalize_for_hash(text: str) -> str:
     return _WS_RUN.sub(" ", unicodedata.normalize("NFKC", text).lower()).strip()
 
 
-@dataclass
+@record
 class CurationReport:
     input_count: int = 0
     duplicates_removed: int = 0
     overlap_removed: int = 0
     output_count: int = 0
-    per_dataset: dict[str, dict[str, int]] = field(default_factory=dict)
+    per_dataset: dict[str, dict[str, int]] = Factory(dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,7 +165,7 @@ def _dedup(rows: KeyedRows, test_keys: set) -> tuple[bytearray, CurationReport]:
                                 per_dataset=dict(zip(rows.dataset_numbers, counts)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubtaskPlan:
     """Label subsets for decomposing a multi-type extraction dataset.
     Each subset is ``(name, labels)``; e.g. per-type NER splits."""
@@ -235,9 +234,9 @@ def task_group(desc: DatasetDescriptor) -> str:
     return TASKS[desc.task].group
 
 
-@dataclass
+@record
 class StatsTable:
-    rows: dict[tuple[str, str], int] = field(default_factory=dict)  # (group, language) -> count
+    rows: dict[tuple[str, str], int] = Factory(dict)  # (group, language) -> count
     total: int = 0
 
     def to_dict(self) -> dict:

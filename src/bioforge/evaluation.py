@@ -30,20 +30,19 @@ from __future__ import annotations
 import contextlib
 import functools
 import re
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .schema import (DatasetDescriptor, InstructionInstance, Language, LineSpans, RelationTriple, TaskType,
-                     UnifiedDocument, last_rows, read_jsonl)
+from .schema import (DatasetDescriptor, Factory, InstructionInstance, Language, LineSpans, RelationTriple, TaskType,
+                     UnifiedDocument, asdict, last_rows, read_jsonl, record)
 
 PARSED = "parsed"
 PARTIAL = "partial"
 UNPARSEABLE = "unparseable"
 
 
-@dataclass(frozen=True, slots=True)  # slots: a caller's list holds one per row (eval decodes one at a time)
+@record(frozen=True, slots=True)  # slots: a caller's list holds one per row (eval decodes one at a time)
 class PredictionRecord:
     instance_id: str
     raw_text: Optional[str]  # None: a failed generation, scored like a missing row
@@ -100,7 +99,7 @@ class Predictions:
 read_predictions = Predictions
 
 
-@dataclass(frozen=True, slots=True)  # slots: evaluate_dataset caches up to 1024
+@record(frozen=True, slots=True)  # slots: evaluate_dataset caches up to 1024
 class ParseOutcome:
     status: str
     ner: frozenset[tuple[str, str]] = frozenset()  # (surface, etype) pairs
@@ -343,7 +342,7 @@ def parse_qa_choice(raw: str, options: Sequence[tuple]) -> ParseOutcome:
     return ParseOutcome(status=UNPARSEABLE)
 
 
-@dataclass
+@record
 class EvalReport:
     dataset_id: str
     metric_name: str  # micro_f1 | accuracy
@@ -357,7 +356,7 @@ class EvalReport:
     f1: float = 0.0
     accuracy: float = 0.0
     unparseable_count: int = 0
-    per_type: dict[str, dict[str, float]] = field(default_factory=dict)  # etype -> {precision, ...}
+    per_type: dict[str, dict[str, float]] = Factory(dict)  # etype -> {precision, ...}
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -490,7 +489,7 @@ def sample_subset(instances: Sequence, n: int, seed: int) -> list:
     return [instances[i] for i in indices]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Grammar:
     """How one task's text is written, read back and scored.
 
@@ -510,7 +509,7 @@ class Grammar:
     metric: Optional[str] = None
     items: str = ""
     prompt: Callable[[UnifiedDocument, Language], str] = lambda doc, _: doc.text
-    empty: dict[Language, str] = field(default_factory=dict)
+    empty: dict[Language, str] = Factory(dict)
 
 
 _RELATIONS = Grammar(

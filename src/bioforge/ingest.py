@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, TextIO
 
 from .schema import (
     EntityMention,
+    Factory,
     Language,
     Registry,
     RelationTriple,
     UnifiedDocument,
     from_dict,
+    record,
+    replace,
     validate_document,
 )
 
@@ -33,14 +35,14 @@ if TYPE_CHECKING:
     from xml.etree.ElementTree import Element
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IngestConfig:
     dataset_id: str
     format: str  # pubtator | bioc_xml | conll | generic_jsonl
     language: Language = Language.EN
 
 
-@dataclass
+@record
 class IngestReport:
     """Counts of one ingest, filled in as its documents are drained.
     ``violation_details`` holds one row per dropped document: its chunk
@@ -51,8 +53,8 @@ class IngestReport:
 
     loaded: int = 0
     violations: int = 0
-    violation_details: list = field(default_factory=list)
-    warning_details: list = field(default_factory=list)
+    violation_details: list = Factory(list)
+    warning_details: list = Factory(list)
 
 
 def _malformed(line_no: int, line: str) -> ValueError:

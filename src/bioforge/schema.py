@@ -7,10 +7,17 @@ label vocabulary).  Values are immutable after construction and safe to
 share across workers.  :data:`TASKS` holds the data facts of every task
 type in one table.
 
+Every record class of the package is declared under the :func:`record`
+decorator, which reads the class's annotations and defaults once into one
+field list.  Both the methods it makes, as ``dataclasses.dataclass`` makes
+them, and the codecs below are built from that list, and no command imports
+``dataclasses``, whose import and decorations cost each command about 20 ms
+of its start.
+
 On-disk encoding is UTF-8 JSONL, one record per line; the registry is a
 single JSONL file of descriptor rows.  One codec, :func:`to_dict` /
-:func:`from_dict`, maps every record dataclass to JSON and back, driven by
-its fields and their type hints: keys are the field names, in sorted order
+:func:`from_dict`, maps every record to JSON and back, driven by its field
+list and the fields' type hints: keys are the field names, in sorted order
 (a dict field's keys too), tuples become lists, enums become their values,
 nested records become objects, and a key absent on input takes the field's
 default.  It is the one type check of JSON input: a field takes only a
@@ -49,8 +56,8 @@ import os
 import stat
 from array import array
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -80,7 +87,145 @@ class Language(str, Enum):
     ZH = "zh"
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Factory:
+    """A record field's default that ``make()`` makes afresh for each
+    record, as ``dataclasses.field(default_factory=make)`` does."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+
+_REQUIRED = object()  # the default of a field that has none
+
+
+def _compile(name: str, lines: list[str], ns: dict) -> Callable:
+    exec("\n".join(lines), ns)  # noqa: S102 (source built from field names and type hints only)
+    return ns[name]
+
+
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, so that
+    ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
+    take records.  On first access, ``dataclasses`` makes it from a shadow
+    class of the same fields and defaults, and it replaces this descriptor
+    on the record class.  Only callers of ``dataclasses`` reach it."""
+
+    def __get__(self, obj, cls):
+        import dataclasses
+        body = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
+                "__annotations__": {name: cls.__annotations__[name] for name, _ in cls.__record_fields__}}
+        for name, default in cls.__record_fields__:
+            if isinstance(default, Factory):
+                body[name] = dataclasses.field(default_factory=default.make)
+            elif default is not _REQUIRED:
+                body[name] = default
+        shadow = dataclasses.dataclass(init=False, repr=False, eq=False)(type(cls.__name__, (), body))
+        cls.__dataclass_fields__ = shadow.__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
+_DATACLASS_FIELDS = _DataclassFields()
+
+
+def record(cls=None, *, frozen: bool = False, slots: bool = False):
+    """Make ``cls`` a record class, as ``dataclasses.dataclass`` with the
+    same arguments does, without importing ``dataclasses``.
+
+    The class's annotated names, in order, with their class-level defaults,
+    are read once into its field list, ``__record_fields__``: ``(name,
+    default)`` pairs, a :class:`Factory` default made afresh per record.
+    Everything else is built from that list: one compiled ``__init__`` that
+    takes the fields in order and then calls ``__post_init__`` if the class
+    has one; a ``__repr__`` in the ``dataclasses`` format; ``__eq__`` over
+    the tuple of fields, against a record of the same class only; if
+    ``frozen``, ``__hash__``, the hash of that tuple, and an
+    ``AttributeError`` on assignment, else no hash.  With ``slots``, the
+    class is made again with a slot per field.  This module's codecs and
+    :func:`replace` and :func:`asdict` read the same list."""
+    if cls is None:
+        return functools.partial(record, frozen=frozen, slots=slots)
+    fields = tuple((name, cls.__dict__.get(name, _REQUIRED)) for name in cls.__dict__.get("__annotations__", {}))
+    names = tuple(name for name, _ in fields)
+    if slots:
+        body = {k: v for k, v in cls.__dict__.items() if k not in names and k not in ("__dict__", "__weakref__")}
+        cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names, "__qualname__": cls.__qualname__})
+    ns: dict = {"_setattr": object.__setattr__}
+    params, lines = [], []
+    for i, (name, default) in enumerate(fields):
+        value = name
+        if default is _REQUIRED:
+            params.append(name)
+        else:
+            ns[f"_default{i}"] = default
+            params.append(f"{name}=_default{i}")
+        if isinstance(default, Factory):  # the marker itself stands for an argument not given
+            value = f"_default{i}.make() if {name} is _default{i} else {name}"
+            if not slots:
+                delattr(cls, name)
+        lines.append(f"    _setattr(self, {name!r}, {value})" if frozen else f"    self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    init = _compile("__init__", [f"def __init__(self, {', '.join(params)}):", *lines], ns)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    key = attrgetter(*names) if len(names) > 1 else lambda o, name=names[0]: (getattr(o, name),)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, key(self)))})"
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = init, __eq__, __repr__
+    if frozen:
+        cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
+    else:
+        cls.__hash__ = None
+    cls.__record_fields__, cls.__dataclass_fields__ = fields, _DATACLASS_FIELDS
+    return cls
+
+
+def replace(obj, **changes):
+    """A new record of ``obj``'s class with ``obj``'s fields but those
+    named in ``changes``, as ``dataclasses.replace`` gives it."""
+    values = {name: getattr(obj, name) for name, _ in obj.__record_fields__}
+    values.update(changes)
+    return obj.__class__(**values)
+
+
+def asdict(obj) -> dict:
+    """The fields of the record ``obj`` as a dict in field order, each
+    nested record, list, tuple and dict copied likewise, as
+    ``dataclasses.asdict`` gives them."""
+    return {name: _copied(getattr(obj, name)) for name, _ in obj.__record_fields__}
+
+
+def _copied(value):
+    if hasattr(value.__class__, "__record_fields__"):
+        return asdict(value)
+    if value.__class__ in (list, tuple):
+        return value.__class__(map(_copied, value))
+    if value.__class__ is dict:
+        return {_copied(k): _copied(v) for k, v in value.items()}
+    return value
+
+
+@record(frozen=True)
 class EntityMention:
     """One annotated mention.  Offsets are Unicode code-point indices into the
     document text (never bytes; byte offsets are ambiguous for Chinese text).
@@ -94,21 +239,21 @@ class EntityMention:
     norm_id: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RelationTriple:
     head: str
     tail: str
     rtype: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventFrame:
     event_type: str
     trigger: str
     arguments: tuple[tuple[str, str], ...] = ()  # (role, filler) pairs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QAInstance:
     question: str
     options: Optional[tuple[tuple[str, str], ...]] = None  # ordered (key, text) pairs
@@ -116,20 +261,20 @@ class QAInstance:
     context: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DialogueTurn:
     speaker: str  # "user" | "assistant"
     text: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TextPairInstance:
     text_a: str
     text_b: str
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TranslationPair:
     text_a: str
     text_b: str
@@ -142,7 +287,7 @@ TYPE1 = "Type1"
 TYPE2 = "Type2"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DatasetDescriptor:
     """One registry row.
 
@@ -160,7 +305,7 @@ class DatasetDescriptor:
     name: str
     task: TaskType
     language: Language
-    split_counts: dict[str, int] = field(default_factory=dict)
+    split_counts: dict[str, int] = Factory(dict)
     description: str = ""
     source_url: Optional[str] = None
     label_vocab: tuple[str, ...] = ()
@@ -184,7 +329,7 @@ class DatasetDescriptor:
                              f"label_vocab entry, got {len(self.label_vocab)}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnifiedDocument:
     """One harmonized annotated text unit.
 
@@ -210,7 +355,7 @@ class UnifiedDocument:
 PAYLOAD_FIELDS = ("entities", "relations", "events", "labels", "qa", "dialogue", "pair", "translation")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TaskSpec:
     """The data facts of one task type.
 
@@ -253,7 +398,7 @@ TASKS: dict[TaskType, TaskSpec] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValidationResult:
     ok: bool
     violations: tuple[str, ...] = ()
@@ -382,16 +527,11 @@ def _encode_expr(tp, var: str, ns: dict) -> str:
         return f"dict(sorted({var}.items()))"
     if isinstance(tp, type) and issubclass(tp, Enum):
         return f"{var}.value"
-    if is_dataclass(tp):
+    if hasattr(tp, "__record_fields__"):
         name = f"_enc_{tp.__name__}"
         ns[name] = _encoder(tp)
         return f"{name}({var})"
     return var
-
-
-def _compile(name: str, lines: list[str], ns: dict) -> Callable:
-    exec("\n".join(lines), ns)  # noqa: S102 (source built from field names and type hints only)
-    return ns[name]
 
 
 _ABSENT = object()  # what ``dict.get`` gives for a key the JSON object lacks
@@ -401,16 +541,20 @@ _ABSENT = object()  # what ``dict.get`` gives for a key the JSON object lacks
 def _plan(cls) -> list[tuple]:
     """Per field of ``cls``, in order: name, type (``X`` of ``Optional[X]``),
     whether it may be None, and a callable that gives an absent key's value
-    afresh for each record (MISSING if the key is required)."""
+    afresh for each record (``_REQUIRED`` if the key is required), from
+    its field list (see :func:`record`)."""
     hints = get_type_hints(cls)
     plan = []
-    for f in fields(cls):
-        hint = hints[f.name]
+    for name, default in cls.__record_fields__:
+        hint = hints[name]
         nullable = get_origin(hint) is Union  # Optional[X]
         if nullable:
             hint = get_args(hint)[0]
-        default = f.default_factory if f.default is MISSING else lambda v=f.default: v
-        plan.append((f.name, hint, nullable, default))
+        if isinstance(default, Factory):
+            default = default.make
+        elif default is not _REQUIRED:
+            default = lambda v=default: v
+        plan.append((name, hint, nullable, default))
     return plan
 
 
@@ -449,7 +593,7 @@ def _decode_expr(tp, var: str, ns: dict, otherwise: str) -> str:
         expected = tp.__name__
         ns[f"_{expected}"] = {m.value: m for m in tp}
         test, value = f"type({var}) is str and {var} in _{expected}", f"_{expected}[{var}]"
-    elif is_dataclass(tp):
+    elif hasattr(tp, "__record_fields__"):
         expected = tp.__name__
         ns[f"_dec_{expected}"] = _decoder(tp)
         test, value = f"type({var}) is dict", f"_dec_{expected}({var})"
@@ -466,7 +610,7 @@ def _absent_or_mistyped(default) -> Callable:
     def otherwise(expected: str, value):
         if value is not _ABSENT:
             _mistyped(expected, value)
-        if default is MISSING:
+        if default is _REQUIRED:
             raise ValueError("required key missing")
         return default()
     return otherwise
@@ -517,8 +661,8 @@ def _decoder(cls, project: tuple[str, ...] = ()) -> Callable:
 
 
 def to_dict(obj) -> dict:
-    """Encode a record dataclass as a JSON-ready dict, keys sorted (see the
-    module docstring)."""
+    """Encode a record as a JSON-ready dict, keys sorted, by the encoder
+    built from its class's field list (see the module docstring)."""
     return _encoder(type(obj))(obj)
 
 
@@ -563,16 +707,16 @@ def atomic_writer(path: Path | str, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-@dataclass
+@record
 class LineSpans:
     """Where rows' lines are, in columns indexed by row number: row ``r`` is
     ``lengths[r]`` bytes from byte ``starts[r]`` of ``sources[f]``, the first
     file whose ``file_ends[f]`` (one past its last row) is above ``r``."""
 
-    sources: list = field(default_factory=list)
-    file_ends: list = field(default_factory=list)
-    starts: array = field(default_factory=lambda: array("q"))
-    lengths: array = field(default_factory=lambda: array("q"))
+    sources: list = Factory(list)
+    file_ends: list = Factory(list)
+    starts: array = Factory(lambda: array("q"))
+    lengths: array = Factory(lambda: array("q"))
 
     def lines(self, rows: Iterable[int]) -> Iterator[tuple[str, int, int]]:
         """The ``(source, start, length)`` span of each of ``rows``, as
@@ -723,7 +867,7 @@ _dump_record = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
 def write_records(path: Path | str, records: Iterable) -> int:
-    """Write record dataclasses as UTF-8 JSONL, through :func:`atomic_writer`:
+    """Write records as UTF-8 JSONL, through :func:`atomic_writer`:
     the bytes ``write_jsonl(path, map(to_dict, records))`` would write.
     Returns the number of lines written."""
     n = 0
@@ -798,7 +942,7 @@ def read_documents(path: Path | str) -> list[UnifiedDocument]:
     return list(read_jsonl(path, UnifiedDocument))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InstructionInstance:
     instance_id: str
     dataset_id: str

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .schema import (
@@ -26,9 +25,11 @@ from .schema import (
     InstructionInstance,
     LineSpans,
     Registry,
+    asdict,
     copy_lines,
     last_rows,
     read_jsonl,
+    record,
     write_json,
 )
 
@@ -50,7 +51,7 @@ def assign_stage(desc: DatasetDescriptor) -> str:
     return TYPE1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StagePlan:
     stage1_rows: array  # 'q' row numbers of the forged file, in stage order
     stage2_rows: array
@@ -112,7 +113,7 @@ def registry_stage_counts(registry: Registry) -> tuple[int, int]:
     return stage1, stage2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrainingManifest:
     stage: int
     epochs: int

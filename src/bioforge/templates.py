@@ -10,14 +10,13 @@ the instruction and need no templates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .schema import Language, TaskType, _add_rows, write_records
+from .schema import Language, TaskType, _add_rows, record, write_records
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InstructionTemplate:
     template_id: str
     task: TaskType

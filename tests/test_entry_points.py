@@ -18,7 +18,10 @@ ENV = {**os.environ, "PYTHONPATH": str(Path(bioforge.__file__).resolve().parent.
 # What every command loads (``bioforge.cli`` itself runs as ``__main__``),
 # and what each command loads beside it.  No command here loads ``xml``:
 # ingest imports it only to read a BioC file, and the ingest run is PubTator.
-COMMON_MODULES = {"bioforge", "bioforge.fixtures", "bioforge.schema"}
+# ``bioforge.fixtures`` holds the reference registry, which a command loads
+# only when it is given no ``--registry``.  No command loads ``dataclasses``
+# or ``inspect``, whose import would add milliseconds to every start.
+COMMON_MODULES = {"bioforge", "bioforge.schema"}
 COMMAND_MODULES = {
     "ingest": {"bioforge.ingest"},
     "curate": {"bioforge.curation"},
@@ -44,10 +47,11 @@ PUBLIC_NAMES = """
 
 
 def loaded_modules(argv: list, cwd: Path) -> set:
-    """The ``bioforge`` and ``xml`` modules one ``python -m bioforge.cli``
-    process holds when it exits, which it prints last on stderr."""
+    """The ``bioforge``, ``xml``, ``dataclasses`` and ``inspect`` modules one
+    ``python -m bioforge.cli`` process holds when it exits, which it prints
+    last on stderr."""
     probe = ("import atexit, runpy, sys; atexit.register(lambda: print(*(m for m in sys.modules "
-             "if m.split('.')[0] in ('bioforge', 'xml')), file=sys.stderr)); "
+             "if m.split('.')[0] in ('bioforge', 'xml', 'dataclasses', 'inspect')), file=sys.stderr)); "
              "runpy.run_module('bioforge.cli', run_name='__main__', alter_sys=True)")
     proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -73,7 +77,12 @@ def test_each_command_process_loads_only_the_layers_it_runs(tmp_path):
         ("stats", []),
     ]
     loaded = {command: loaded_modules([command, *argv, *common], tmp_path) for command, argv in steps}
-    assert loaded == {command: COMMON_MODULES | COMMAND_MODULES[command] for command, _ in steps}
+    expected = {command: COMMON_MODULES | COMMAND_MODULES[command] for command, _ in steps}
+    loaded["stats, no --registry"] = loaded_modules(["stats", "--out", "out"], tmp_path)
+    expected["stats, no --registry"] = COMMON_MODULES | COMMAND_MODULES["stats"] | {"bioforge.fixtures"}
+    assert {command: modules & {"dataclasses", "inspect"} for command, modules in loaded.items()} == {
+        command: set() for command in loaded}
+    assert loaded == expected
 
 
 @pytest.mark.parametrize("name", PUBLIC_NAMES)

@@ -1,14 +1,24 @@
+import __future__
 import ast
+import collections.abc
+import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
+import sys
+import textwrap
 from array import array
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
+from types import FunctionType
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bioforge
 from bioforge.evaluation import PredictionRecord
 from bioforge.schema import (
     DatasetDescriptor,
@@ -25,11 +35,13 @@ from bioforge.schema import (
     TextPairInstance,
     TranslationPair,
     UnifiedDocument,
+    asdict,
     atomic_writer,
     copy_lines,
     first_rows,
     from_dict,
     read_jsonl,
+    replace,
     to_dict,
     validate_document,
     write_jsonl,
@@ -626,3 +638,115 @@ def test_records_are_decoded_only_by_the_schema_readers_and_jsonl_ingest():
              for scope in codec_references(ast.parse(path.read_text(encoding="utf-8")))}
     assert {name for name, _ in found} == {"schema.py", "ingest.py"}
     assert {scope for name, scope in found if name == "ingest.py"} == {"_parse_jsonl"}
+
+
+def record_classes() -> list[type]:
+    """Every class that ``schema.record`` made, in every module of the package."""
+    modules = [importlib.import_module(f"bioforge.{info.name}") for info in pkgutil.iter_modules(bioforge.__path__)]
+    return [cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and "__record_fields__" in vars(cls) and cls.__module__ == module.__name__]
+
+
+RECORD_CLASSES = record_classes()
+
+
+def reference_dataclass(cls) -> type:
+    """``cls`` made again from its own source lines, with
+    ``dataclasses.dataclass`` as ``record`` and a ``field(default_factory=)``
+    as ``Factory``, in its module's namespace and on its own line numbers."""
+    module = sys.modules[cls.__module__]
+    lines, first = inspect.getsourcelines(cls)
+    source = "\n" * (first - 1) + textwrap.dedent("".join(lines))
+    namespace = {**vars(module), "record": dataclasses.dataclass,
+                 "Factory": lambda make: dataclasses.field(default_factory=make)}
+    exec(compile(source, module.__file__, "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True),
+         namespace)
+    return namespace[cls.__name__]
+
+
+def sample(hint, k: int):
+    """A value of the type ``hint``, one of two unequal ones (``k`` 1 or 2);
+    None for ``Optional[X]``, which a rule check may restrict."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return None
+    if origin is tuple and args[-1] is Ellipsis:
+        return (sample(args[0], k),)
+    if origin is tuple:
+        return tuple(sample(a, k) for a in args)
+    if origin is dict:
+        return {sample(args[0], k): sample(args[1], k)}
+    if origin is frozenset:
+        return frozenset({sample(args[0], k)})
+    if origin is collections.abc.Callable:
+        return (str.upper, str.lower)[k - 1]
+    if "__record_fields__" in vars(hint):
+        hints = get_type_hints(hint)
+        return hint(**{name: sample(hints[name], k) for name, _ in hint.__record_fields__})
+    if issubclass(hint, Enum):
+        return list(hint)[k]
+    return {str: f"s{k}", int: k, float: k / 4, bool: k == 1, list: [k], array: array("q", [k])}[hint]
+
+
+def same(a, b) -> bool:
+    """Equal, or two functions of the same code (a default made twice from one source line)."""
+    return a == b or (isinstance(a, FunctionType) and isinstance(b, FunctionType) and a.__code__ == b.__code__)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_record_class_behaves_as_the_dataclass_of_its_source(cls):
+    ref = reference_dataclass(cls)
+    mine, theirs = fields(cls), fields(ref)
+    assert [(f.name, f.type) for f in mine] == [(f.name, f.type) for f in theirs]
+    for f, g in zip(mine, theirs):
+        assert same(f.default, g.default), f.name
+        assert (f.default_factory is MISSING) == (g.default_factory is MISSING), f.name
+        if f.default_factory is not MISSING:
+            assert f.default_factory() == g.default_factory(), f.name
+    assert is_dataclass(cls)
+
+    hints = get_type_hints(cls)
+    values = {name: sample(hints[name], 1) for name, _ in cls.__record_fields__}
+    obj, twin, other = cls(**values), ref(**values), sample(hints[mine[0].name], 2)
+    assert is_dataclass(obj)
+    assert repr(obj) == repr(twin)
+    assert dataclasses.asdict(obj) == asdict(obj) == dataclasses.asdict(twin)
+    changed = dataclasses.replace(obj, **{mine[0].name: other})
+    assert type(changed) is cls and repr(changed) == repr(dataclasses.replace(twin, **{mine[0].name: other}))
+    assert replace(obj, **{mine[0].name: other}) == changed
+
+    assert obj == cls(**values) and obj != changed
+    assert obj.__eq__(twin) is NotImplemented and obj != twin  # a record equals only a record of its class
+
+    required = {f.name: values[f.name] for f in mine if f.default is MISSING and f.default_factory is MISSING}
+    defaults, again = cls(**required), cls(**required)
+    for f in mine:
+        if f.default_factory is not MISSING:
+            assert getattr(defaults, f.name) == f.default_factory()
+            assert getattr(defaults, f.name) is not getattr(again, f.name)
+        elif f.default is not MISSING:
+            assert getattr(defaults, f.name) is f.default
+
+    if ref.__dataclass_params__.frozen:
+        field_tuple = tuple(values.values())
+        try:
+            expected = hash(field_tuple)
+        except TypeError:  # a dict or array field: no hash either way
+            with pytest.raises(TypeError):
+                hash(obj)
+        else:
+            assert hash(obj) == expected == hash(twin)
+        with pytest.raises(AttributeError):
+            setattr(obj, mine[0].name, other)
+        with pytest.raises(AttributeError):
+            delattr(obj, mine[0].name)
+    else:
+        assert cls.__hash__ is None and ref.__hash__ is None
+        setattr(obj, mine[0].name, other)
+        assert obj == changed
+    assert hasattr(obj, "__dict__") == hasattr(twin, "__dict__")
+    assert getattr(cls, "__slots__", None) == getattr(ref, "__slots__", None)
+
+
+def test_only_the_two_slots_records_have_no_instance_dict():
+    assert {cls.__name__ for cls in RECORD_CLASSES if "__slots__" in vars(cls)} == {"PredictionRecord", "ParseOutcome"}

@@ -1,7 +1,8 @@
 """Checks of the source that no installed linter makes: every module-level
-import of ``src/bioforge`` is used, no module defines an exception class,
-so every pipeline error is a ``ValueError`` (the type the CLI maps to exit
-code 2) raised with its message, and each message is made at one site."""
+import of ``src/bioforge`` is used and none is of ``dataclasses``, no
+module defines an exception class, so every pipeline error is a
+``ValueError`` (the type the CLI maps to exit code 2) raised with its
+message, and each message is made at one site."""
 
 import ast
 from pathlib import Path
@@ -11,15 +12,22 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "bioforge"
 
 
-def module_imports(tree: ast.Module):
-    """``(name, line)`` for each name bound by an import at module level,
-    including one under a top-level ``if`` or ``try``."""
+def module_level_imports(tree: ast.Module):
+    """Each import statement at module level, including one under a
+    top-level ``if`` or ``try``."""
     nodes = list(tree.body)
     while nodes:
         node = nodes.pop()
         if isinstance(node, (ast.If, ast.Try)):
             nodes.extend(ast.iter_child_nodes(node))
-        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+
+
+def module_imports(tree: ast.Module):
+    """``(name, line)`` for each name bound by an import at module level."""
+    for node in module_level_imports(tree):
+        if getattr(node, "module", None) != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0], alias.lineno
 
@@ -33,6 +41,17 @@ def test_every_module_level_import_is_used_or_marked(path):
     unused = [f"{path.name}:{line}: {name}" for name, line in module_imports(tree)
               if name not in used and "# noqa: F401" not in lines[line - 1]]
     assert unused == []
+
+
+def test_no_module_imports_dataclasses_at_module_level():
+    """Importing ``dataclasses`` loads ``inspect`` and ``ast`` too, which
+    would add milliseconds to every command's start; records are made by
+    ``schema.record``."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+             if "dataclasses" in ([alias.name.split(".")[0] for alias in node.names]
+                                  if isinstance(node, ast.Import) else [(node.module or "").split(".")[0]])]
+    assert found == []
 
 
 def base_name(node: ast.expr) -> str:
