@@ -64,7 +64,7 @@ build_corpus = _deferred("forge", "build_corpus")
 forge_instances = _deferred("forge", "forge_instances")
 build_stage_plan = _deferred("staging", "build_stage_plan")
 emit_training_manifest = _deferred("staging", "emit_training_manifest")
-# an index of the predictions file: each row's span and id hash, not its record
+# an index of the predictions file: row spans and id hashes, not records
 read_predictions = _deferred("evaluation", "read_predictions")
 evaluate_dataset = _deferred("evaluation", "evaluate_dataset")
 
@@ -173,12 +173,12 @@ def cmd_plan(args) -> tuple[list[Path], dict]:
 
 
 def cmd_eval(args) -> tuple[list[Path], dict]:
-    from .evaluation import sample_subset
+    from .evaluation import GOLD_FIELDS, sample_subset
     registry = _load_registry(args)
     desc = registry[args.dataset]
     gold_path, pred_path = Path(args.gold), Path(args.predictions)
-    # scored as it is read; each other dataset's row checked, then dropped
-    gold = (inst for inst in read_jsonl(gold_path, InstructionInstance) if inst.dataset_id == args.dataset)
+    # scored as read; other datasets' rows are checked, then dropped
+    gold = (row for row in read_jsonl(gold_path, InstructionInstance, fields=GOLD_FIELDS) if row[1] == args.dataset)
     rows = None
     if args.sample_n is not None:  # a sample needs the row count
         rows = list(gold)
@@ -188,8 +188,8 @@ def cmd_eval(args) -> tuple[list[Path], dict]:
         report = evaluate_dataset(gold, predictions, desc)
         if rows is not None:  # the id of a row left out of the sample is no unknown id
             with predictions.texts() as text_of:
-                for inst in rows:
-                    text_of(inst.instance_id)
+                for row in rows:
+                    text_of(row[0])
     except (ValueError, OSError):
         for _ in gold:  # a fault of the gold file is reported first
             pass

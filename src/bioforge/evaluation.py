@@ -15,14 +15,16 @@ per vocabulary and cached.  :func:`evaluate_dataset` scores each gold row as
 it reads it, holding counts, not rows or outcomes, and reuses the outcomes of
 recently parsed strings, so a prediction that repeats its gold output
 verbatim, the ``""`` that stands in for every missing prediction and repeated
-empty markers or labels cost one parse each.  Gold and prediction rows are
-type-checked by the record codec as they are read: only ``raw_text`` may be
-``null``, a failed generation that scores as unparseable.
+empty markers or labels cost one parse each; per-type counts grow by
+``Counter.update``, with no Python call per item.  Gold and prediction rows
+are type-checked by the record codec as they are read: only ``raw_text`` may
+be ``null``, a failed generation that scores as unparseable.
 
-``bioforge eval`` holds no predictions and no gold ids either:
-:class:`Predictions` keeps each prediction row's ``schema.LineSpans`` span,
-and an id's last row (``schema.last_rows``) is read again when its gold row
-is scored.
+``bioforge eval`` builds no gold record (it reads the :data:`GOLD_FIELDS`
+projection) and holds no predictions and no gold ids: :class:`Predictions`
+keeps each prediction row's ``schema.LineSpans`` span, and an id's last row
+(``schema.last_rows``) is read again when its gold row is scored, from a
+64 KiB block when the predictions come in gold order.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import re
+from collections import Counter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .schema import (DatasetDescriptor, Factory, InstructionInstance, Language, LineSpans, RelationTriple, TaskType,
@@ -50,19 +54,23 @@ class PredictionRecord:
 
 class Predictions:
     """A predictions file, indexed by id but not held: per row, its
-    ``schema.LineSpans`` span, its id's hash and a looked-up mark.
+    ``schema.LineSpans`` span, its id's hash, a repeated-id mark and a
+    looked-up mark.
 
     Every row is decoded and type-checked as a :class:`PredictionRecord`
     when the file is read (a ``read_jsonl`` projection), and none is kept;
     ``schema.last_rows`` finds each id's last row, the one scored, and counts
-    the ids given more than once.  ``len()`` is the row count, and iterating
-    reads the rows again, in file order."""
+    the ids given more than once.  A lookup reads its row again: the row
+    after the one last found comes from a 64 KiB block, so rows in gold
+    order take one ``os.pread`` a block; any other row is found by the
+    hash probe and read by one ``os.pread``.  ``len()`` is the row count,
+    and iterating reads the rows again, in file order."""
 
     def __init__(self, path: Path | str):
         self.path = str(path)
         self._spans = LineSpans()
         rows = read_jsonl(path, PredictionRecord, spans=self._spans, fields=("instance_id",))
-        self._find, self._distinct_ids, self.duplicate_ids = last_rows(
+        self._finder, self._distinct_ids, self.duplicate_ids = last_rows(
             path, PredictionRecord, ("instance_id", "raw_text"), self._spans, (row[0] for row in rows))
         self._looked_up = bytearray(len(self))  # 1: a lookup found the row
 
@@ -81,14 +89,14 @@ class Predictions:
     def texts(self) -> Iterator[Callable[[str], str]]:
         """While open, ``text_of(instance_id)``: the ``raw_text`` of that id's
         last row (None: ``""``), or ``""`` for an id no row has.  A lookup
-        inserts nothing; it marks the row it finds, which it reads by one
-        ``os.pread`` and decodes once."""
-        find, looked_up = self._find, self._looked_up
+        inserts nothing; it marks the row it finds, which it reads again
+        (see above) and decodes once."""
+        looked_up = self._looked_up
         with open(self.path, "rb") as f:
-            fd = f.fileno()
+            find = self._finder(f.fileno())
 
             def text_of(instance_id: str) -> str:
-                if (found := find(fd, instance_id)) is None:
+                if (found := find(instance_id)) is None:
                     return ""
                 row, (_, raw_text) = found
                 looked_up[row] = 1
@@ -401,35 +409,32 @@ def _default_type_key(item) -> Optional[str]:
 
 
 def _tally_micro_f1(rows: Iterable[tuple[frozenset, frozenset, bool]], dataset_id: str,
-                    type_key: Callable = _default_type_key) -> EvalReport:
+                    type_key: Optional[Callable]) -> EvalReport:
     """The micro-F1 report of ``rows``, each ``(gold items, predicted items,
-    unparseable)`` of one instance, counted as it comes."""
+    unparseable)`` of one instance, counted as it comes.  ``type_key`` gives
+    an item's type (None: no type), or is None: no per-type rows.  Each
+    type's counts grow by ``Counter.update``, so the items of a row are
+    counted in C, one call per kind of count."""
     report = EvalReport(dataset_id=dataset_id, metric_name="micro_f1")
     total = tp = fp = fn = unparseable = 0
-    by_type: dict[str, list[int]] = {}  # etype -> [tp, fp, fn]
+    tps, fps, fns = Counter(), Counter(), Counter()  # by type
     for g, p, unparsed in rows:
         total += 1
         unparseable += unparsed
-        hit = len(g & p)
-        tp += hit
-        fp += len(p) - hit
-        fn += len(g) - hit
-        for item in g:
-            etype = type_key(item)
-            if etype is not None:
-                by_type.setdefault(etype, [0, 0, 0])[2] += 1
-        for item in p:
-            etype = type_key(item)
-            if etype is not None:
-                counts = by_type.setdefault(etype, [0, 0, 0])
-                if item in g:  # a true positive, not a false negative
-                    counts[0] += 1
-                    counts[2] -= 1
-                else:
-                    counts[1] += 1
+        hit = g & p
+        tp += len(hit)
+        fp += len(p) - len(hit)
+        fn += len(g) - len(hit)
+        if type_key is not None:
+            tps.update(map(type_key, hit))
+            if len(p) > len(hit):
+                fps.update(map(type_key, p - hit))
+            if len(g) > len(hit):
+                fns.update(map(type_key, g - hit))
     report.total, report.tp, report.fp, report.fn, report.unparseable_count = total, tp, fp, fn, unparseable
     report.precision, report.recall, report.f1 = _prf(tp, fp, fn)
-    for etype, (tp, fp, fn) in sorted(by_type.items()):
+    for etype in sorted({*tps, *fps, *fns} - {None}):
+        tp, fp, fn = tps[etype], fps[etype], fns[etype]
         p, r, f1 = _prf(tp, fp, fn)
         report.per_type[etype] = {
             "precision": p, "recall": r, "f1": f1, "tp": tp, "fp": fp, "fn": fn
@@ -502,7 +507,9 @@ class Grammar:
     ``schema.validate_document`` accepts.
     ``parse(raw, desc, instruction)`` inverts the output (``instruction`` is
     read for accuracy only); ``metric`` is ``"micro_f1"`` or ``"accuracy"``
-    over the ParseOutcome field ``items``, or None (not scored)."""
+    over the ParseOutcome field ``items``, or None (not scored);
+    ``type_of`` gives the type of an item for micro-F1's per-type rows
+    (None: no per-type rows)."""
 
     render: Callable[[UnifiedDocument, Language, bool], Optional[str]]
     parse: Optional[Callable[[str, DatasetDescriptor, Optional[str]], ParseOutcome]] = None
@@ -510,12 +517,14 @@ class Grammar:
     items: str = ""
     prompt: Callable[[UnifiedDocument, Language], str] = lambda doc, _: doc.text
     empty: dict[Language, str] = Factory(dict)
+    type_of: Optional[Callable] = None
 
 
 _RELATIONS = Grammar(
     _render_relations,
     lambda raw, desc, _: parse_re_output(raw, desc.language, desc.label_vocab, desc.prompted_relation),
-    "micro_f1", "re_triples", empty={Language.EN: "No relations found.", Language.ZH: "未识别出关系。"})
+    "micro_f1", "re_triples", empty={Language.EN: "No relations found.", Language.ZH: "未识别出关系。"},
+    type_of=attrgetter("rtype"))
 _ANSWER_KEYS = Grammar(lambda doc, *_: "\n".join(doc.qa.answer_keys), prompt=_prompt_qa)
 _LABEL = Grammar(lambda doc, *_: doc.pair.label,
                  prompt=lambda doc, language: _PAIR_TEXTS[language].format(doc.pair.text_a, doc.pair.text_b))
@@ -524,7 +533,8 @@ _TEXT_B = Grammar(lambda doc, *_: doc.pair.text_b, prompt=lambda doc, _: doc.pai
 GRAMMARS: dict[TaskType, Grammar] = {
     TaskType.NER_NEN: Grammar(
         _render_ner, lambda raw, desc, _: parse_ner_output(raw, desc.language, desc.label_vocab),
-        "micro_f1", "ner", empty={Language.EN: "No entities found.", Language.ZH: "未识别出实体。"}),
+        "micro_f1", "ner", empty={Language.EN: "No entities found.", Language.ZH: "未识别出实体。"},
+        type_of=itemgetter(1)),  # (surface, etype)
     TaskType.RE: _RELATIONS,  # CRE and COREF share RE's grammar
     TaskType.CRE: _RELATIONS,
     TaskType.COREF: _RELATIONS,
@@ -562,8 +572,13 @@ def _prediction_texts(predictions: Predictions | Iterable[PredictionRecord]) -> 
         yield lambda instance_id: by_id.get(instance_id, "")
 
 
+# The fields of a gold row that ``bioforge eval`` decodes (a ``read_jsonl``
+# projection of an InstructionInstance), which evaluate_dataset reads.
+GOLD_FIELDS = ("instance_id", "dataset_id", "instruction", "output")
+
+
 def evaluate_dataset(
-    gold: Iterable[InstructionInstance],
+    gold: Iterable[InstructionInstance] | Iterable[tuple],
     predictions: Predictions | Iterable[PredictionRecord],
     desc,
 ) -> EvalReport:
@@ -576,9 +591,11 @@ def evaluate_dataset(
     a ``raw_text`` of None score as empty/unparseable; of several predictions
     with one id the last wins.  ``predictions`` is what
     :func:`read_predictions` returns, whose rows are read when their gold
-    row is, or a list of records.  ``gold`` is read once, in order, and each
-    row is scored as it comes, so it may be a one-shot iterator: neither gold
-    rows nor parse outcomes are held.  The parsers are pure, so for micro-F1
+    row is, or a list of records.  ``gold`` holds InstructionInstance
+    records, or the rows of their :data:`GOLD_FIELDS` projection, as the
+    first item shows.  It is read once, in order, and each row is scored as
+    it comes, so it may be a one-shot iterator: neither gold rows nor parse
+    outcomes are held.  The parsers are pure, so for micro-F1
     the outcomes of the last 1024 distinct strings are reused: a prediction
     that repeats its gold output verbatim, the ``""`` of a missing prediction
     and repeated empty markers or labels are parsed once.
@@ -586,18 +603,23 @@ def evaluate_dataset(
     grammar = GRAMMARS[desc.task]
     if grammar.metric is None:
         raise ValueError(f"no automatic metric defined for task {desc.task.value!r}")
-    items = grammar.items
+    items, rows = grammar.items, iter(gold)
+    first = next(rows, None)
+    rows = chain(() if first is None else (first,), rows)
+    if isinstance(first, InstructionInstance):
+        rows = map(attrgetter(*GOLD_FIELDS), rows)
     with _prediction_texts(predictions) as text_of:
         if grammar.metric == "accuracy":  # a choice depends on the options, which the instruction fixes
-            choices = ((getattr(grammar.parse(inst.output, desc, inst.instruction), items) or "",
-                        grammar.parse(text_of(inst.instance_id), desc, inst.instruction)) for inst in gold)
+            choices = ((getattr(grammar.parse(output, desc, instruction), items) or "",
+                        grammar.parse(text_of(instance_id), desc, instruction))
+                       for instance_id, _, instruction, output in rows)
             return _tally_accuracy(choices, desc.id)
         # bounded: 1024 entries ran eval-sweep's 18 evals in-process as fast as an
         # unbounded cache did, and 256 entries about 10 % slower
         outcome_of = functools.lru_cache(maxsize=1024)(lambda raw: grammar.parse(raw, desc, None))
 
         def item_sets():
-            for inst in gold:
-                pred = outcome_of(text_of(inst.instance_id))
-                yield getattr(outcome_of(inst.output), items), getattr(pred, items), pred.status == UNPARSEABLE
-        return _tally_micro_f1(item_sets(), desc.id)
+            for instance_id, _, _, output in rows:
+                pred = outcome_of(text_of(instance_id))
+                yield getattr(outcome_of(output), items), getattr(pred, items), pred.status == UNPARSEABLE
+        return _tally_micro_f1(item_sets(), desc.id, grammar.type_of)

@@ -7,12 +7,9 @@ label vocabulary).  Values are immutable after construction and safe to
 share across workers.  :data:`TASKS` holds the data facts of every task
 type in one table.
 
-Every record class of the package is declared under the :func:`record`
-decorator, which reads the class's annotations and defaults once into one
-field list.  Both the methods it makes, as ``dataclasses.dataclass`` makes
-them, and the codecs below are built from that list, and no command imports
-``dataclasses``, whose import and decorations cost each command about 20 ms
-of its start.
+Every record class is declared under :func:`record`, which builds its
+methods and the codecs below from one field list, without ``dataclasses``,
+whose import and decorations cost each command about 20 ms of its start.
 
 On-disk encoding is UTF-8 JSONL, one record per line; the registry is a
 single JSONL file of descriptor rows.  One codec, :func:`to_dict` /
@@ -26,25 +23,17 @@ value of its exact type (``true`` is no int), ``null`` only if
 required key or a mistyped value raises ``ValueError`` naming the class and
 field, which :func:`read_jsonl` prefixes with ``<path>:<line>:``.
 
-The codec of a record class is one generated straight-line function each
-way, built from its fields on first use, never at import.  Decoding has one
-type dispatch, :func:`_decode_expr`: each value, container items included,
-gets one inline test of its common form, and only a value that fails it
-reaches a fallback, which gives an absent key's default or raises the
-error.  Because its keys come out sorted, :func:`write_records` writes each
-record line through one reused JSON encoder with no sort pass;
-:func:`read_jsonl` parses each line with one JSON scan.  Given ``fields``,
-:func:`read_jsonl` reads a projection: each row is decoded and checked
-exactly as its record would be, but only those fields' values come out, as
-a tuple, and no record is built (a class whose ``__post_init__`` checks
-rules has none).  Every output file is written through
-:func:`atomic_writer`, so it appears whole or not at all; :func:`copy_lines`
-copies byte spans of lines into one in 64 KiB blocks, and :func:`read_span`
-decodes the line at one span again.  ``curate``, ``plan`` and ``eval``
-index rows by number: :class:`LineSpans` columns, which :func:`read_jsonl`
-fills, hold where each row's line is, and one :func:`first_rows` table
-finds each key's first row; :func:`last_rows` finds, for plan and eval, each
-id's last row.
+Each record class's codec is one straight-line function each way, made
+from its fields on first use, never at import; decoding has one type
+dispatch, :func:`_decode_expr`.  :func:`read_jsonl` parses each line with
+one JSON scan and, given ``fields``, reads a projection: every field is
+checked, but no record is built.  Every output file is written through
+:func:`atomic_writer`, so it appears whole or not at all.  ``curate``,
+``plan`` and ``eval`` index rows by number: :class:`LineSpans` columns,
+which :func:`read_jsonl` fills, hold where each row's line is;
+:func:`first_rows` finds each key's first row, :func:`last_rows` each id's
+last (and reads it again for eval), and :func:`copy_lines` copies lines
+by their spans.
 """
 
 from __future__ import annotations
@@ -85,11 +74,6 @@ class TaskType(str, Enum):
 class Language(str, Enum):
     EN = "en"
     ZH = "zh"
-
-
-# ---------------------------------------------------------------------------
-# Records
-# ---------------------------------------------------------------------------
 
 
 class Factory:
@@ -138,17 +122,14 @@ def record(cls=None, *, frozen: bool = False, slots: bool = False):
     """Make ``cls`` a record class, as ``dataclasses.dataclass`` with the
     same arguments does, without importing ``dataclasses``.
 
-    The class's annotated names, in order, with their class-level defaults,
-    are read once into its field list, ``__record_fields__``: ``(name,
-    default)`` pairs, a :class:`Factory` default made afresh per record.
-    Everything else is built from that list: one compiled ``__init__`` that
-    takes the fields in order and then calls ``__post_init__`` if the class
-    has one; a ``__repr__`` in the ``dataclasses`` format; ``__eq__`` over
-    the tuple of fields, against a record of the same class only; if
-    ``frozen``, ``__hash__``, the hash of that tuple, and an
-    ``AttributeError`` on assignment, else no hash.  With ``slots``, the
-    class is made again with a slot per field.  This module's codecs and
-    :func:`replace` and :func:`asdict` read the same list."""
+    The class's annotated names, in order, with their class-level defaults
+    (a :class:`Factory` is made afresh per record), are read once into its
+    field list, ``__record_fields__``, from which the codecs, :func:`replace`,
+    :func:`asdict` and its methods are built: a compiled ``__init__`` that
+    calls ``__post_init__`` if the class has one, ``__repr__`` and
+    ``__eq__`` over the tuple of fields (a record of the same class only)
+    and, if ``frozen``, that tuple's ``__hash__`` and an ``AttributeError``
+    on assignment.  ``slots`` remakes the class with a slot per field."""
     if cls is None:
         return functools.partial(record, frozen=frozen, slots=slots)
     fields = tuple((name, cls.__dict__.get(name, _REQUIRED)) for name in cls.__dict__.get("__annotations__", {}))
@@ -327,6 +308,10 @@ class DatasetDescriptor:
                 and len(self.label_vocab) != 1):
             raise ValueError(f"dataset {self.id!r}: re_untyped needs a prompted_relation or one "
                              f"label_vocab entry, got {len(self.label_vocab)}")
+        keys = [v.strip().lower() for v in self.label_vocab]  # the parsers' key of an entry
+        if bad := [v for v, k in zip(self.label_vocab, keys) if not v or v != v.strip() or keys.count(k) > 1]:
+            raise ValueError(f"dataset {self.id!r}: label_vocab entries must be non-empty, trimmed and "
+                             f"distinct ignoring case, got {', '.join(map(repr, bad))}")
 
 
 @record(frozen=True)
@@ -387,9 +372,8 @@ TASKS: dict[TaskType, TaskSpec] = {
     TaskType.QA_MC: _QA,
     TaskType.QA_SQA: _QA,
     TaskType.QA_CQA: _QA,
-    TaskType.MRD: TaskSpec(
-        frozenset({"dialogue"}), "Biomedical Multi-Round Dialogue", required="dialogue", type2=True
-    ),
+    TaskType.MRD: TaskSpec(frozenset({"dialogue"}), "Biomedical Multi-Round Dialogue", required="dialogue",
+                           type2=True),
     TaskType.MT: TaskSpec(frozenset({"translation"}), "Machine Translation", required="translation"),
     TaskType.TP_SS: _PAIR,
     TaskType.TP_TE: _PAIR,
@@ -405,12 +389,8 @@ class ValidationResult:
 
 
 def _payload_populated(doc: UnifiedDocument, name: str) -> bool:
-    value = getattr(doc, name)
-    if value is None:
-        return False
-    if name in ("entities", "relations", "events", "labels"):
-        return len(value) > 0
-    return True
+    value = getattr(doc, name)  # the item tuples count when non-empty, the rest when set
+    return value is not None and (name not in ("entities", "relations", "events", "labels") or len(value) > 0)
 
 
 def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> ValidationResult:
@@ -444,9 +424,7 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
         elif e.end > n:
             v.append(f"entities: span [{e.start},{e.end}) out of bounds for text of length {n}")
         elif doc.text[e.start:e.end] != e.surface:
-            v.append(
-                f"entities: text[{e.start}:{e.end}]={doc.text[e.start:e.end]!r} != surface {e.surface!r}"
-            )
+            v.append(f"entities: text[{e.start}:{e.end}]={doc.text[e.start:e.end]!r} != surface {e.surface!r}")
 
     for r in doc.relations:
         if not r.head or not r.tail:
@@ -502,11 +480,6 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
         v.append("translation: both texts must be non-empty")
 
     return ValidationResult(ok=not v, violations=tuple(v))
-
-
-# ---------------------------------------------------------------------------
-# JSON (de)serialization
-# ---------------------------------------------------------------------------
 
 
 def _mistyped(expected: str, value):
@@ -757,7 +730,7 @@ def first_rows(n: int, same: Callable[[int, int], bool]) -> Callable[[int, int],
     return first
 
 
-_COPY_BLOCK = 1 << 16  # bytes of rows that :func:`copy_lines` writes at once
+_BLOCK = 1 << 16  # bytes of rows written (copy_lines) or read (a last_rows find) at once
 
 
 def copy_lines(path: Path | str, lines: Iterable[tuple[str, int, int]], since: str = "read") -> int:
@@ -782,26 +755,22 @@ def copy_lines(path: Path | str, lines: Iterable[tuple[str, int, int]], since: s
             block.append(row)
             size += length + 1
             n += 1
-            if size >= _COPY_BLOCK:
+            if size >= _BLOCK:
                 f.write(b"\n".join([*block, b""]))
                 block, size = [], 0
         f.write(b"\n".join([*block, b""]))
     return n
 
 
-def read_span(source: str, fd: int, start: int, length: int, cls, fields: tuple[str, ...]) -> tuple:
-    """The values of ``fields`` of the ``cls`` record on the line at a byte
-    span of ``source``, open as ``fd``: one ``os.pread``, decoded and
-    checked as a :func:`read_jsonl` projection decodes a line.  A span that
-    no longer holds such a record raises ``ValueError``: ``<source>: file
-    changed since it was read``."""
-    line = os.pread(fd, length, start)
+def _line_values(source: str, line: bytes, length: int, decode: Callable) -> tuple:
+    """``decode`` of a row's ``line``, read again from ``source``, where it
+    was ``length`` bytes, else ``<source>: file changed since it was read``."""
     if len(line) == length:
         try:
-            rec, stop = _scan(text := line.decode("utf-8"))
+            rec, stop = _scan(text := line.decode("utf-8").strip(), 0)  # as read_jsonl does
             if stop == len(text):
-                return _decoder(cls, fields)(rec)
-        except ValueError:
+                return decode(rec)
+        except (ValueError, StopIteration):
             pass
     raise ValueError(f"{source}: file changed since it was read")
 
@@ -816,32 +785,50 @@ def last_rows(path: Path | str, cls, fields: tuple[str, ...], spans: LineSpans, 
     order as ``keys``: the rows go last first through one :func:`first_rows`
     table of the keys' hashes, and a hash match counts only once both keys,
     read again, are equal.  Each earlier row of a key takes its last row's
-    span.  Returns ``(find, distinct, repeated)``: the numbers of distinct
-    and of repeated keys, and ``find(fd, key)``, with ``path`` open as
-    ``fd``: ``key``'s last row and its ``fields``, read again, or ``None``."""
+    span.  Returns ``(finder, distinct, repeated)``: the numbers of distinct
+    and of repeated keys, and ``finder(fd)``, ``path`` open as ``fd``, whose
+    ``find(key)`` gives ``key``'s last row and ``fields``, or ``None``.  It
+    tries the row after the one it last found first, read from a 64 KiB
+    block; another key, or an earlier row of a repeated one, falls back to
+    the table's probe, which reads each row by one ``os.pread``."""
+    source, decode = str(path), _decoder(cls, fields)
     hashes, starts, lengths = array("q", map(_id_hash, keys)), spans.starts, spans.lengths
+    n = len(hashes)
 
     def at(fd: int, row: int) -> tuple:
-        return read_span(str(path), fd, starts[row], lengths[row], cls, fields)
+        return _line_values(source, os.pread(fd, lengths[row], starts[row]), lengths[row], decode)
 
-    def find(fd: int, key: str) -> Optional[tuple[int, tuple]]:
-        h = _id_hash(key)
-        for row in last.probe(h):
-            if hashes[row] == h and (values := at(fd, row))[0] == key:
-                return row, values
-        return None
+    def finder(fd: int) -> Callable:
+        block, offset, after = b"", 0, 0  # bytes read from offset; the row after the last found
 
-    repeated, distinct = bytearray(len(hashes)), 0  # 1: a later row repeats the row's key
+        def find(key: str) -> Optional[tuple[int, tuple]]:
+            nonlocal block, offset, after
+            h, row = _id_hash(key), after
+            if row < n and hashes[row] == h and marks[row] != 1:
+                start, length = starts[row] - offset, lengths[row]
+                if start < 0 or start + length > len(block):
+                    block, offset, start = os.pread(fd, max(_BLOCK, length), starts[row]), starts[row], 0
+                if (values := _line_values(source, block[start:start + length], length, decode))[0] == key:
+                    after = row + 1
+                    return row, values
+            for row in last.probe(h):
+                if hashes[row] == h and (values := at(fd, row))[0] == key:
+                    after = row + 1
+                    return row, values
+            return None
+        return find
+
+    marks, distinct = bytearray(n), 0  # 1: a later row repeats the row's key; 2: the last row of such a key
     with open(path, "rb") as f:
         fd = f.fileno()
-        last = first_rows(len(hashes), lambda a, b: hashes[a] == hashes[b] and at(fd, a)[0] == at(fd, b)[0])
-        for row in reversed(range(len(hashes))):
+        last = first_rows(n, lambda a, b: hashes[a] == hashes[b] and at(fd, a)[0] == at(fd, b)[0])
+        for row in reversed(range(n)):
             if (found := last(row, hashes[row])) == row:
                 distinct += 1
             else:
-                repeated[found] = 1
+                marks[row], marks[found] = 1, 2
                 starts[row], lengths[row] = starts[found], lengths[found]
-    return find, distinct, repeated.count(1)
+    return finder, distinct, marks.count(2)
 
 
 def write_json(path: Path | str, obj) -> None:
@@ -878,10 +865,10 @@ def write_records(path: Path | str, records: Iterable) -> int:
     return n
 
 
-# Parses a stripped line in one scan; ``json.loads`` runs only on a line that
-# is not one JSON value, to raise the error it always gave (a BOM, "Extra
-# data", the column).
-_scan = json.JSONDecoder().raw_decode
+# Parses a stripped line in one scan of the decoder's scanner (StopIteration: no
+# value starts); ``json.loads`` runs only on a line that is not one JSON value,
+# to raise the error it always gave (a BOM, "Extra data", the column).
+_scan = json.JSONDecoder().scan_once
 
 
 def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
@@ -905,9 +892,8 @@ def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
     with Path(path).open("rb") as f:
         if spans is not None:
             spans.sources.append(str(path))
-        # counted by hand: enumerate's result tuple would keep each raw line
-        # alive one line longer, which raised `bioforge plan`'s peak RSS by
-        # 1.3 MiB on the benchmark's plan-reference workload
+        # counted by hand: enumerate's tuple would keep each raw line alive one line
+        # longer, which raised plan's peak RSS by 1.3 MiB on plan-reference
         line_no = end = 0
         try:
             for raw in f:
@@ -916,8 +902,8 @@ def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
                 line = raw.decode("utf-8").strip()
                 if line:
                     try:
-                        rec, stop = _scan(line)
-                    except ValueError:
+                        rec, stop = _scan(line, 0)
+                    except (ValueError, StopIteration):
                         stop = -1
                     if stop != len(line):
                         rec = json.loads(line)

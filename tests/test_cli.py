@@ -281,6 +281,11 @@ ERROR_CASES = {
     "stats_corpus_row_not_a_document": (2, "stats --corpus-root {tmp}/not_a_doc_corpus",
                                         "config error: {tmp}/not_a_doc_corpus/synth-ner-en/train.jsonl:2: "
                                         "UnifiedDocument.doc_id: required key missing\n"),
+    # vocabulary entries that the parsers would read back as one
+    "stats_vocab_equal_ignoring_case": (2, "stats --registry {tmp}/vocab_case.jsonl",
+                                        "config error: {tmp}/vocab_case.jsonl:1: dataset 'synth-ner-en': label_vocab "
+                                        "entries must be non-empty, trimmed and distinct ignoring case, "
+                                        "got 'Disease', 'disease'\n"),
     "plan_unknown_stage_override": (2, "plan --forged {tmp}/forged/forged.jsonl "
                                     "--registry {tmp}/stage_override.jsonl",
                                     "config error: {tmp}/stage_override.jsonl:1: dataset 'synth-ner-en': "
@@ -465,7 +470,8 @@ def bad_inputs(workspace):
                          "vocab_number": {"label_vocab": ["A", 3]},
                          "vocab_string": {"label_vocab": "AB"},
                          "dialogue_string": {"general_dialogue": "false"},
-                         "stage_override": {"stage_override": "type1"}}.items():
+                         "stage_override": {"stage_override": "type1"},
+                         "vocab_case": {"label_vocab": ["Chemical", "Disease", "disease"]}}.items():
         (tmp_path / f"{name}.jsonl").write_text(json.dumps({**row, **change}) + "\n" + qa_row)
     Registry([ner_descriptor("synth-ner-en")]).save(tmp_path / "ner_only.jsonl")
     for name, row in {"raw_text_number": {"instance_id": "x", "raw_text": 3},

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bioforge.evaluation import (
+    GOLD_FIELDS,
     GRAMMARS,
     PARSED,
     UNPARSEABLE,
@@ -240,6 +241,37 @@ class TestScoreMicroF1:
                                      brute_force_micro_f1(gold_t, pred_t)):
                     assert abs(got - want) <= 1e-12
 
+    # Per case: gold and predicted item sets, the type_key (None: the
+    # default), and the counts by hand: overall (tp, fp, fn), then each
+    # per_type row's, in the report's (sorted) order.
+    COUNTED = {
+        "ner-pairs": ([{("a", "Y"), ("b", "X"), ("c", "X")}, {("d", "Z")}, set()],
+                      [{("a", "Y"), ("b", "X"), ("e", "X")}, {("d", "Y")}, {("f", "X")}], None,
+                      (2, 3, 2), {"X": (1, 2, 1), "Y": (1, 1, 0), "Z": (0, 0, 1)}),
+        "relations": ([{RelationTriple("h", "t", "treats"), RelationTriple("h", "u", "CID")},
+                       {RelationTriple("h", "t", "CID")}],
+                      [{RelationTriple("h", "t", "treats"), RelationTriple("h", "u", "treats")},
+                       {RelationTriple("h", "t", "CID"), RelationTriple("t", "h", "CID")}], None,
+                      (2, 2, 1), {"CID": (1, 1, 1), "treats": (1, 1, 0)}),
+        "labels": ([{"Prevention", "Treatment"}, {"Diagnosis"}], [{"Prevention"}, {"Treatment"}], None,
+                   (1, 1, 2), {}),
+        # a custom key: by surface initial; None (no type) for surfaces "b..."
+        "custom-key": ([{("ab", "X"), ("ac", "Y"), ("ba", "X")}], [{("ab", "X"), ("ad", "X"), ("bb", "Y")}],
+                       lambda item: None if item[0][0] == "b" else item[0][0].upper() + item[1],
+                       (1, 2, 2), {"AX": (1, 1, 0), "AY": (0, 0, 1)}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COUNTED))
+    def test_per_type_counts_match_counts_by_hand(self, case):
+        gold, pred, type_key, overall, per_type = self.COUNTED[case]
+        gold, pred = [frozenset(g) for g in gold], [frozenset(p) for p in pred]
+        report = score_micro_f1(gold, pred, **({} if type_key is None else {"type_key": type_key}))
+        assert (report.tp, report.fp, report.fn) == overall
+        assert list(report.per_type) == list(per_type)
+        assert {t: (s["tp"], s["fp"], s["fn"]) for t, s in report.per_type.items()} == per_type
+        for stats in report.per_type.values():
+            assert all(type(stats[k]) is int for k in ("tp", "fp", "fn"))
+
     def test_per_type_breakdown(self):
         gold = [frozenset({("a", "X"), ("b", "Y")})]
         pred = [frozenset({("a", "X"), ("c", "Y")})]
@@ -372,8 +404,9 @@ def test_parsers_are_total(raw):
 
 def reference_evaluation(gold, predictions, desc):
     """``evaluate_dataset`` spelled out with no memo: the public parser
-    called once per gold output and once per prediction, then the scorer."""
-    by_id = {p.instance_id: p.raw_text for p in predictions}
+    called once per gold output and once per prediction, then the scorer.
+    The last row of an id wins, and a ``raw_text`` of None reads as ``""``."""
+    by_id = {p.instance_id: p.raw_text or "" for p in predictions}
     raws = [by_id.get(i.instance_id, "") for i in gold]
     if desc.task is TaskType.QA_MC:
         options = [_options_from_instruction(i.instruction) for i in gold]
@@ -460,6 +493,61 @@ def test_evaluate_dataset_reads_gold_once_from_a_generator(case):
     assert report.total == len(gold) and 0 < report.unparseable_count < report.total
 
 
+def _prediction_files(gold):
+    """Prediction rows in the orders and shapes a lookup meets, each with
+    its expected ``(duplicate_ids, unknown_ids)``."""
+    in_order = [PredictionRecord(i.instance_id, i.output) for i in gold]
+    ids = [p.instance_id for p in in_order]
+    shuffled = list(in_order)
+    random.Random(3).shuffle(shuffled)
+    long_text = in_order[4].raw_text + "\n" + "x" * (3 << 16)  # past a 64 KiB block from any start
+    return {
+        "gaps": ([p for n, p in enumerate(in_order) if n % 3 != 1 and n != 0], (0, 0)),
+        # the later rows win: ids[2] scores "junk", ids[5] its output again
+        "later-repeats": ([*in_order[:7], PredictionRecord(ids[2], "junk"), *in_order[7:],
+                           PredictionRecord(ids[5], in_order[5].raw_text)], (2, 0)),
+        "strays": ([*in_order[:3], PredictionRecord("stray", "x"), *in_order[3:], PredictionRecord("stray 2", None)],
+                   (0, 2)),
+        "null-raw-text": ([PredictionRecord(p.instance_id, None if n % 4 == 1 else p.raw_text)
+                           for n, p in enumerate(in_order)], (0, 0)),
+        "long-row": ([*in_order[:4], PredictionRecord(ids[4], long_text), *in_order[5:]], (0, 0)),
+        "shuffled": (shuffled, (0, 0)),
+        "all": ([PredictionRecord("stray", "x"), *in_order[1:3], PredictionRecord(ids[4], long_text),
+                 *in_order[5:8], PredictionRecord(ids[1], None), *reversed(in_order[5:9])], (4, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", [FORGED[0], FORGED[2], FORGED[4], FORGED[-1]], ids=lambda c: c[0].id)
+def test_predictions_file_lookups_score_as_the_rows_say(tmp_path, case):
+    """Rows in gold order are found by the in-order read, the others by the
+    table's probe; either way the scores are the reference's, an id's last
+    row is scored and marked as found."""
+    desc, gold = case
+    projected = [tuple(getattr(i, f) for f in GOLD_FIELDS) for i in gold]
+    for name, (rows, (duplicates, unknown)) in _prediction_files(gold).items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(to_dict(p)) + "\n" for p in rows), encoding="utf-8")
+        predictions = read_predictions(path)
+        expected = reference_evaluation(gold, rows, desc)
+        assert evaluate_dataset(gold, predictions, desc) == expected, name
+        assert (predictions.duplicate_ids, predictions.unknown_ids) == (duplicates, unknown), name
+        # gold rows, looked up again in the other order: each by the probe, which finds the same rows
+        assert evaluate_dataset(reversed(projected), predictions, desc) == expected, name
+        assert (predictions.duplicate_ids, predictions.unknown_ids) == (duplicates, unknown), name
+
+
+def test_predictions_lines_with_unicode_edge_whitespace_are_read_again(tmp_path):
+    """A line's span keeps the edge whitespace that is not ASCII, which the
+    reader strips from the decoded line, and so does the read again."""
+    desc, gold = FORGED[0]
+    rows = [PredictionRecord(i.instance_id, i.output) for i in gold]
+    path = tmp_path / "predictions.jsonl"
+    path.write_text("".join(f"\u3000{json.dumps(to_dict(p))}\u2028 \n" for p in rows), encoding="utf-8")
+    predictions = read_predictions(path)
+    assert evaluate_dataset(gold, predictions, desc) == reference_evaluation(gold, rows, desc)
+    assert evaluate_dataset(gold[::-1], predictions, desc).f1 == 1.0  # by the probe
+
+
 @pytest.mark.parametrize("case", [FORGED[0], FORGED[-1]], ids=["ner-f1", "qa-mc-accuracy"])
 def test_predictions_file_cut_after_it_was_read_raises_naming_it(tmp_path, case):
     desc, gold = case
@@ -523,6 +611,8 @@ RESERVED = {
 }
 ITEM = st.text(st.characters(exclude_characters="".join(RESERVED), exclude_categories=("Cs",)),
                min_size=1, max_size=6)
+# A vocabulary DatasetDescriptor accepts: trimmed, non-empty entries, distinct ignoring case.
+VOCAB = st.lists(ITEM.map(str.strip).filter(bool), min_size=1, max_size=4, unique_by=str.lower).map(tuple)
 OPTION_KEY = st.text(string.ascii_letters + string.digits, min_size=1, max_size=2)  # the option-line key
 
 
@@ -532,12 +622,6 @@ OPTION_KEY = st.text(string.ascii_letters + string.digits, min_size=1, max_size=
 def _blank(*fields: str) -> bool:
     """A whitespace-only field is trimmed to nothing."""
     return any(not f.strip() for f in fields)
-
-
-def _clashing(vocab) -> bool:
-    """Vocabulary entries equal ignoring case and edge whitespace read back as one."""
-    keys = [v.strip().lower() for v in vocab]
-    return len(set(keys)) < len(keys)
 
 
 def _qa_ambiguous(qa: QAInstance) -> bool:
@@ -554,19 +638,16 @@ def scored_cases(draw, task, language):
     """A document of ``task``, its descriptor, the gold structure its output
     must parse back to (fields whitespace-trimmed, as every parser documents)
     and whether it is a document the grammar cannot carry."""
-    vocab = tuple(draw(st.lists(ITEM, min_size=1, max_size=4, unique=True)))
+    vocab = draw(VOCAB)
     desc = DatasetDescriptor(id="ds", name="ds", task=task, language=language, label_vocab=vocab)
     doc = UnifiedDocument(doc_id="d", dataset_id="ds", language=language, text="")
     if task is TaskType.NER_NEN:
         pairs = draw(st.lists(st.tuples(ITEM, st.sampled_from(vocab)), max_size=5))
         doc = dataclasses.replace(doc, entities=tuple(EntityMention(s, t, 0, len(s)) for s, t in pairs))
-        lossy = _clashing(vocab) or _blank(*(f for pair in pairs for f in pair))  # surfaces and types
-        return desc, doc, frozenset((s.strip(), t) for s, t in pairs), lossy
+        return desc, doc, frozenset((s.strip(), t) for s, t in pairs), _blank(*(s for s, _ in pairs))
     if task is TaskType.TC:
         labels = draw(st.lists(st.sampled_from(vocab), max_size=3))
-        # the label lookup trims the output but not the vocabulary
-        lossy = _clashing(vocab) or any(label != label.strip() for label in labels)
-        return desc, dataclasses.replace(doc, labels=tuple(labels)), frozenset(labels), lossy
+        return desc, dataclasses.replace(doc, labels=tuple(labels)), frozenset(labels), False
     if task is TaskType.QA_MC:
         keys = draw(st.lists(OPTION_KEY, min_size=1, max_size=5, unique=True))
         options = tuple(zip(keys, draw(st.lists(ITEM, min_size=len(keys), max_size=len(keys)))))
@@ -579,9 +660,8 @@ def scored_cases(draw, task, language):
         desc = dataclasses.replace(desc, re_untyped=True, prompted_relation=vocab[0])
         vocab = vocab[:1]
     triples = draw(st.lists(st.builds(RelationTriple, ITEM, ITEM, st.sampled_from(vocab)), max_size=5))
-    gold = frozenset(RelationTriple(r.head.strip(), r.tail.strip(),
-                                    r.rtype if desc.re_untyped else r.rtype.strip()) for r in triples)
-    lossy = _clashing(vocab) or _blank(*(f for r in triples for f in (r.head, r.tail, r.rtype)))
+    gold = frozenset(RelationTriple(r.head.strip(), r.tail.strip(), r.rtype) for r in triples)
+    lossy = _blank(*(f for r in triples for f in (r.head, r.tail)))
     return desc, dataclasses.replace(doc, relations=tuple(triples)), gold, lossy
 
 
@@ -629,7 +709,8 @@ EMPTY_PAYLOADS = {f.name: f.default for f in dataclasses.fields(UnifiedDocument)
 
 
 @settings(max_examples=600, deadline=None)
-@given(task=st.sampled_from(TaskType), doc=ANY_DOC, vocab=st.lists(TEXT, max_size=2).map(tuple), pattern=PATTERN,
+@given(task=st.sampled_from(TaskType), doc=ANY_DOC,
+       vocab=st.lists(TEXT.map(str.strip).filter(bool), max_size=2, unique_by=str.lower).map(tuple), pattern=PATTERN,
        fit=st.booleans())
 def test_every_row_renders_or_raises_a_bioforge_error(task, doc, vocab, pattern, fit):
     """Gold output raises only its no-gold-output error, and a whole

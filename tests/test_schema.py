@@ -246,6 +246,26 @@ def test_descriptor_round_trip_and_negative_counts():
         Registry([from_dict(DatasetDescriptor, bad)])
 
 
+@pytest.mark.parametrize("vocab, bad", [
+    (("A", ""), "''"),
+    (("A", " B"), "' B'"),
+    (("A", "B\t"), "'B\\t'"),
+    (("a", "B", "A"), "'a', 'A'"),
+    (("B", "B"), "'B', 'B'"),
+    (("x", " X"), "'x', ' X'"),
+])
+def test_label_vocab_entries_must_read_back_as_themselves(vocab, bad):
+    """The parsers look an entry up by its trimmed, lower-cased text: an
+    empty entry, one with edge whitespace, or two equal that way would read
+    back as another entry, or never."""
+    for task in (TaskType.NER_NEN, TaskType.RE, TaskType.TC):
+        with pytest.raises(ValueError) as exc:
+            DatasetDescriptor(id="x", name="X", task=task, language=Language.EN, label_vocab=vocab)
+        assert str(exc.value) == ("dataset 'x': label_vocab entries must be non-empty, trimmed and distinct "
+                                  f"ignoring case, got {bad}")
+    DatasetDescriptor(id="x", name="X", task=TaskType.TC, language=Language.EN, label_vocab=("a b", "A c", "ß"))
+
+
 def test_untyped_re_row_needs_an_implied_relation():
     """An untyped pair takes the prompted relation, else the vocabulary's
     only entry; a row with neither would forge gold that eval cannot read."""
@@ -343,10 +363,13 @@ ANY_JSON = st.recursive(
 # Fields whose record checks a rule beyond the field's type, drawn within
 # that rule: the record rejects a well-typed value outside it by design.
 WITHIN_RULES = {
-    # re_untyped: an untyped RE row also needs a prompted relation or a one-entry vocabulary
+    # re_untyped: an untyped RE row also needs a prompted relation or a one-entry vocabulary;
+    # label_vocab: entries non-empty, trimmed and distinct ignoring case
     DatasetDescriptor: {"split_counts": st.dictionaries(st.text(max_size=3), st.integers(0, 30), max_size=3),
                         "stage_override": st.sampled_from([None, "Type1", "Type2"]),
-                        "re_untyped": st.just(False)},
+                        "re_untyped": st.just(False),
+                        "label_vocab": st.lists(st.text(max_size=5).map(str.strip).filter(bool), max_size=3,
+                                                unique_by=str.lower)},
 }
 
 

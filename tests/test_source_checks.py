@@ -2,7 +2,8 @@
 import of ``src/bioforge`` is used and none is of ``dataclasses``, no
 module defines an exception class, so every pipeline error is a
 ``ValueError`` (the type the CLI maps to exit code 2) raised with its
-message, and each message is made at one site."""
+message, each message is made at one site, and only ``schema`` reads a
+file by ``os.pread``."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,13 @@ def test_each_value_error_message_is_made_at_one_site():
                 sites.setdefault(ast.get_source_segment(source, node.args[0]), []).append(
                     f"{path.name}:{node.lineno}")
     assert {message: where for message, where in sites.items() if len(where) > 1} == {}
+
+
+def test_only_schema_calls_os_pread():
+    """Rows are read again by their byte spans only in ``schema`` (the span
+    columns, ``copy_lines`` and the block reader of ``last_rows``)."""
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+             and "pread" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))]
+    assert calls and all(call.startswith("schema.py:") for call in calls), calls
