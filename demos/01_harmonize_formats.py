@@ -4,7 +4,7 @@ unified document schema.
 Run: python3 demos/01_harmonize_formats.py
 """
 
-from bioforge import IngestConfig, parse_documents, validate_document
+from bioforge import IngestConfig, Registry, parse_documents, validate_document
 from bioforge.synth import ner_descriptor
 
 PUBTATOR = """\
@@ -46,20 +46,22 @@ def show(title, docs):
 
 
 def main():
-    cfg = IngestConfig(dataset_id="synth-ner-en", format="pubtator")
-    pubtator_docs = parse_documents(PUBTATOR, cfg)
+    # the documents take the dataset id and language of their registry row
+    desc = ner_descriptor()
+    registry = Registry([desc])
+    cfg = IngestConfig(dataset_id=desc.id, format="pubtator")
+    pubtator_docs = parse_documents(PUBTATOR, cfg, registry)
     show("PubTator", pubtator_docs)
 
-    bioc_docs = parse_documents(BIOC, IngestConfig(dataset_id="synth-ner-en", format="bioc_xml"))
+    bioc_docs = parse_documents(BIOC, IngestConfig(dataset_id=desc.id, format="bioc_xml"), registry)
     show("BioC XML (offsets rebased across passages)", bioc_docs)
 
     warnings = []
-    conll_docs = parse_documents(CONLL, IngestConfig(dataset_id="synth-ner-en", format="conll"),
+    conll_docs = parse_documents(CONLL, IngestConfig(dataset_id=desc.id, format="conll"), registry,
                                  warnings=warnings)
     show("CoNLL BIO", conll_docs)
     print("warnings:", warnings or "none")
 
-    desc = ner_descriptor()
     print("\nvalidation:")
     for doc in pubtator_docs + conll_docs:
         result = validate_document(doc, desc)

@@ -177,10 +177,13 @@ class SubtaskPlan:
         return SubtaskPlan(tuple((label, (label,)) for label in labels))
 
 
-def _filter_doc(doc: UnifiedDocument, task: TaskType, labels: set, dataset_id: str) -> UnifiedDocument:
-    if task is TaskType.RE:
-        return replace(doc, dataset_id=dataset_id, relations=tuple(r for r in doc.relations if r.rtype in labels))
-    return replace(doc, dataset_id=dataset_id, entities=tuple(e for e in doc.entities if e.etype in labels))
+def _filter_doc(doc: UnifiedDocument, virtual: DatasetDescriptor) -> UnifiedDocument:
+    """``doc`` as a document of the virtual row ``virtual``: its annotations
+    of the row's labels only."""
+    labels = virtual.label_vocab
+    if virtual.task is TaskType.RE:
+        return replace(doc, dataset_id=virtual.id, relations=tuple(r for r in doc.relations if r.rtype in labels))
+    return replace(doc, dataset_id=virtual.id, entities=tuple(e for e in doc.entities if e.etype in labels))
 
 
 def decompose_subtasks(
@@ -189,8 +192,11 @@ def decompose_subtasks(
     """Split a multi-type NER or RE dataset into per-subset virtual datasets.
 
     The original dataset is always emitted unchanged, followed by one virtual
-    dataset per label subset with annotations filtered to that subset.
-    Documents left with zero annotations are kept as negative instances.
+    dataset per label subset with annotations filtered to that subset.  A
+    virtual row is its row with a new id, name, description and label
+    vocabulary; it keeps every other setting (language, stage override,
+    source URL, grammar options).  Documents left with zero annotations are
+    kept as negative instances.
     """
     if desc.task not in (TaskType.NER_NEN, TaskType.RE):
         raise ValueError(f"subtask decomposition applies to NER/RE, not {desc.task.value}")
@@ -204,20 +210,9 @@ def decompose_subtasks(
         for label in labels:
             if label not in vocabulary:
                 raise ValueError(f"subset label {label!r} absent from corpus label vocabulary")
-        label_set = set(labels)
-        virtual_id = f"{desc.id}__{name}"
-        virtual = DatasetDescriptor(
-            id=virtual_id,
-            name=f"{desc.name} ({name} subtask)",
-            task=desc.task,
-            language=desc.language,
-            split_counts=dict(desc.split_counts),
-            description=f"Virtual per-label subtask of {desc.id}",
-            label_vocab=tuple(labels),
-            re_untyped=desc.re_untyped,
-            prompted_relation=desc.prompted_relation,
-        )
-        out.append((virtual, [_filter_doc(d, desc.task, label_set, virtual_id) for d in docs]))
+        virtual = replace(desc, id=f"{desc.id}__{name}", name=f"{desc.name} ({name} subtask)",
+                          description=f"Virtual per-label subtask of {desc.id}", label_vocab=tuple(labels))
+        out.append((virtual, [_filter_doc(d, virtual) for d in docs]))
     return out
 
 

@@ -156,22 +156,22 @@ def _options_from_instruction(instruction: str) -> tuple[tuple[str, str], ...]:
 
 # Renderers (see Grammar.render) keep each item's first occurrence.
 
-def _render_ner(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+def _render_ner(doc: UnifiedDocument, desc: DatasetDescriptor) -> Optional[str]:
     by_type: dict[str, dict[str, None]] = {}
     for e in doc.entities:
         by_type.setdefault(e.etype, {})[e.surface] = None
-    return "\n".join(etype + _HEADER[language] + _ITEM[language].join(surfaces)
+    return "\n".join(etype + _HEADER[desc.language] + _ITEM[desc.language].join(surfaces)
                      for etype, surfaces in by_type.items()) or None
 
 
-def _render_relations(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+def _render_relations(doc: UnifiedDocument, desc: DatasetDescriptor) -> Optional[str]:
     sep = _FIELD[Language.EN]
-    items = [f"[{r.head}{sep}{r.tail}]" if re_untyped else f"({r.head}{sep}{r.tail}{sep}{r.rtype})"
+    items = [f"[{r.head}{sep}{r.tail}]" if desc.re_untyped else f"({r.head}{sep}{r.tail}{sep}{r.rtype})"
              for r in dict.fromkeys(doc.relations)]
     return _ITEM[Language.EN].join(items) or None
 
 
-def _render_ee(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+def _render_ee(doc: UnifiedDocument, _desc: DatasetDescriptor) -> Optional[str]:
     header, sep = _HEADER[Language.EN], _FIELD[Language.EN]
     return "\n".join(
         f"{ev.event_type}{header}(Trigger{header}{ev.trigger}"
@@ -179,12 +179,12 @@ def _render_ee(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Op
         for ev in doc.events) or None
 
 
-def _render_tc(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+def _render_tc(doc: UnifiedDocument, desc: DatasetDescriptor) -> Optional[str]:
     labels = dict.fromkeys(doc.labels)
-    return TC_MARKER[language] + _ITEM[language].join(labels) if labels else None
+    return TC_MARKER[desc.language] + _ITEM[desc.language].join(labels) if labels else None
 
 
-def _render_qa_mc(doc: UnifiedDocument, language: Language, re_untyped: bool) -> Optional[str]:
+def _render_qa_mc(doc: UnifiedDocument, _desc: DatasetDescriptor) -> Optional[str]:
     texts = dict(doc.qa.options or ())
     keys = doc.qa.answer_keys
     if not texts or not texts.keys() >= set(keys):  # an answer key that names no option has no text
@@ -200,21 +200,21 @@ _SPEAKERS = {Language.EN: {"user": "User", "assistant": "Assistant"},
              Language.ZH: {"user": "用户", "assistant": "助手"}}
 
 
-def _prompt_qa(doc: UnifiedDocument, language: Language) -> str:
+def _prompt_qa(doc: UnifiedDocument, _desc: DatasetDescriptor) -> str:
     return f"{doc.qa.context}\n{doc.qa.question}" if doc.qa.context else doc.qa.question
 
 
-def _prompt_qa_mc(doc: UnifiedDocument, language: Language) -> str:
+def _prompt_qa_mc(doc: UnifiedDocument, desc: DatasetDescriptor) -> str:
     """The question and its option list, which the QA-mc parser reads back."""
-    return "\n".join([_prompt_qa(doc, language), *(option_line(k, t) for k, t in doc.qa.options)])
+    return "\n".join([_prompt_qa(doc, desc), *(option_line(k, t) for k, t in doc.qa.options)])
 
 
-def _prompt_mrd(doc: UnifiedDocument, language: Language) -> str:
+def _prompt_mrd(doc: UnifiedDocument, desc: DatasetDescriptor) -> str:
     """The turns before the last assistant turn, whose text is the gold
     output; each turn's speaker is ``user`` or ``assistant``, and one at
     least is ``assistant``, as ``validate_document`` requires."""
     turns = doc.dialogue
-    names = _SPEAKERS[language]
+    names = _SPEAKERS[desc.language]
     history = turns[:max(i for i, t in enumerate(turns) if t.speaker == "assistant")]
     return "\n".join(f"{names[t.speaker]}: {t.text}" for t in history)
 
@@ -498,11 +498,12 @@ def sample_subset(instances: Sequence, n: int, seed: int) -> list:
 class Grammar:
     """How one task's text is written, read back and scored.
 
-    ``prompt(doc, language)`` writes what the prompt shows of the document:
+    ``prompt(doc, desc)`` writes what the prompt shows of the document:
     the template's ``{text}`` slot, or a Type2 task's whole instruction.
-    ``render(doc, language, re_untyped)`` writes the gold output (None:
-    nothing to render; ``empty`` maps a language to the output then, if the
-    task has one).  Both may assume the task's required payload
+    ``render(doc, desc)`` writes the gold output (None: nothing to render;
+    ``empty`` maps a language to the output then, if the task has one).
+    Each reads the dataset's facts (its language, ``re_untyped``) from its
+    registry row ``desc``.  Both may assume the task's required payload
     (``schema.TASKS``), and ``prompt`` a document that
     ``schema.validate_document`` accepts.
     ``parse(raw, desc, instruction)`` inverts the output (``instruction`` is
@@ -511,11 +512,11 @@ class Grammar:
     ``type_of`` gives the type of an item for micro-F1's per-type rows
     (None: no per-type rows)."""
 
-    render: Callable[[UnifiedDocument, Language, bool], Optional[str]]
+    render: Callable[[UnifiedDocument, DatasetDescriptor], Optional[str]]
     parse: Optional[Callable[[str, DatasetDescriptor, Optional[str]], ParseOutcome]] = None
     metric: Optional[str] = None
     items: str = ""
-    prompt: Callable[[UnifiedDocument, Language], str] = lambda doc, _: doc.text
+    prompt: Callable[[UnifiedDocument, DatasetDescriptor], str] = lambda doc, _: doc.text
     empty: dict[Language, str] = Factory(dict)
     type_of: Optional[Callable] = None
 
@@ -525,10 +526,10 @@ _RELATIONS = Grammar(
     lambda raw, desc, _: parse_re_output(raw, desc.language, desc.label_vocab, desc.prompted_relation),
     "micro_f1", "re_triples", empty={Language.EN: "No relations found.", Language.ZH: "未识别出关系。"},
     type_of=attrgetter("rtype"))
-_ANSWER_KEYS = Grammar(lambda doc, *_: "\n".join(doc.qa.answer_keys), prompt=_prompt_qa)
-_LABEL = Grammar(lambda doc, *_: doc.pair.label,
-                 prompt=lambda doc, language: _PAIR_TEXTS[language].format(doc.pair.text_a, doc.pair.text_b))
-_TEXT_B = Grammar(lambda doc, *_: doc.pair.text_b, prompt=lambda doc, _: doc.pair.text_a)
+_ANSWER_KEYS = Grammar(lambda doc, _: "\n".join(doc.qa.answer_keys), prompt=_prompt_qa)
+_LABEL = Grammar(lambda doc, _: doc.pair.label,
+                 prompt=lambda doc, desc: _PAIR_TEXTS[desc.language].format(doc.pair.text_a, doc.pair.text_b))
+_TEXT_B = Grammar(lambda doc, _: doc.pair.text_b, prompt=lambda doc, _: doc.pair.text_a)
 
 GRAMMARS: dict[TaskType, Grammar] = {
     TaskType.NER_NEN: Grammar(
@@ -549,9 +550,9 @@ GRAMMARS: dict[TaskType, Grammar] = {
     TaskType.QA_SQA: _ANSWER_KEYS,
     TaskType.QA_CQA: _ANSWER_KEYS,
     TaskType.MRD: Grammar(  # the last assistant turn
-        lambda doc, *_: next((t.text for t in reversed(doc.dialogue) if t.speaker == "assistant"), None),
+        lambda doc, _: next((t.text for t in reversed(doc.dialogue) if t.speaker == "assistant"), None),
         prompt=_prompt_mrd),
-    TaskType.MT: Grammar(lambda doc, *_: doc.translation.text_b, prompt=lambda doc, _: doc.translation.text_a),
+    TaskType.MT: Grammar(lambda doc, _: doc.translation.text_b, prompt=lambda doc, _: doc.translation.text_a),
     TaskType.TP_SS: _LABEL,
     TaskType.TP_TE: _LABEL,
     TaskType.TT_DS: _TEXT_B,

@@ -15,8 +15,7 @@ from collections.abc import Generator
 from typing import Iterable, Iterator, Optional
 
 from .evaluation import _FIELD, GRAMMARS
-from .schema import (TASKS, DatasetDescriptor, InstructionInstance, Language, TaskType, UnifiedDocument,
-                     validate_document)
+from .schema import TASKS, DatasetDescriptor, InstructionInstance, Language, UnifiedDocument, validate_document
 from .schema import read_instances, write_instances  # noqa: F401 (re-exported)
 from .templates import InstructionTemplate, TemplateBank
 
@@ -26,25 +25,24 @@ _LANG_NAMES = {
 }
 
 
-def serialize_gold(
-    doc: UnifiedDocument, task: TaskType, language: Language, re_untyped: bool = False
-) -> str:
-    """Render the document's gold annotations with ``GRAMMARS[task]``.
+def serialize_gold(doc: UnifiedDocument, desc: DatasetDescriptor) -> str:
+    """Render the document's gold annotations with the grammar of its
+    registry row's task, ``GRAMMARS[desc.task]``, in the row's language.
 
-    ``re_untyped`` selects the binary ``[head, tail]`` relation grammar, in
-    which the prompt implies the relation type.  A document with nothing to
-    render gets its grammar's empty marker; without the required payload, or
-    without a marker, it raises ``ValueError``.
+    A row with ``re_untyped`` gets the binary ``[head, tail]`` relation
+    grammar, in which the prompt implies the relation type.  A document with
+    nothing to render gets its grammar's empty marker; without the required
+    payload, or without a marker, it raises ``ValueError``.
     """
-    required = TASKS[task].required
-    grammar = GRAMMARS[task]
+    required = TASKS[desc.task].required
+    grammar = GRAMMARS[desc.task]
     output = None
     if required is None or getattr(doc, required) is not None:
-        output = grammar.render(doc, language, re_untyped)
+        output = grammar.render(doc, desc)
         if output is None:
-            output = grammar.empty.get(language)
+            output = grammar.empty.get(desc.language)
     if output is None:
-        raise ValueError(f"document has no gold output for task {task.value!r}")
+        raise ValueError(f"document has no gold output for task {desc.task.value!r}")
     return output
 
 
@@ -88,9 +86,8 @@ def render_instance(
     violations = validate_document(doc, desc).violations
     if violations:
         raise ValueError(violations[0])
-    task = desc.task
-    language = desc.language
-    instruction = GRAMMARS[task].prompt(doc, language)
+    task, language = desc.task, desc.language
+    instruction = GRAMMARS[task].prompt(doc, desc)
     template_id = ""
     if not TASKS[task].type2:
         if template is None:
@@ -111,7 +108,7 @@ def render_instance(
             field = _unfilled_field(pattern, slots)
             raise ValueError(f"template {template.template_id!r}: unsupported field {field!r}") from None
         template_id = template.template_id
-    output = serialize_gold(doc, task, language, re_untyped=desc.re_untyped)
+    output = serialize_gold(doc, desc)
     return InstructionInstance(
         instance_id=f"{desc.id}/{doc.doc_id}",
         dataset_id=desc.id,
@@ -125,17 +122,16 @@ def render_instance(
     )
 
 
-def _pick_template(
-    bank: TemplateBank, task: TaskType, language: Language,
-    seed: int, dataset_id: str, doc_id: str,
-) -> Optional[InstructionTemplate]:
-    """Deterministic per-document uniform choice keyed by (seed, dataset, doc),
-    so re-forging after adding one dataset never reshuffles the others;
+def _pick_template(bank: TemplateBank, desc: DatasetDescriptor, seed: int,
+                   doc_id: str) -> Optional[InstructionTemplate]:
+    """Deterministic per-document uniform choice among the templates of the
+    row's (task, language) pair, keyed by (seed, dataset id, doc id), so
+    re-forging after adding one dataset never reshuffles the others;
     ``None`` if the bank has no template for the pair."""
-    candidates = bank.for_pair(task, language)
+    candidates = bank.for_pair(desc.task, desc.language)
     if not candidates:
         return None
-    digest = hashlib.sha256(f"{seed}|{dataset_id}|{doc_id}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{seed}|{desc.id}|{doc_id}".encode("utf-8")).digest()
     return candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
 
 
@@ -154,7 +150,7 @@ def forge_instances(
     """
     for desc, docs in corpora:
         for doc in docs:
-            template = _pick_template(template_bank, desc.task, desc.language, seed, desc.id, doc.doc_id)
+            template = _pick_template(template_bank, desc, seed, doc.doc_id)
             try:
                 instance = render_instance(doc, template, desc)
             except ValueError as exc:

@@ -1,8 +1,9 @@
 """Source-format ingest: PubTator, BioC XML, CoNLL BIO, and canonical JSONL.
 
 Each format is a pair: a chunker that cuts a text stream into one chunk per
-document, and a parser that turns one chunk into a
-:class:`~bioforge.schema.UnifiedDocument` or raises.  :func:`ingest_dataset`
+document, and a parser ``(chunk, index, desc, warnings)`` that turns one
+chunk into a :class:`~bioforge.schema.UnifiedDocument` of the registry row
+``desc``, or raises.  :func:`ingest_dataset`
 runs every format through the same lazy loop, so a malformed document costs
 that document only and one document is in memory at a time;
 :func:`parse_documents` is the strict form over in-memory text.  QA /
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, TextIO
 
 from .schema import (
+    DatasetDescriptor,
     EntityMention,
     Factory,
     Language,
@@ -27,7 +29,6 @@ from .schema import (
     UnifiedDocument,
     from_dict,
     record,
-    replace,
     validate_document,
 )
 
@@ -39,7 +40,6 @@ if TYPE_CHECKING:
 class IngestConfig:
     dataset_id: str
     format: str  # pubtator | bioc_xml | conll | generic_jsonl
-    language: Language = Language.EN
 
 
 @record
@@ -49,7 +49,8 @@ class IngestReport:
     ``index`` in the file, its ``doc_id`` when it parsed (else None) and its
     ``violations``.  ``warning_details`` holds one row per repair:
     ``index``, ``doc_id`` (None when its document did not parse) and
-    ``warning``, the repair's message."""
+    ``warning``, the repair's message.  Each row's keys are in sorted
+    order, the order in which ``schema.write_jsonl`` writes them."""
 
     loaded: int = 0
     violations: int = 0
@@ -114,8 +115,8 @@ def _bioc_documents(stream: TextIO) -> Iterator[Element]:
         raise ValueError(f"{path}: not well-formed XML: {exc}" if path else f"not well-formed XML: {exc}") from exc
 
 
-def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
-                    warnings: list) -> UnifiedDocument:
+def _parse_pubtator(chunk: tuple[int, list[str]], _index: int, desc: DatasetDescriptor,
+                    _warnings: list) -> UnifiedDocument:
     """``PMID|t|title`` / ``PMID|a|abstract`` lines, then tab-separated
     ``PMID start end surface type [norm_id]`` mention lines.
 
@@ -150,12 +151,12 @@ def _parse_pubtator(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
     for m in mentions:
         if m.end > len(text) or text[m.start:m.end] != m.surface:
             raise ValueError(f"doc {pmid}: mention surface {m.surface!r} != text span {text[m.start:m.end]!r}")
-    return UnifiedDocument(doc_id=pmid, dataset_id=cfg.dataset_id, language=cfg.language,
+    return UnifiedDocument(doc_id=pmid, dataset_id=desc.id, language=desc.language,
                            text=text, entities=tuple(mentions))
 
 
-def _parse_bioc(dnode: Element, index: int, cfg: IngestConfig,
-                warnings: list) -> UnifiedDocument:
+def _parse_bioc(dnode: Element, _index: int, desc: DatasetDescriptor,
+                _warnings: list) -> UnifiedDocument:
     """One BioC ``<document>``.
 
     Passages are concatenated with a single ``"\\n"`` separator and annotation
@@ -207,25 +208,25 @@ def _parse_bioc(dnode: Element, index: int, cfg: IngestConfig,
                 raise ValueError(f"relation {rnode.get('id', '?')!r} references unknown annotation {ref!r}")
         if len(refs) >= 2:
             relations.append(RelationTriple(by_ref[refs[0]].surface, by_ref[refs[1]].surface, rtype))
-    return UnifiedDocument(doc_id=doc_id, dataset_id=cfg.dataset_id, language=cfg.language,
+    return UnifiedDocument(doc_id=doc_id, dataset_id=desc.id, language=desc.language,
                            text="\n".join(parts), entities=tuple(mentions),
                            relations=tuple(relations))
 
 
-def _parse_conll(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
+def _parse_conll(chunk: tuple[int, list[str]], index: int, desc: DatasetDescriptor,
                  warnings: list) -> UnifiedDocument:
     """Token-per-line ``token<TAB>BIO-tag`` text; the document id is
     ``<dataset_id>-<index>``.
 
     Text is reconstructed by joining tokens with single spaces, or with
-    nothing in a ``zh`` document, whose tokens are characters or words
-    written without spaces; contiguous B-X / I-X runs become one mention.
+    nothing when the row's language is ``zh``, whose tokens are characters or
+    words written without spaces; contiguous B-X / I-X runs become one mention.
     An I-X tag with no live run of the same X is repaired to B-X and a
     warning is recorded (real shared-task files contain this noise;
     rejecting whole documents for it would be too strict).
     """
     first, lines = chunk
-    sep = "" if cfg.language is Language.ZH else " "
+    sep = "" if desc.language is Language.ZH else " "
     tokens: list[str] = []
     spans: list[list] = []  # [etype, start, end] per mention
     open_type: Optional[str] = None
@@ -254,15 +255,15 @@ def _parse_conll(chunk: tuple[int, list[str]], index: int, cfg: IngestConfig,
         start = end + len(sep)
     text = sep.join(tokens)
     return UnifiedDocument(
-        doc_id=f"{cfg.dataset_id}-{index}",
-        dataset_id=cfg.dataset_id,
-        language=cfg.language,
+        doc_id=f"{desc.id}-{index}",
+        dataset_id=desc.id,
+        language=desc.language,
         text=text,
         entities=tuple(EntityMention(text[s:e], t, s, e) for t, s, e in spans),
     )
 
 
-def _parse_jsonl(line: str, index: int, cfg: IngestConfig, warnings: list) -> UnifiedDocument:
+def _parse_jsonl(line: str, _index: int, _desc: DatasetDescriptor, _warnings: list) -> UnifiedDocument:
     """One document already in canonical schema, as one JSON object."""
     return from_dict(UnifiedDocument, json.loads(line))
 
@@ -275,19 +276,24 @@ _FORMATS = {
 }
 
 
-def parse_documents(stream: str, cfg: IngestConfig,
+def parse_documents(stream: str, cfg: IngestConfig, registry: Registry,
                     warnings: Optional[list] = None) -> list[UnifiedDocument]:
     """Parse ``stream`` in ``cfg.format``; output order equals input order.
+    The row of ``cfg.dataset_id`` in ``registry`` is looked up as in
+    :func:`ingest_dataset`, and the documents take its dataset id and
+    language (a generic JSONL row keeps its own).
 
-    Strict: the first malformed document raises.  Documents are parsed as
-    they are read, so in a BioC collection with a syntax error, a malformed
-    document before the error raises its own error, not the syntax error.
-    Repair warnings (CoNLL) are appended to ``warnings`` when given.
+    Strict: the first malformed document raises; no document is validated.
+    Documents are parsed as they are read, so in a BioC collection with a
+    syntax error, a malformed document before the error raises its own
+    error, not the syntax error.  Repair warnings (CoNLL) are appended to
+    ``warnings`` when given.
     """
+    desc = registry[cfg.dataset_id]
     chunker, parser = _FORMATS[cfg.format]
     warnings = [] if warnings is None else warnings
     chunks = chunker(io.StringIO(stream, newline=None))  # line ends read as from a file
-    return [parser(chunk, index, cfg, warnings) for index, chunk in enumerate(chunks)]
+    return [parser(chunk, index, desc, warnings) for index, chunk in enumerate(chunks)]
 
 
 def ingest_dataset(
@@ -298,9 +304,9 @@ def ingest_dataset(
 
     The registry row is looked up and the file opened here, so an unknown
     dataset or a missing file raises before any document is read.  The
-    documents take the row's language, whatever ``cfg.language`` says.  Each
-    document is then parsed and validated against the registry row as it is
-    drawn: one that fails either, or repeats the ``doc_id`` of a document
+    documents take the row's dataset id and language (a generic JSONL row
+    keeps its own, which validation checks).  Each document is then parsed
+    and validated against the row as it is drawn: one that fails either, or repeats the ``doc_id`` of a document
     already kept from this file, is dropped and recorded in the report, and
     the rest still load.  Only a BioC file that is not well-formed XML fails
     as a whole, when the parser reaches the error, and a file that is not
@@ -308,7 +314,6 @@ def ingest_dataset(
     document in hand, ingest holds only the ids kept so far and the report.
     """
     desc = registry[cfg.dataset_id]
-    cfg = replace(cfg, language=desc.language)
     chunker, parser = _FORMATS[cfg.format]
     report = IngestReport()
     stream = Path(path).open(encoding="utf-8")
@@ -320,19 +325,19 @@ def ingest_dataset(
                 for index, chunk in enumerate(chunker(stream)):
                     doc, warnings = None, []
                     try:
-                        doc = parser(chunk, index, cfg, warnings)
+                        doc = parser(chunk, index, desc, warnings)
                         reasons = list(validate_document(doc, desc).violations)
                     except ValueError as exc:
                         reasons = [str(exc)]
                     doc_id = doc.doc_id if doc else None
-                    report.warning_details.extend({"index": index, "doc_id": doc_id, "warning": w}
+                    report.warning_details.extend({"doc_id": doc_id, "index": index, "warning": w}
                                                   for w in warnings)
                     if not reasons and doc_id in kept_at:
                         reasons = [f"doc_id: {doc_id!r} repeats the id of document {kept_at[doc_id]}"]
                     if reasons:
                         report.violations += 1
                         report.violation_details.append(
-                            {"index": index, "doc_id": doc_id, "violations": reasons})
+                            {"doc_id": doc_id, "index": index, "violations": reasons})
                     else:
                         kept_at[doc_id] = index
                         report.loaded += 1

@@ -837,32 +837,26 @@ def write_json(path: Path | str, obj) -> None:
         f.write(json.dumps(obj, indent=2, ensure_ascii=False, default=str) + "\n")
 
 
-def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
-    """Write dicts as UTF-8 JSONL, keys sorted, through :func:`atomic_writer`;
-    returns the number of lines written."""
-    n = 0
-    with atomic_writer(path) as f:
-        for rec in records:
-            f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-            n += 1
-    return n
-
-
-# A record's dict already has its keys sorted (see :func:`to_dict`), so one
-# encoder, made once, writes its line without a sort.
+# The one JSONL encoder, made once: it keeps a dict's key order (a record's
+# dict has its keys sorted, see :func:`to_dict`).
 _dump_record = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
-def write_records(path: Path | str, records: Iterable) -> int:
-    """Write records as UTF-8 JSONL, through :func:`atomic_writer`:
-    the bytes ``write_jsonl(path, map(to_dict, records))`` would write.
-    Returns the number of lines written."""
+def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
+    """Write dicts as UTF-8 JSONL, keys in the order given, through
+    :func:`atomic_writer`; returns the number of lines written."""
     n = 0
     with atomic_writer(path) as f:
         for rec in records:
-            f.write(_dump_record(to_dict(rec)) + "\n")
+            f.write(_dump_record(rec) + "\n")
             n += 1
     return n
+
+
+def write_records(path: Path | str, records: Iterable) -> int:
+    """Write records as UTF-8 JSONL, keys sorted: :func:`write_jsonl` of
+    their :func:`to_dict` dicts."""
+    return write_jsonl(path, map(to_dict, records))
 
 
 # Parses a stripped line in one scan of the decoder's scanner (StopIteration: no
@@ -879,7 +873,8 @@ def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
     but the item is the tuple of those fields' values, in that order, and no
     record is built; a class with a ``__post_init__`` rule check raises
     ``TypeError``.  Given ``spans``, the file and each record's line, without
-    its edge ASCII whitespace, are appended to those columns before the
+    the edge whitespace its decoded text is stripped of, are appended to
+    those columns before the
     record is yielded, and a pipe raises ``<path>: not a regular file``
     before it is read.  A line that is not UTF-8, not JSON or does not fit
     ``cls`` raises ``ValueError`` naming the path and line:
@@ -899,7 +894,8 @@ def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
             for raw in f:
                 line_no += 1
                 start, end = end, end + len(raw)
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8")
+                chars, line = len(line), line.strip()  # chars: its length before the strip
                 if line:
                     try:
                         rec, stop = _scan(line, 0)
@@ -910,9 +906,12 @@ def read_jsonl(path: Path | str, cls=None, *, spans: Optional[LineSpans] = None,
                     if decode is not None:
                         rec = decode(rec)
                     if spans is not None:
-                        lead = len(raw) - len(raw.lstrip())
+                        lead, length = len(raw) - len(raw.lstrip()), len(raw.strip())
+                        if chars - len(line) != len(raw) - length:  # it took a space bytes.strip keeps (U+3000)
+                            length = len(line.encode("utf-8"))
+                            lead = len(raw) - len(raw.decode("utf-8").lstrip().encode("utf-8"))
                         spans.starts.append(start + lead)
-                        spans.lengths.append(len(raw.rstrip()) - lead)
+                        spans.lengths.append(length)
                     yield rec
             if spans is not None:
                 spans.file_ends.append(len(spans.starts))

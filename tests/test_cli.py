@@ -647,6 +647,21 @@ def test_plan_copies_a_non_canonical_forged_line_verbatim(workspace):
                                       if stage == 2 or json.loads(line)["dataset_id"] == row["dataset_id"])
 
 
+def test_plan_copies_forged_lines_without_their_unicode_edge_whitespace(workspace):
+    """The reader strips a decoded line of U+3000 and U+2028 too, and the
+    span that plan copies is the stripped line."""
+    tmp_path, registry_path, corpus_root = workspace
+    out = tmp_path / "out"
+    assert main(["forge", "--registry", str(registry_path), "--corpus-root", str(corpus_root),
+                 "--out", str(out)]) == 0
+    forged = out / "forged.jsonl"
+    lines = forged.read_bytes().splitlines()
+    forged.write_bytes(b"".join("\u3000".encode() + line + "\u2028 \u3000".encode() + b"\n" for line in lines))
+    assert main(["plan", "--registry", str(registry_path), "--forged", str(forged),
+                 "--out", str(out)]) == 0
+    assert sorted((out / "plan" / "stage2.jsonl").read_bytes().splitlines()) == sorted(lines)
+
+
 def test_plan_peak_memory_is_below_half_the_forged_file(workspace):
     """Plan holds byte offsets and row numbers, not decoded rows."""
     tmp_path, registry_path, corpus_root = workspace
@@ -1027,6 +1042,19 @@ def test_curate_copies_a_non_canonical_train_line_verbatim(tmp_path):
     assert main(["curate", "--corpus-root", str(corpus), "--out", str(out)]) == 0
     assert (out / "curated" / "synth-ner-en" / "train.jsonl").read_text(encoding="utf-8").splitlines() == \
         [*lines[:2], odd, *lines[3:]]
+
+
+def test_curate_copies_train_lines_without_their_unicode_edge_whitespace(tmp_path):
+    """As in plan, the span that curate copies is the stripped line, without
+    the U+2028 and U+3000 at its edges."""
+    _, docs = make_ner_docs(6, seed=3)
+    train = tmp_path / "corpus" / "synth-ner-en" / "train.jsonl"
+    write_documents(train, docs)
+    lines = train.read_bytes().splitlines()
+    train.write_bytes(b"".join("\u2028".encode() + line + "\u3000".encode() + b"\n" for line in lines))
+    out = tmp_path / "cur"
+    assert main(["curate", "--corpus-root", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+    assert (out / "curated" / "synth-ner-en" / "train.jsonl").read_bytes().splitlines() == lines
 
 
 def test_every_key_hash_equal_writes_the_same_curated_files(tmp_path, monkeypatch):

@@ -14,7 +14,8 @@ from bioforge.curation import (
     read_keyed_rows,
 )
 from bioforge.fixtures import reference_registry
-from bioforge.schema import Language, Registry, UnifiedDocument, write_documents
+from bioforge.schema import TYPE2, Language, Registry, UnifiedDocument, replace, write_documents
+from bioforge.staging import assign_stage
 from bioforge.synth import make_ner_docs, make_re_docs, make_tc_docs, ner_descriptor
 
 
@@ -174,6 +175,18 @@ class TestDecomposeSubtasks:
                                 entities=d.entities, relations=tuple(r for r in d.relations if r.rtype == label))
                 for d in docs]
         assert any(d.relations for _, subset_docs in out[1:] for d in subset_docs)
+
+    def test_subtasks_keep_the_settings_of_their_row(self):
+        """A virtual row is its row with a new id, name, description and
+        vocabulary, so the subtasks of a row overridden to Type2 train in
+        stage 2 and keep its source URL."""
+        desc, docs = self.fixture()
+        desc = replace(desc, stage_override=TYPE2, source_url="https://example.org/ner", role_vocab=("Agent",))
+        out = decompose_subtasks(docs, desc, SubtaskPlan.per_label(desc.label_vocab))
+        assert [assign_stage(virtual) for virtual, _ in out] == [TYPE2] * 3
+        for (virtual, _), label in zip(out[1:], desc.label_vocab):
+            assert virtual == replace(desc, id=f"{desc.id}__{label}", name=f"{desc.name} ({label} subtask)",
+                                      description=f"Virtual per-label subtask of {desc.id}", label_vocab=(label,))
 
     def test_a_task_that_is_neither_ner_nor_re_is_refused(self):
         desc, docs = make_tc_docs(5, seed=11)

@@ -537,8 +537,8 @@ def test_predictions_file_lookups_score_as_the_rows_say(tmp_path, case):
 
 
 def test_predictions_lines_with_unicode_edge_whitespace_are_read_again(tmp_path):
-    """A line's span keeps the edge whitespace that is not ASCII, which the
-    reader strips from the decoded line, and so does the read again."""
+    """The reader strips the decoded line of edge whitespace that is not
+    ASCII too, and a line's span is the stripped line, which is read again."""
     desc, gold = FORGED[0]
     rows = [PredictionRecord(i.instance_id, i.output) for i in gold]
     path = tmp_path / "predictions.jsonl"
@@ -671,7 +671,7 @@ def test_parse_inverts_render_for_every_scored_row(data, task, language):
     desc, doc, gold, lossy = data.draw(scored_cases(task, language))
     grammar = GRAMMARS[task]
     inst = render_instance(doc, None, desc) if task is TaskType.QA_MC else None
-    raw = inst.output if inst else serialize_gold(doc, task, language, re_untyped=desc.re_untyped)
+    raw = inst.output if inst else serialize_gold(doc, desc)
     outcome = grammar.parse(raw, desc, inst and inst.instruction)
     assert getattr(outcome, grammar.items) == gold or lossy
 
@@ -720,13 +720,13 @@ def test_every_row_renders_or_raises_a_bioforge_error(task, doc, vocab, pattern,
     if fit:  # empty the payloads the task may not populate, so that the other rules decide
         doc = dataclasses.replace(doc, **{name: empty for name, empty in EMPTY_PAYLOADS.items()
                                            if name not in TASKS[task].payloads})
+    desc = DatasetDescriptor(id="ds", name="ds", task=task, language=doc.language, label_vocab=vocab)
     try:
-        output = serialize_gold(doc, task, doc.language)
+        output = serialize_gold(doc, desc)
         assert isinstance(output, str)
     except ValueError as exc:
         assert str(exc) == f"document has no gold output for task {task.value!r}"
         output = None
-    desc = DatasetDescriptor(id="ds", name="ds", task=task, language=doc.language, label_vocab=vocab)
     violations = validate_document(doc, desc).violations
     try:
         inst = render_instance(doc, InstructionTemplate("t", task, doc.language, pattern), desc)

@@ -43,13 +43,18 @@ def ner_doc_from_surfaces(pairs):
                            text=" ".join(parts), entities=tuple(entities))
 
 
+def row(task, language, **settings):
+    """The registry row ``ds`` of ``task`` in ``language``."""
+    return DatasetDescriptor(id="ds", name="ds", task=task, language=language, **settings)
+
+
 class TestSerializeGold:
     def test_ner_en_grammar(self):
         pairs = [(s, "Chemical") for s in
                  ["valproic acid", "Ammonia", "NH3", "ammonia", "VPA", "Valproic acid"]]
         pairs += [(s, "Disease") for s in ["epileptic", "drowsiness"]]
         doc = ner_doc_from_surfaces(pairs)
-        assert serialize_gold(doc, TaskType.NER_NEN, Language.EN) == (
+        assert serialize_gold(doc, row(TaskType.NER_NEN, Language.EN)) == (
             "Chemical: valproic acid; Ammonia; NH3; ammonia; VPA; Valproic acid\n"
             "Disease: epileptic; drowsiness"
         )
@@ -63,7 +68,7 @@ class TestSerializeGold:
                 RelationTriple("13-三体综合征", "双肾", "并发症"),
             ),
         )
-        assert serialize_gold(doc, TaskType.RE, Language.ZH) == (
+        assert serialize_gold(doc, row(TaskType.RE, Language.ZH)) == (
             "(13-三体综合征, 泌尿系畸形, 并发症); (13-三体综合征, 双肾, 并发症)"
         )
 
@@ -73,14 +78,14 @@ class TestSerializeGold:
             text="Phenobarbital dyskinesia",
             relations=(RelationTriple("Phenobarbital", "dyskinesia", "CID"),),
         )
-        assert serialize_gold(doc, TaskType.RE, Language.EN, re_untyped=True) == (
+        assert serialize_gold(doc, row(TaskType.RE, Language.EN, re_untyped=True, prompted_relation="CID")) == (
             "[Phenobarbital, dyskinesia]"
         )
 
     def test_ner_empty_markers_invert_to_empty_set(self):
         doc = UnifiedDocument(doc_id="d", dataset_id="ds", language=Language.EN, text="x")
         for lang in (Language.EN, Language.ZH):
-            marker = serialize_gold(doc, TaskType.NER_NEN, lang)
+            marker = serialize_gold(doc, row(TaskType.NER_NEN, lang))
             assert marker == GRAMMARS[TaskType.NER_NEN].empty[lang]
             outcome = parse_ner_output(marker, lang, ["Chemical"])
             assert outcome.status == "parsed"
@@ -89,12 +94,12 @@ class TestSerializeGold:
     def test_tc_en_grammar(self):
         doc = UnifiedDocument(doc_id="d", dataset_id="ds", language=Language.EN,
                               text="x", labels=("Prevention",))
-        assert serialize_gold(doc, TaskType.TC, Language.EN) == "Result: Prevention"
+        assert serialize_gold(doc, row(TaskType.TC, Language.EN)) == "Result: Prevention"
 
     def test_tc_zh_grammar(self):
         doc = UnifiedDocument(doc_id="d", dataset_id="ds", language=Language.ZH,
                               text="x", labels=("治疗或手术",))
-        assert serialize_gold(doc, TaskType.TC, Language.ZH) == "上述文本被分类为: 治疗或手术"
+        assert serialize_gold(doc, row(TaskType.TC, Language.ZH)) == "上述文本被分类为: 治疗或手术"
 
     def test_ee_grammar(self):
         from bioforge.schema import EventFrame
@@ -105,7 +110,7 @@ class TestSerializeGold:
                                (("Theme", "diarrheal diseases"),
                                 ("Cause", "Contaminated drinking water"))),),
         )
-        assert serialize_gold(doc, TaskType.EE, Language.EN) == (
+        assert serialize_gold(doc, row(TaskType.EE, Language.EN)) == (
             "Cause of disease: (Trigger: responsible, Theme: diarrheal diseases, "
             "Cause: Contaminated drinking water)"
         )
@@ -113,9 +118,8 @@ class TestSerializeGold:
     def test_injective_on_distinct_entity_sets(self):
         a = ner_doc_from_surfaces([("aspirin", "Chemical")])
         b = ner_doc_from_surfaces([("aspirin", "Disease")])
-        assert serialize_gold(a, TaskType.NER_NEN, Language.EN) != serialize_gold(
-            b, TaskType.NER_NEN, Language.EN
-        )
+        desc = row(TaskType.NER_NEN, Language.EN)
+        assert serialize_gold(a, desc) != serialize_gold(b, desc)
 
 
 class TestRenderInstance:

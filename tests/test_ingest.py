@@ -13,11 +13,12 @@ from bioforge.schema import (
 )
 
 CFG = IngestConfig(dataset_id="ds", format="pubtator")
+NER_REGISTRY = Registry([DatasetDescriptor(id="ds", name="ds", task=TaskType.NER_NEN, language=Language.EN)])
 
 
 class TestPubTator:
     def test_minimal_document(self):
-        docs = parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\n\n", CFG)
+        docs = parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\n\n", CFG, NER_REGISTRY)
         assert len(docs) == 1
         doc = docs[0]
         assert doc.text == "Abc\nxy"
@@ -26,36 +27,36 @@ class TestPubTator:
         assert (e.surface, e.etype, e.start, e.end) == ("Abc", "Disease", 0, 3)
 
     def test_empty_stream(self):
-        assert parse_documents("", CFG) == []
+        assert parse_documents("", CFG, NER_REGISTRY) == []
 
     def test_offset_mismatch_raises(self):
         with pytest.raises(ValueError, match=r"^doc 1: mention surface 'Xyz' != text span 'Abc'$"):
-            parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tXyz\tDisease\n\n", CFG)
+            parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tXyz\tDisease\n\n", CFG, NER_REGISTRY)
 
     def test_norm_id_is_kept(self):
-        docs = parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\tD001\n\n", CFG)
+        docs = parse_documents("1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\tD001\n\n", CFG, NER_REGISTRY)
         assert docs[0].entities[0].norm_id == "D001"
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match=r"^malformed line 3: 'not a mention line'$"):
-            parse_documents("1|t|Abc\n1|a|xy\nnot a mention line\n", CFG)
+            parse_documents("1|t|Abc\n1|a|xy\nnot a mention line\n", CFG, NER_REGISTRY)
 
     def test_pipe_code_inside_a_mention_is_not_a_title(self):
-        docs = parse_documents("1|t|gout|a|flare\n1\t0\t12\tgout|a|flare\tDisease\n", CFG)
+        docs = parse_documents("1|t|gout|a|flare\n1\t0\t12\tgout|a|flare\tDisease\n", CFG, NER_REGISTRY)
         assert [d.doc_id for d in docs] == ["1"]
         assert docs[0].entities[0].surface == "gout|a|flare"
 
     def test_offset_that_is_not_an_integer_is_malformed(self):
         with pytest.raises(ValueError, match=r"^malformed line 2: '1\\tx\\t3\\tAbc\\tDisease'$"):
-            parse_documents("1|t|Abc\n1\tx\t3\tAbc\tDisease\n", CFG)
+            parse_documents("1|t|Abc\n1\tx\t3\tAbc\tDisease\n", CFG, NER_REGISTRY)
 
     def test_second_pmid_in_one_block_is_malformed(self):
         with pytest.raises(ValueError, match="^malformed line 2: "):
-            parse_documents("1|t|One\n2|t|Two\n", CFG)
+            parse_documents("1|t|One\n2|t|Two\n", CFG, NER_REGISTRY)
 
     def test_multiple_documents_preserve_order(self):
         stream = "1|t|One\n1|a|a\n\n2|t|Two\n2|a|b\n\n"
-        docs = parse_documents(stream, CFG)
+        docs = parse_documents(stream, CFG, NER_REGISTRY)
         assert [d.doc_id for d in docs] == ["1", "2"]
 
 
@@ -85,13 +86,13 @@ class TestBioC:
             <location offset="0" length="4"/><text>Tree</text>
           </annotation>
         </passage></document></collection>"""
-        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"), NER_REGISTRY)
         assert len(docs) == 1
         assert docs[0].entities[0].surface == "Tree"
 
     def test_offset_rebased_across_passages(self):
         # passage lengths 5 and 3, one separator char: local offset 1 -> 5+1+1
-        docs = parse_documents(BIOC_TWO_PASSAGES, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        docs = parse_documents(BIOC_TWO_PASSAGES, IngestConfig(dataset_id="ds", format="bioc_xml"), NER_REGISTRY)
         doc = docs[0]
         assert doc.text == "Hello\nabc"
         e = doc.entities[0]
@@ -103,7 +104,7 @@ class TestBioC:
           <annotation id="a1"><location offset="0" length="4"/><text>Root</text></annotation>
         </passage></document></collection>"""
         with pytest.raises(ValueError, match=r"^doc d: mention surface 'Root' != text span 'Tree'$"):
-            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"), NER_REGISTRY)
 
     def test_dangling_relation_ref(self):
         xml = """<collection><document><id>d</id><passage>
@@ -116,7 +117,7 @@ class TestBioC:
           <node refid="a1"/><node refid="missing"/>
         </relation></document></collection>"""
         with pytest.raises(ValueError, match=r"^relation 'r1' references unknown annotation 'missing'$"):
-            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"), NER_REGISTRY)
 
     def test_relation_becomes_triple(self):
         xml = """<collection><document><id>d</id><passage>
@@ -129,7 +130,7 @@ class TestBioC:
         <relation id="r1"><infon key="relation">treats</infon>
           <node refid="a1"/><node refid="a2"/>
         </relation></document></collection>"""
-        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"), NER_REGISTRY)
         r = docs[0].relations[0]
         assert (r.head, r.tail, r.rtype) == ("aspirin", "gout", "treats")
 
@@ -139,15 +140,15 @@ class TestBioC:
         xml = """<collection><document><id>d</id><relation id="r1"><node refid="gone"/></relation>
         </document><document></collection>"""
         with pytest.raises(ValueError, match=r"^relation 'r1' references unknown annotation 'gone'$"):
-            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+            parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"), NER_REGISTRY)
         with pytest.raises(ValueError, match=r"^not well-formed XML: mismatched tag: line 2, column 31$"):
-            parse_documents(xml.replace('<node refid="gone"/>', ""), IngestConfig(dataset_id="ds", format="bioc_xml"))
+            parse_documents(xml.replace('<node refid="gone"/>', ""), IngestConfig(dataset_id="ds", format="bioc_xml"), NER_REGISTRY)
 
     def test_documents_are_read_in_document_order_nested_ones_after_their_parent(self):
         xml = """<collection><document><id>a</id><passage><text>x</text></passage>
           <document><id>b</id><passage><text>y</text></passage></document></document>
           <group><document><id>c</id></document></group></collection>"""
-        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"))
+        docs = parse_documents(xml, IngestConfig(dataset_id="ds", format="bioc_xml"), NER_REGISTRY)
         assert [(d.doc_id, d.text) for d in docs] == [("a", "x\ny"), ("b", "y"), ("c", "")]
 
 
@@ -156,37 +157,42 @@ class TestConll:
         return IngestConfig(dataset_id="ds", format="conll")
 
     def test_single_entity(self):
-        docs = parse_documents("aspirin\tB-Chem\nworks\tO\n", self.cfg())
+        docs = parse_documents("aspirin\tB-Chem\nworks\tO\n", self.cfg(), NER_REGISTRY)
         doc = docs[0]
         assert doc.text == "aspirin works"
         e = doc.entities[0]
         assert (e.surface, e.etype, e.start, e.end) == ("aspirin", "Chem", 0, 7)
 
     def test_multi_token_entity(self):
-        docs = parse_documents("New\tB-Dis\nYork\tI-Dis\n", self.cfg())
+        docs = parse_documents("New\tB-Dis\nYork\tI-Dis\n", self.cfg(), NER_REGISTRY)
         e = docs[0].entities[0]
         assert (e.surface, e.start, e.end) == ("New York", 0, 8)
 
     def test_illegal_i_tag_repaired_with_warning(self):
         warnings = []
-        docs = parse_documents("x\tI-Dis\n", self.cfg(), warnings=warnings)
+        docs = parse_documents("x\tI-Dis\n", self.cfg(), NER_REGISTRY, warnings=warnings)
         assert docs[0].entities[0].surface == "x"
         assert len(warnings) == 1
 
     def test_type_switch_closes_run(self):
-        docs = parse_documents("a\tB-Dis\nb\tI-Chem\n", self.cfg())
+        docs = parse_documents("a\tB-Dis\nb\tI-Chem\n", self.cfg(), NER_REGISTRY)
         assert [e.etype for e in docs[0].entities] == ["Dis", "Chem"]
 
     def test_blank_line_separates_documents(self):
-        docs = parse_documents("a\tO\n\nb\tO\n", self.cfg())
+        docs = parse_documents("a\tO\n\nb\tO\n", self.cfg(), NER_REGISTRY)
         assert len(docs) == 2
 
     def test_empty_token_raises(self):
         with pytest.raises(ValueError, match=r"^empty token at line 2$"):
-            parse_documents("a\tO\n\tO\n", self.cfg())
+            parse_documents("a\tO\n\tO\n", self.cfg(), NER_REGISTRY)
+
+    def test_zh_document_takes_the_language_of_its_registry_row(self):
+        docs = parse_documents("阿\tB-药物\n司\tI-药物\n", IngestConfig("ner-zh", "conll"), reference_registry())
+        assert [(d.dataset_id, d.language, d.text, d.entities[0].surface) for d in docs] == [
+            ("ner-zh", Language.ZH, "阿司", "阿司")]
 
     def test_spans_match_surfaces(self):
-        docs = parse_documents("alpha\tB-X\nbeta\tI-X\ngamma\tO\ndelta\tB-Y\n", self.cfg())
+        docs = parse_documents("alpha\tB-X\nbeta\tI-X\ngamma\tO\ndelta\tB-Y\n", self.cfg(), NER_REGISTRY)
         doc = docs[0]
         for e in doc.entities:
             assert doc.text[e.start:e.end] == e.surface
@@ -320,10 +326,9 @@ class TestIngestDataset:
 
 def test_parsing_is_deterministic():
     stream = "1|t|Abc\n1|a|xy\n1\t0\t3\tAbc\tDisease\n\n"
-    assert parse_documents(stream, CFG) == parse_documents(stream, CFG)
+    assert parse_documents(stream, CFG, NER_REGISTRY) == parse_documents(stream, CFG, NER_REGISTRY)
 
 
-NER_REGISTRY = Registry([DatasetDescriptor(id="ds", name="ds", task=TaskType.NER_NEN, language=Language.EN)])
 FORMATS = ["pubtator", "bioc_xml", "conll", "generic_jsonl"]
 
 

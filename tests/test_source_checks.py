@@ -2,8 +2,8 @@
 import of ``src/bioforge`` is used and none is of ``dataclasses``, no
 module defines an exception class, so every pipeline error is a
 ``ValueError`` (the type the CLI maps to exit code 2) raised with its
-message, each message is made at one site, and only ``schema`` reads a
-file by ``os.pread``."""
+message, each message is made at one site, only ``schema`` reads a file
+by ``os.pread``, and every parameter is read."""
 
 import ast
 from pathlib import Path
@@ -89,3 +89,34 @@ def test_only_schema_calls_os_pread():
              if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
              and "pread" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))]
     assert calls and all(call.startswith("schema.py:") for call in calls), calls
+
+
+# Parameters that are not read, but kept: the public parsers' ``language``,
+# which the benchmark's tracer passes positionally (``parse_ner_output(raw,
+# language, vocab)``), so dropping it would change their signatures under it.
+UNREAD_KEPT = {"parse_ner_output(language)", "parse_re_output(language)", "parse_tc_output(language)"}
+
+
+def test_every_parameter_is_read():
+    """Each parameter of every function and lambda is read in its body, or
+    named with a leading ``_``: an argument that a dispatch table's
+    signature forces on its function (the ingest ``_FORMATS`` parsers, the
+    ``GRAMMARS`` renderers and prompts).  A dataset fact that a function
+    does not read is not passed to it.  Dunder methods are skipped."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            unread += [(f"{name}({p.arg})", f"{path.name}:{node.lineno}") for p in params
+                       if p.arg not in read and not p.arg.startswith("_")]
+    assert [f"{where}: {what}" for what, where in unread if what not in UNREAD_KEPT] == []
+    assert {what for what, _ in unread} == UNREAD_KEPT  # an entry that is read again leaves the list
