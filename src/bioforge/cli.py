@@ -21,6 +21,7 @@ import hashlib
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .schema import (
@@ -221,66 +222,83 @@ def cmd_stats(args) -> tuple[list[Path], dict]:
     return [], {"total": table.total}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bioforge",
-        description="Bilingual biomedical corpus pipeline: ingest, curate, forge, plan, eval, stats.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--registry", help="registry JSONL (default: bundled reference registry)")
-        p.add_argument("--seed", type=int, default=os.environ.get("BIOFORGE_SEED", "0"),
-                       help="pipeline seed (env BIOFORGE_SEED, overridable by this flag)")
-        p.add_argument("--out", default="out", help="output root directory")
-
-    p = sub.add_parser("ingest", help="parse a source-format file into canonical JSONL")
-    common(p)
+def _ingest_arguments(p) -> None:
     p.add_argument("--dataset", required=True)
     p.add_argument("--format", required=True,
                    choices=["pubtator", "bioc_xml", "conll", "generic_jsonl"])
     p.add_argument("--input", required=True)
     p.add_argument("--split", default="train")
     p.add_argument("--language", choices=["en", "zh"], help="the registry row's language (any other exits 2)")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("curate", help="dedup and filter train/test overlap")
-    common(p)
+
+def _curate_arguments(p) -> None:
     p.add_argument("--corpus-root", required=True)
-    p.set_defaults(func=cmd_curate)
 
-    p = sub.add_parser("forge", help="render instruction instances from curated corpora")
-    common(p)
+
+def _forge_arguments(p) -> None:
     p.add_argument("--corpus-root", required=True)
     p.add_argument("--templates", help="template bank JSONL (default: bundled bank)")
     p.add_argument("--split", default="train")
-    p.set_defaults(func=cmd_forge)
 
-    p = sub.add_parser("plan", help="partition a forged corpus into the two training stages")
-    common(p)
+
+def _plan_arguments(p) -> None:
     p.add_argument("--forged", required=True)
     p.add_argument("--stage", type=int, choices=[1, 2])
-    p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("eval", help="score free-text predictions against forged gold")
-    common(p)
+
+def _eval_arguments(p) -> None:
     p.add_argument("--dataset", required=True)
     p.add_argument("--gold", required=True, help="forged gold corpus JSONL")
     p.add_argument("--predictions", required=True, help="JSONL of {instance_id, raw_text}")
     p.add_argument("--sample-n", type=int, default=None,
                    help="evaluate a seeded subset of this size (default: full set)")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stats", help="corpus statistics per task group and language")
-    common(p)
+
+def _stats_arguments(p) -> None:
     p.add_argument("--corpus-root", help="count materialized corpora instead of registry metadata")
-    p.set_defaults(func=cmd_stats)
 
+
+# Each subcommand: its help line, the function it runs and its own arguments.
+COMMANDS = {
+    "ingest": ("parse a source-format file into canonical JSONL", cmd_ingest, _ingest_arguments),
+    "curate": ("dedup and filter train/test overlap", cmd_curate, _curate_arguments),
+    "forge": ("render instruction instances from curated corpora", cmd_forge, _forge_arguments),
+    "plan": ("partition a forged corpus into the two training stages", cmd_plan, _plan_arguments),
+    "eval": ("score free-text predictions against forged gold", cmd_eval, _eval_arguments),
+    "stats": ("corpus statistics per task group and language", cmd_stats, _stats_arguments),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``bioforge`` parser.  Given one of the :data:`COMMANDS`, it has
+    only that subcommand's parser, which is all that an argv starting with
+    it needs: it parses that argv as the whole parser does, and its usage
+    still names every subcommand.  Any other ``command``, or none, builds all
+    six, so that ``-h`` and a bad first argument give the whole text."""
+    parser = argparse.ArgumentParser(
+        prog="bioforge",
+        description="Bilingual biomedical corpus pipeline: ingest, curate, forge, plan, eval, stats.",
+    )
+    one = command in COMMANDS
+    # one subcommand's usage names the six as the whole parser's does
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name, (help_text, func, add_arguments) in COMMANDS.items():
+        if one and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--registry", help="registry JSONL (default: bundled reference registry)")
+        p.add_argument("--seed", type=int, default=os.environ.get("BIOFORGE_SEED", "0"),
+                       help="pipeline seed (env BIOFORGE_SEED, overridable by this flag)")
+        p.add_argument("--out", default="out", help="output root directory")
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         for key in RUN_LOG_SCOPE.get(args.command, ()):
             if not is_directory_name(value := getattr(args, key)):

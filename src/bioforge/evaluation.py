@@ -336,10 +336,15 @@ def parse_tc_output(raw: str, language: Language, label_vocab: Sequence[str]) ->
 
 
 def parse_qa_choice(raw: str, options: Sequence[tuple]) -> ParseOutcome:
-    """Resolve a multiple-choice answer: (1) a standalone option key token
-    ("B", "B.", "(B)"); (2) a unique option text contained in the output;
-    otherwise unparseable (scored incorrect).  Ambiguity in either rule falls
-    through rather than guessing."""
+    """Resolve a multiple-choice answer: (1) an output that is one option's
+    line, as the gold output writes it (``B. text``, the text trimmed);
+    (2) a standalone option key token ("B", "B.", "(B)"); (3) a unique
+    option text contained in the output; otherwise unparseable (scored
+    incorrect).  Ambiguity in rules 2 and 3 falls through rather than
+    guessing."""
+    line = _OPTION_LINE.match(raw.strip())
+    if line and any(key == line[1] and text.strip() == line[2] for key, text in options):
+        return ParseOutcome(status=PARSED, qa_choice=line[1])
     matched_keys = [key for key, _text in options if _qa_key(key).search(raw)]
     if len(matched_keys) == 1:
         return ParseOutcome(status=PARSED, qa_choice=matched_keys[0])

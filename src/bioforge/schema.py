@@ -5,28 +5,12 @@ All corpora, whatever their source format, are normalized into
 carries per-dataset metadata (task type, language, split sizes, declared
 label vocabulary).  Values are immutable after construction and safe to
 share across workers.  :data:`TASKS` holds the data facts of every task
-type in one table.
-
-Every record class is declared under :func:`record`, which builds its
-methods and the codecs below from one field list, without ``dataclasses``,
-whose import and decorations cost each command about 20 ms of its start.
+type in one table.  Every record class is declared under
+``records.record``, whose codec maps it to JSON and back.
 
 On-disk encoding is UTF-8 JSONL, one record per line; the registry is a
-single JSONL file of descriptor rows.  One codec, :func:`to_dict` /
-:func:`from_dict`, maps every record to JSON and back, driven by its field
-list and the fields' type hints: keys are the field names, in sorted order
-(a dict field's keys too), tuples become lists, enums become their values,
-nested records become objects, and a key absent on input takes the field's
-default.  It is the one type check of JSON input: a field takes only a
-value of its exact type (``true`` is no int), ``null`` only if
-``Optional``, and each tuple item and dict value is checked; a missing
-required key or a mistyped value raises ``ValueError`` naming the class and
-field, which :func:`read_jsonl` prefixes with ``<path>:<line>:``.
-
-Each record class's codec is one straight-line function each way, made
-from its fields on first use, never at import; decoding has one type
-dispatch, :func:`_decode_expr`.  :func:`read_jsonl` parses each line with
-one JSON scan and, given ``fields``, reads a projection: every field is
+single JSONL file of descriptor rows.  :func:`read_jsonl` parses each line
+with one JSON scan and, given ``fields``, reads a projection: every field is
 checked, but no record is built.  Every output file is written through
 :func:`atomic_writer`, so it appears whole or not at all.  ``curate``,
 ``plan`` and ``eval`` index rows by number: :class:`LineSpans` columns,
@@ -39,16 +23,17 @@ by their spans.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 import stat
 from array import array
 from bisect import bisect_right
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
+from typing import IO, Callable, Iterable, Iterator, Optional
+
+from .records import Factory, _decoder, _dump_record, _writer, record
+from .records import asdict, from_dict, replace, to_dict  # noqa: F401 (re-exported)
 
 
 class TaskType(str, Enum):
@@ -74,136 +59,6 @@ class TaskType(str, Enum):
 class Language(str, Enum):
     EN = "en"
     ZH = "zh"
-
-
-class Factory:
-    """A record field's default that ``make()`` makes afresh for each
-    record, as ``dataclasses.field(default_factory=make)`` does."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable):
-        self.make = make
-
-
-_REQUIRED = object()  # the default of a field that has none
-
-
-def _compile(name: str, lines: list[str], ns: dict) -> Callable:
-    exec("\n".join(lines), ns)  # noqa: S102 (source built from field names and type hints only)
-    return ns[name]
-
-
-class _DataclassFields:
-    """A record class's ``__dataclass_fields__``, so that
-    ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
-    take records.  On first access, ``dataclasses`` makes it from a shadow
-    class of the same fields and defaults, and it replaces this descriptor
-    on the record class.  Only callers of ``dataclasses`` reach it."""
-
-    def __get__(self, obj, cls):
-        import dataclasses
-        body = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
-                "__annotations__": {name: cls.__annotations__[name] for name, _ in cls.__record_fields__}}
-        for name, default in cls.__record_fields__:
-            if isinstance(default, Factory):
-                body[name] = dataclasses.field(default_factory=default.make)
-            elif default is not _REQUIRED:
-                body[name] = default
-        shadow = dataclasses.dataclass(init=False, repr=False, eq=False)(type(cls.__name__, (), body))
-        cls.__dataclass_fields__ = shadow.__dataclass_fields__
-        return cls.__dataclass_fields__
-
-
-_DATACLASS_FIELDS = _DataclassFields()
-
-
-def record(cls=None, *, frozen: bool = False, slots: bool = False):
-    """Make ``cls`` a record class, as ``dataclasses.dataclass`` with the
-    same arguments does, without importing ``dataclasses``.
-
-    The class's annotated names, in order, with their class-level defaults
-    (a :class:`Factory` is made afresh per record), are read once into its
-    field list, ``__record_fields__``, from which the codecs, :func:`replace`,
-    :func:`asdict` and its methods are built: a compiled ``__init__`` that
-    calls ``__post_init__`` if the class has one, ``__repr__`` and
-    ``__eq__`` over the tuple of fields (a record of the same class only)
-    and, if ``frozen``, that tuple's ``__hash__`` and an ``AttributeError``
-    on assignment.  ``slots`` remakes the class with a slot per field."""
-    if cls is None:
-        return functools.partial(record, frozen=frozen, slots=slots)
-    fields = tuple((name, cls.__dict__.get(name, _REQUIRED)) for name in cls.__dict__.get("__annotations__", {}))
-    names = tuple(name for name, _ in fields)
-    if slots:
-        body = {k: v for k, v in cls.__dict__.items() if k not in names and k not in ("__dict__", "__weakref__")}
-        cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names, "__qualname__": cls.__qualname__})
-    ns: dict = {"_setattr": object.__setattr__}
-    params, lines = [], []
-    for i, (name, default) in enumerate(fields):
-        value = name
-        if default is _REQUIRED:
-            params.append(name)
-        else:
-            ns[f"_default{i}"] = default
-            params.append(f"{name}=_default{i}")
-        if isinstance(default, Factory):  # the marker itself stands for an argument not given
-            value = f"_default{i}.make() if {name} is _default{i} else {name}"
-            if not slots:
-                delattr(cls, name)
-        lines.append(f"    _setattr(self, {name!r}, {value})" if frozen else f"    self.{name} = {value}")
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    init = _compile("__init__", [f"def __init__(self, {', '.join(params)}):", *lines], ns)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    key = attrgetter(*names) if len(names) > 1 else lambda o, name=names[0]: (getattr(o, name),)
-
-    def __eq__(self, other):
-        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, key(self)))})"
-
-    def __hash__(self):
-        return hash(key(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    cls.__init__, cls.__eq__, cls.__repr__ = init, __eq__, __repr__
-    if frozen:
-        cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
-    else:
-        cls.__hash__ = None
-    cls.__record_fields__, cls.__dataclass_fields__ = fields, _DATACLASS_FIELDS
-    return cls
-
-
-def replace(obj, **changes):
-    """A new record of ``obj``'s class with ``obj``'s fields but those
-    named in ``changes``, as ``dataclasses.replace`` gives it."""
-    values = {name: getattr(obj, name) for name, _ in obj.__record_fields__}
-    values.update(changes)
-    return obj.__class__(**values)
-
-
-def asdict(obj) -> dict:
-    """The fields of the record ``obj`` as a dict in field order, each
-    nested record, list, tuple and dict copied likewise, as
-    ``dataclasses.asdict`` gives them."""
-    return {name: _copied(getattr(obj, name)) for name, _ in obj.__record_fields__}
-
-
-def _copied(value):
-    if hasattr(value.__class__, "__record_fields__"):
-        return asdict(value)
-    if value.__class__ in (list, tuple):
-        return value.__class__(map(_copied, value))
-    if value.__class__ is dict:
-        return {_copied(k): _copied(v) for k, v in value.items()}
-    return value
 
 
 @record(frozen=True)
@@ -482,168 +337,6 @@ def validate_document(doc: UnifiedDocument, desc: DatasetDescriptor) -> Validati
     return ValidationResult(ok=not v, violations=tuple(v))
 
 
-def _mistyped(expected: str, value):
-    """Raise the error of a ``value`` that is not a JSON value of ``expected``."""
-    raise ValueError(f"expected {expected}, got {value!r:.40}")
-
-
-def _encode_expr(tp, var: str, ns: dict) -> str:
-    """Source of an expression that encodes the non-None value ``var`` of
-    type ``tp``; the helpers it calls are added to ``ns``."""
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is tuple and args[-1] is Ellipsis:
-        item = _encode_expr(args[0], "i", ns)
-        return f"list({var})" if item == "i" else f"[{item} for i in {var}]"
-    if origin is tuple:  # fixed-size tuple of plain values
-        return f"list({var})"
-    if origin is dict:  # sorted, as the keys of a record are
-        return f"dict(sorted({var}.items()))"
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return f"{var}.value"
-    if hasattr(tp, "__record_fields__"):
-        name = f"_enc_{tp.__name__}"
-        ns[name] = _encoder(tp)
-        return f"{name}({var})"
-    return var
-
-
-_ABSENT = object()  # what ``dict.get`` gives for a key the JSON object lacks
-
-
-@functools.cache
-def _plan(cls) -> list[tuple]:
-    """Per field of ``cls``, in order: name, type (``X`` of ``Optional[X]``),
-    whether it may be None, and a callable that gives an absent key's value
-    afresh for each record (``_REQUIRED`` if the key is required), from
-    its field list (see :func:`record`)."""
-    hints = get_type_hints(cls)
-    plan = []
-    for name, default in cls.__record_fields__:
-        hint = hints[name]
-        nullable = get_origin(hint) is Union  # Optional[X]
-        if nullable:
-            hint = get_args(hint)[0]
-        if isinstance(default, Factory):
-            default = default.make
-        elif default is not _REQUIRED:
-            default = lambda v=default: v
-        plan.append((name, hint, nullable, default))
-    return plan
-
-
-@functools.cache
-def _encoder(cls) -> Callable:
-    """One generated function per record class: a dict display of its
-    fields in sorted key order, each encoded inline."""
-    ns: dict = {}
-    items = []
-    for name, hint, _, _ in sorted(_plan(cls)):
-        expr = _encode_expr(hint, "x", ns)
-        value = f"o.{name}" if expr == "x" else f"None if (x := o.{name}) is None else {expr}"
-        items.append(f"{name!r}: {value}")
-    return _compile("encode", ["def encode(o):", f"    return {{{', '.join(items)}}}"], ns)
-
-
-def _decode_expr(tp, var: str, ns: dict, otherwise: str) -> str:
-    """Source of an expression that decodes the JSON value ``var`` of type
-    ``tp``: one inline test that ``var`` has the type's common form, then
-    its decoded value, or else ``otherwise(expected, var)``, the named
-    fallback; the helpers it calls are added to ``ns``.  Container items are
-    decoded inline, each with ``_mistyped`` as its fallback, and a nested
-    record by its own :func:`_decoder`."""
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is tuple and args[-1] is Ellipsis:
-        item = _decode_expr(args[0], "i", ns, "_mistyped")
-        expected, test = "list", f"type({var}) is list"
-        value = f"tuple([{item} for i in {var}]) if {var} else ()"
-    elif origin is tuple:  # fixed-size tuple of plain values, e.g. a (key, text) pair
-        expected, test = f"list of {len(args)}", f"type({var}) is list and len({var}) == {len(args)}"
-        value = "".join(f"{_decode_expr(a, f'{var}[{k}]', ns, '_mistyped')}, " for k, a in enumerate(args))
-    elif origin is dict:  # JSON object keys are strings; each value is checked
-        expected, test = "dict", f"type({var}) is dict"
-        value = f"{{k: {_decode_expr(args[1], 'v', ns, '_mistyped')} for k, v in {var}.items()}}"
-    elif isinstance(tp, type) and issubclass(tp, Enum):
-        expected = tp.__name__
-        ns[f"_{expected}"] = {m.value: m for m in tp}
-        test, value = f"type({var}) is str and {var} in _{expected}", f"_{expected}[{var}]"
-    elif hasattr(tp, "__record_fields__"):
-        expected = tp.__name__
-        ns[f"_dec_{expected}"] = _decoder(tp)
-        test, value = f"type({var}) is dict", f"_dec_{expected}({var})"
-    else:
-        expected = tp.__name__
-        ns[f"_{expected}"] = tp
-        test, value = f"type({var}) is _{expected}", var
-    return f"({value}) if {test} else {otherwise}({expected!r}, {var})"
-
-
-def _absent_or_mistyped(default) -> Callable:
-    """A record field's fallback: an absent key's default, made afresh, or
-    ``required key missing``; any other value is mistyped."""
-    def otherwise(expected: str, value):
-        if value is not _ABSENT:
-            _mistyped(expected, value)
-        if default is _REQUIRED:
-            raise ValueError("required key missing")
-        return default()
-    return otherwise
-
-
-@functools.cache
-def _decoder(cls, project: tuple[str, ...] = ()) -> Callable:
-    """One generated function per record class: per field, one ``dict.get``
-    and the :func:`_decode_expr` of its type, whose fallback gives an absent
-    key's default (a nullable field's ``null`` is None, tested first); a
-    ``ValueError`` is prefixed ``<Class>.<field>: ``.
-
-    With ``project``, a tuple of field names, it is a projection: every
-    field is decoded and checked the same way, but it returns the named
-    fields' values, in that order, and builds no record.  A class with rule
-    checks (``__post_init__``) has no projection, which would skip them."""
-    names = [name for name, *_ in _plan(cls)]
-    if project and hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__name__} checks rules in __post_init__: it has no projection")
-    for name in project:
-        if name not in names:
-            raise TypeError(f"{cls.__name__} has no field {name!r}")
-    ns: dict = {"_A": _ABSENT, "_cls": cls, "_mistyped": _mistyped,
-                "_new": object.__new__, "_setattr": object.__setattr__}
-    lines = ["def decode(d):",
-             "    if type(d) is not dict:",
-             f"        _mistyped({cls.__name__!r}, d)",
-             "    get = d.get"]
-    for i, (name, hint, nullable, default) in enumerate(_plan(cls)):
-        ns[f"_or{i}"] = _absent_or_mistyped(default)
-        value = _decode_expr(hint, "x", ns, f"_or{i}")
-        lines += ["    try:",
-                  f"        x = get({name!r}, _A)",
-                  f"        v{i} = {'None if x is None else ' if nullable else ''}{value}",
-                  "    except ValueError as exc:",
-                  f"        raise ValueError(f'{cls.__name__}.{name}: {{exc}}') from None"]
-    if project:
-        lines.append(f"    return ({''.join(f'v{names.index(name)}, ' for name in project)})")
-        return _compile("decode", lines, ns)
-    # what the frozen __init__ does, without its call: each field set in
-    # order (so instances keep sharing one key table), then its rule check
-    lines.append("    o = _new(_cls)")
-    lines += [f"    _setattr(o, {name!r}, v{i})" for i, name in enumerate(names)]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    o.__post_init__()")
-    lines.append("    return o")
-    return _compile("decode", lines, ns)
-
-
-def to_dict(obj) -> dict:
-    """Encode a record as a JSON-ready dict, keys sorted, by the encoder
-    built from its class's field list (see the module docstring)."""
-    return _encoder(type(obj))(obj)
-
-
-def from_dict(cls, d):
-    """Decode a JSON value into a ``cls`` record (see the module docstring)."""
-    return _decoder(cls)(d)
-
-
 def is_directory_name(name: str) -> bool:
     """Whether ``name`` is exactly one path component, as a name that a
     command puts in an output path must be."""
@@ -837,26 +530,26 @@ def write_json(path: Path | str, obj) -> None:
         f.write(json.dumps(obj, indent=2, ensure_ascii=False, default=str) + "\n")
 
 
-# The one JSONL encoder, made once: it keeps a dict's key order (a record's
-# dict has its keys sorted, see :func:`to_dict`).
-_dump_record = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+def _write_lines(path: Path | str, lines: Iterable[str]) -> int:
+    n = 0
+    with atomic_writer(path) as f:
+        for line in lines:
+            f.write(line + "\n")
+            n += 1
+    return n
 
 
 def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
     """Write dicts as UTF-8 JSONL, keys in the order given, through
     :func:`atomic_writer`; returns the number of lines written."""
-    n = 0
-    with atomic_writer(path) as f:
-        for rec in records:
-            f.write(_dump_record(rec) + "\n")
-            n += 1
-    return n
+    return _write_lines(path, map(_dump_record, records))
 
 
 def write_records(path: Path | str, records: Iterable) -> int:
-    """Write records as UTF-8 JSONL, keys sorted: :func:`write_jsonl` of
-    their :func:`to_dict` dicts."""
-    return write_jsonl(path, map(to_dict, records))
+    """Write records as UTF-8 JSONL, keys sorted, each line the text its
+    class's :func:`_writer` makes, through :func:`atomic_writer`; returns
+    the number of lines written."""
+    return _write_lines(path, (_writer(type(rec))(rec) for rec in records))
 
 
 # Parses a stripped line in one scan of the decoder's scanner (StopIteration: no

@@ -175,6 +175,14 @@ class TestParseQa:
     def test_empty_string(self):
         assert parse_qa_choice("", OPTIONS).status == UNPARSEABLE
 
+    def test_an_option_line_names_its_option_whatever_other_keys_and_texts_it_holds(self):
+        """``A. Vitamin B`` names key B and contains text ``Vitamin`` too, but
+        it is option A's line, as A's gold output writes it."""
+        options = (("A", "Vitamin B"), ("B", "Vitamin"))
+        assert parse_qa_choice("A. Vitamin B", options).qa_choice == "A"
+        assert parse_qa_choice(" A.  Vitamin B \n", options).qa_choice == "A"
+        assert parse_qa_choice("B. Vitamin", options).qa_choice == "B"
+
 
 def brute_force_micro_f1(gold, pred):
     """Independent oracle: naive set loops, no pooling shortcuts."""
@@ -624,15 +632,6 @@ def _blank(*fields: str) -> bool:
     return any(not f.strip() for f in fields)
 
 
-def _qa_ambiguous(qa: QAInstance) -> bool:
-    """The answer's line names another option's key, or a prompt line reads as an option."""
-    answer = qa.answer_keys[0]
-    line = f"{answer}. {dict(qa.options)[answer]}"
-    named = any(re.search(rf"(?<![A-Za-z0-9]){re.escape(k)}(?![A-Za-z0-9])", line)
-                for k, _ in qa.options if k != answer)
-    return named or any(re.match(r"\s*[A-Za-z0-9]+\.\s", p) for p in (qa.question, qa.context or ""))
-
-
 @st.composite
 def scored_cases(draw, task, language):
     """A document of ``task``, its descriptor, the gold structure its output
@@ -652,10 +651,12 @@ def scored_cases(draw, task, language):
         keys = draw(st.lists(OPTION_KEY, min_size=1, max_size=5, unique=True))
         options = tuple(zip(keys, draw(st.lists(ITEM, min_size=len(keys), max_size=len(keys)))))
         answer = draw(st.sampled_from(keys))
-        context = draw(st.none() | ITEM)  # without a non-blank one, validate_document needs a question
-        question = draw(ITEM if (context or "").strip() else ITEM.filter(str.strip))
+        # a prompt line may read as an option line, which the parser then also lists
+        prompt_line = ITEM | st.builds(lambda k, t: f"{k}. {t}", OPTION_KEY | st.sampled_from(keys), ITEM)
+        context = draw(st.none() | prompt_line)  # without a non-blank one, validate_document needs a question
+        question = draw(prompt_line if (context or "").strip() else prompt_line.filter(str.strip))
         qa = QAInstance(question, options, (answer,), context)
-        return desc, dataclasses.replace(doc, qa=qa), answer, _qa_ambiguous(qa)
+        return desc, dataclasses.replace(doc, qa=qa), answer, _blank(dict(options)[answer])
     if task is TaskType.RE and draw(st.booleans()):  # untyped: the prompt implies vocab[0]
         desc = dataclasses.replace(desc, re_untyped=True, prompted_relation=vocab[0])
         vocab = vocab[:1]

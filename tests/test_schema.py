@@ -560,6 +560,27 @@ def test_record_line_is_the_sorted_json_dump_of_the_record(tmp_path_factory, cls
     assert path.read_bytes() == 2 * (line + "\n").encode("utf-8")
 
 
+def test_a_value_not_of_its_fields_class_is_written_as_json_writes_it(tmp_path):
+    """A record built in code may hold a value of another class than its
+    field's: a bool or float where an int belongs (``int.__repr__(True)`` is
+    ``1``, but JSON writes ``true``), an enum or int where a str belongs, a
+    list where a tuple belongs.  Each is written as ``json`` writes it."""
+    rows = [EntityMention(surface=TaskType.RE, etype="X", start=True, end=2.5, norm_id=7),
+            QAInstance(question="q", options=[["A", "a"]], answer_keys=["A", Language.ZH]),
+            DatasetDescriptor(id="x", name="X", task=TaskType.TC, language=Language.EN,
+                              split_counts={"train": False}, re_untyped=1)]
+    path = tmp_path / "rows.jsonl"
+    assert write_records(path, rows) == 3
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        '{"end": 2.5, "etype": "X", "norm_id": 7, "start": true, "surface": "RE"}',
+        '{"answer_keys": ["A", "zh"], "context": null, "options": [["A", "a"]], "question": "q"}',
+        '{"description": "", "general_dialogue": false, "id": "x", "label_vocab": [], "language": "en", '
+        '"name": "X", "prompted_relation": null, "re_untyped": 1, "role_vocab": [], "source_url": null, '
+        '"split_counts": {"train": false}, "stage_override": null, "task": "TC"}']
+    assert [json.dumps(plain(row), ensure_ascii=False, sort_keys=True) for row in rows] == \
+        path.read_text(encoding="utf-8").splitlines()
+
+
 def loads_per_line(path: Path):
     """What reading ``path`` gives with one ``json.loads`` per stripped
     line: the values up to the first bad line, and that line's error."""
@@ -656,15 +677,16 @@ def codec_references(tree: ast.AST, scope=None):
 def test_records_are_decoded_only_by_the_schema_readers_and_jsonl_ingest():
     """Every record file is read through ``schema.read_jsonl`` (or a span
     of a file it read), whose errors name the file and line; only generic
-    JSONL ingest decodes a row itself, so that a bad row costs only that row."""
+    JSONL ingest decodes a row itself, so that a bad row costs only that row.
+    ``records`` is the codec itself."""
     found = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope in codec_references(ast.parse(path.read_text(encoding="utf-8")))}
-    assert {name for name, _ in found} == {"schema.py", "ingest.py"}
+    assert {name for name, _ in found} == {"records.py", "schema.py", "ingest.py"}
     assert {scope for name, scope in found if name == "ingest.py"} == {"_parse_jsonl"}
 
 
 def record_classes() -> list[type]:
-    """Every class that ``schema.record`` made, in every module of the package."""
+    """Every class that ``records.record`` made, in every module of the package."""
     modules = [importlib.import_module(f"bioforge.{info.name}") for info in pkgutil.iter_modules(bioforge.__path__)]
     return [cls for module in modules for cls in vars(module).values()
             if isinstance(cls, type) and "__record_fields__" in vars(cls) and cls.__module__ == module.__name__]
@@ -773,3 +795,19 @@ def test_record_class_behaves_as_the_dataclass_of_its_source(cls):
 
 def test_only_the_two_slots_records_have_no_instance_dict():
     assert {cls.__name__ for cls in RECORD_CLASSES if "__slots__" in vars(cls)} == {"PredictionRecord", "ParseOutcome"}
+
+
+def test_record_init_is_compiled_when_first_looked_up():
+    """``inspect.signature`` gives a record class's parameters before any
+    record of it is made; the lookup compiles ``__init__`` in place."""
+    @bioforge.records.record(frozen=True)
+    class Point:
+        x: int
+        y: int = 0
+        tags: tuple[str, ...] = ()
+
+    assert not isinstance(vars(Point)["__init__"], FunctionType)
+    assert str(inspect.signature(Point)) == "(x, y=0, tags=())"
+    assert isinstance(vars(Point)["__init__"], FunctionType)
+    assert Point.__init__.__qualname__ == "test_record_init_is_compiled_when_first_looked_up.<locals>.Point.__init__"
+    assert Point(1) == Point(x=1, y=0)

@@ -3,7 +3,8 @@ import of ``src/bioforge`` is used and none is of ``dataclasses``, no
 module defines an exception class, so every pipeline error is a
 ``ValueError`` (the type the CLI maps to exit code 2) raised with its
 message, each message is made at one site, only ``schema`` reads a file
-by ``os.pread``, and every parameter is read."""
+by ``os.pread``, no module calls ``typing.get_type_hints``, and every
+parameter is read."""
 
 import ast
 from pathlib import Path
@@ -47,7 +48,7 @@ def test_every_module_level_import_is_used_or_marked(path):
 def test_no_module_imports_dataclasses_at_module_level():
     """Importing ``dataclasses`` loads ``inspect`` and ``ast`` too, which
     would add milliseconds to every command's start; records are made by
-    ``schema.record``."""
+    ``records.record``."""
     found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
              if "dataclasses" in ([alias.name.split(".")[0] for alias in node.names]
@@ -89,6 +90,17 @@ def test_only_schema_calls_os_pread():
              if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
              and "pread" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))]
     assert calls and all(call.startswith("schema.py:") for call in calls), calls
+
+
+def test_no_module_calls_get_type_hints():
+    """A record's annotations are evaluated in its module's namespace, once
+    each (``schema._annotation``): ``typing.get_type_hints`` walks every
+    base class and evaluates every annotation again on each call."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "get_type_hints" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                     getattr(node, "name", None))]
+    assert found == []
 
 
 # Parameters that are not read, but kept: the public parsers' ``language``,
